@@ -38,10 +38,6 @@ class TransformKind(enum.Enum):
     F2 = "F2"  # x -> X + Y/x
 
 
-def x_names(k: int) -> tuple:
-    return tuple(f"x{i}" for i in range(1, k + 1))
-
-
 def y_names(k: int) -> tuple:
     return tuple(f"y{i}" for i in range(1, k + 1))
 

@@ -55,7 +55,6 @@ def cmd_decide(args) -> int:
         pset,
         budget=_budget(args),
         type_cap=args.type_cap,
-        naive_order=args.naive_order,
         search_witness=not args.no_witness,
         witness_seed=args.seed,
     )
@@ -217,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type-cap", type=int,
                    default=int(os.environ.get("ESDEC_TYPE_CAP", 200_000)))
     p.add_argument("--cell-cap", type=int, default=None)
-    p.add_argument("--naive-order", action="store_true")
     p.add_argument("--no-witness", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_decide)

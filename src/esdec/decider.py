@@ -2,13 +2,13 @@
 brute-force harness for order-invariant sets.
 
 Decision: for each of the two transforms and every candidate type of
-the induced coefficient system, test feasibility; for feasible types,
-evaluate every member's verdict in both traversal orientations.  If
-some feasible type makes every member false everywhere in some
-orientation, arbitrarily long counterexample sequences exist and the
-answer is NO, with the (transform, type, orientation) triple as the
-certificate.  If the enumeration completes without such a type, the
-answer is YES.  Budget exhaustion inside any feasibility test makes
+the induced coefficient system, evaluate every member's verdict in
+both traversal orientations; only a type that makes every member false
+everywhere in some orientation has its feasibility tested.  If such a
+type is feasible, arbitrarily long counterexample sequences exist and
+the answer is NO, with the (transform, type, orientation) triple as
+the certificate.  If the enumeration completes without such a type,
+the answer is YES.  Budget exhaustion inside a feasibility test makes
 the overall answer UNDECIDED (unless a NO was already found, which is
 conclusive on its own).
 
@@ -30,12 +30,15 @@ from itertools import combinations
 from .algebra import TransformKind
 from .errors import InconsistentTypeError, OrderInvarianceError, ResourceLimitError
 from .feasibility import (
-    FEASIBLE, INFEASIBLE, UNDECIDED, FeasibilityInstance, is_feasible,
-    sign_sentence, witness_search,
+    FEASIBLE, UNDECIDED, FeasibilityInstance, is_feasible, sign_sentence,
+    witness_search,
 )
 from .predicates import PredicateSet, atoms_of, holds_everywhere, rel_holds
 from .qe import QeBudget, decide_sentence
-from .typesys import build_Q, enumerate_types, eval_predicates_from_type
+from .typesys import (
+    CandidateType, CoefficientSystem, build_Q, enumerate_types,
+    eval_predicates_from_type,
+)
 
 YES = "YES"
 NO = "NO"
@@ -49,6 +52,11 @@ ENVELOPE_NOTE = (
 
 @dataclass
 class DecisionStats:
+    """Every enumerated type counts in ``types_total`` and has its
+    verdicts evaluated (``types_inconsistent``: no dominant coefficient).
+    Only types with an all-nowhere orientation are screened and tested,
+    so ``types_feasible`` is at most 1: the first is the NO certificate."""
+
     types_total: int = 0
     types_feasible: int = 0
     types_skipped_by_screen: int = 0
@@ -106,15 +114,21 @@ def _within_envelope(pset: PredicateSet) -> bool:
 
 
 def decide_es(pset: PredicateSet, budget: QeBudget | None = None,
-              type_cap: int = 200_000, naive_order: bool = False,
-              search_witness: bool = True, witness_R: int = 4,
-              witness_n: int = 4, witness_seed: int = 0) -> Verdict:
+              type_cap: int = 200_000, search_witness: bool = True,
+              witness_R: int = 4, witness_n: int = 4,
+              witness_seed: int = 0) -> Verdict:
     """Decide whether every long enough sequence admits a fixed-length
     subsequence on which some member holds everywhere.
 
-    ``naive_order`` disables the cheap sign-realizability screen (used
-    for differential testing).  Resource limits surface as UNDECIDED,
-    never as a wrong answer.
+    Verdicts come first: NO needs a realizable type that makes every
+    member 'nowhere' in some orientation, so a type with no such
+    orientation cannot certify NO, whether it is feasible or not, and
+    its feasibility is never tested.  Feasibility does not depend on the
+    orientation, so one test settles both.  The sign screen checks a
+    necessary condition for feasibility that depends only on the signs
+    (cached on ``typ.sigmas``); its 'no' skips the type, and when it
+    runs out of budget the full test decides.  Resource limits surface
+    as UNDECIDED, never as a wrong answer.
     """
     stats = DecisionStats()
     if not _within_envelope(pset):
@@ -132,52 +146,57 @@ def decide_es(pset: PredicateSet, budget: QeBudget | None = None,
             continue
         for typ in types:
             stats.types_total += 1
+            orientation = _nowhere_orientation(pset, Q, typ, stats)
+            if orientation is None:
+                continue
             inst = FeasibilityInstance.from_type(Q, typ)
-            if not naive_order and not inst.constant_conflict:
-                key = typ.sigmas
-                if key not in screen_cache:
-                    try:
-                        screen_cache[key] = decide_sentence(sign_sentence(inst), budget)
-                    except ResourceLimitError as exc:
-                        screen_cache[key] = None
-                        stats.undecided_events.append(f"{kind.value} screen: {exc}")
-                ok = screen_cache[key]
-                if ok is False:
-                    stats.types_skipped_by_screen += 1
-                    continue
+            if not inst.constant_conflict and typ.sigmas not in screen_cache:
+                try:
+                    screen_cache[typ.sigmas] = decide_sentence(sign_sentence(inst), budget)
+                except ResourceLimitError:
+                    screen_cache[typ.sigmas] = None
+            if screen_cache.get(typ.sigmas) is False:
+                stats.types_skipped_by_screen += 1
+                continue
             verdict = is_feasible(inst, budget)
             if verdict == UNDECIDED:
                 stats.undecided_events.append(f"{kind.value}: type undecided")
-                continue
-            if verdict == INFEASIBLE:
+            if verdict != FEASIBLE:
                 continue
             stats.types_feasible += 1
-            for orientation in ("ascending", "descending"):
-                try:
-                    verdicts = eval_predicates_from_type(pset, kind, typ, orientation)
-                except InconsistentTypeError:
-                    stats.types_inconsistent += 1
-                    break
-                if all(v == "nowhere" for v in verdicts.values()):
-                    witness = None
-                    if search_witness:
-                        witness = witness_search(inst, witness_R, witness_n,
-                                                 seed=witness_seed)
-                    stats.elapsed = time.monotonic() - t0
-                    out = Verdict(NO, kind, typ, typ.to_json(Q), orientation,
-                                  witness, stats)
-                    _reverify_no(pset, out)
-                    return out
+            witness = (witness_search(inst, witness_R, witness_n, seed=witness_seed)
+                       if search_witness else None)
+            stats.elapsed = time.monotonic() - t0
+            out = Verdict(NO, kind, typ, typ.to_json(Q), orientation,
+                          witness, stats)
+            _reverify_no(pset, Q, out)
+            return out
     stats.elapsed = time.monotonic() - t0
     if stats.undecided_events:
         return Verdict(UNDEC, stats=stats)
     return Verdict(YES, stats=stats)
 
 
-def _reverify_no(pset: PredicateSet, verdict: Verdict):
+def _nowhere_orientation(pset: PredicateSet, Q: CoefficientSystem,
+                         typ: CandidateType, stats: DecisionStats) -> str | None:
+    """The first orientation in which the type makes every member
+    'nowhere', or None.  A type with no dominant coefficient is not
+    realizable, which ends its scan."""
+    for orientation in ("ascending", "descending"):
+        try:
+            verdicts = eval_predicates_from_type(pset, Q, typ, orientation)
+        except InconsistentTypeError:
+            stats.types_inconsistent += 1
+            return None
+        if all(v == "nowhere" for v in verdicts.values()):
+            return orientation
+    return None
+
+
+def _reverify_no(pset: PredicateSet, Q: CoefficientSystem, verdict: Verdict):
     """A NO certificate must evaluate every member to 'nowhere'."""
     got = eval_predicates_from_type(
-        pset, verdict.transform, verdict.certificate_type, verdict.orientation
+        pset, Q, verdict.certificate_type, verdict.orientation
     )
     if any(v != "nowhere" for v in got.values()):
         raise AssertionError("internal: NO certificate failed re-verification")

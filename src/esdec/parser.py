@@ -71,15 +71,6 @@ def tokenize(text: str) -> list:
     return tokens
 
 
-def parse_rational(text: str) -> Fraction:
-    """Exact rational from 'p', 'p/q', or a decimal literal."""
-    text = text.strip()
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational literal {text!r}") from exc
-
-
 def parse_sequence(text: str) -> list:
     """Sequence file: one rational per line; '#' comments; blank lines ok."""
     values = []

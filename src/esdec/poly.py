@@ -378,9 +378,6 @@ class MultiPoly:
             acc = acc + c * x ** k
         return acc
 
-    def leading_coeff(self, main: str) -> "MultiPoly":
-        return self.as_univar(main)[-1]
-
     def derivative(self, name: str) -> "MultiPoly":
         if name not in self.vars:
             return MultiPoly.zero(self.vars)

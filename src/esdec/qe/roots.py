@@ -253,10 +253,6 @@ class RealAlgebraicNumber:
         else:
             self.lo = mid
 
-    def refine_below(self, width: Fraction):
-        while self.value is None and self.hi - self.lo >= width:
-            self.refine()
-
     def sign_of_poly(self, q: Coeffs) -> int:
         """Exact sign of q at this number."""
         q = utrim(q)

@@ -680,7 +680,7 @@ def extract_homogeneous(a: Sequence[Fraction], pset, n: int,
         typ = typesys.compute_type(Q, w.A, w.B, list(refined.values), R)
         if not isinstance(typ, typesys.NotWellPlaced):
             orientation = "ascending" if w.orientation == "forward" else "descending"
-            typesys.eval_predicates_from_type(pset, w.kind, typ, orientation)
+            typesys.eval_predicates_from_type(pset, Q, typ, orientation)
             start, stop = refined.start, min(refined.stop, refined.start + n)
             n_all = len(emb.sequence)
             if w.orientation == "forward":

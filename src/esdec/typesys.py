@@ -308,13 +308,13 @@ def sign_from_type(entry: QEntry, typ: CandidateType, orientation: str) -> int:
     return sigma[champ]
 
 
-def eval_predicates_from_type(pset: PredicateSet, transform: TransformKind,
+def eval_predicates_from_type(pset: PredicateSet, Q: CoefficientSystem,
                               typ: CandidateType, orientation: str) -> dict:
     """Per-member verdict ('everywhere' or 'nowhere') on sequences whose
-    coefficient system realizes the type, traversed in the given
-    orientation.  Atom signs are tuple-independent, so one Boolean
-    evaluation of each member suffices."""
-    Q = build_Q(pset, transform)
+    coefficient system ``Q = build_Q(pset, transform)`` realizes the
+    type, traversed in the given orientation.  Atom signs are
+    tuple-independent, so one Boolean evaluation of each member
+    suffices."""
     entry_signs = {
         e.entry_id: sign_from_type(e, typ, orientation) for e in Q.entries
     }

@@ -253,7 +253,7 @@ def test_criterion_6_type_bridge():
                     assert holds_everywhere(negate(m), seq), \
                         "instance not homogeneous: R too small"
                     want[i] = "nowhere"
-            got = eval_predicates_from_type(pset, kind, typ, orientation)
+            got = eval_predicates_from_type(pset, Q, typ, orientation)
             assert got == want, (pset.to_text(), kind, A, B, orientation)
     print("criterion 6: PASS — 500/500 type-based evaluations match brute force")
 

@@ -1,11 +1,16 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from esdec import decider
+from esdec.algebra import TransformKind
 from esdec.decider import (
     NO, UNDEC, YES, check_order_invariance, decide_es, es_bruteforce,
     weak_orderings,
 )
-from esdec.errors import OrderInvarianceError
+from esdec.errors import InconsistentTypeError, OrderInvarianceError, ResourceLimitError
+from esdec.feasibility import FEASIBLE, UNDECIDED, FeasibilityInstance, is_feasible
 from esdec.predicates import holds_everywhere, parse
+from esdec.typesys import build_Q, enumerate_types, eval_predicates_from_type
 
 
 def test_weak_orderings_counts():
@@ -47,11 +52,91 @@ def test_decide_member_order_invariant():
     assert a.answer == b.answer == YES
 
 
-def test_decide_naive_order_agrees():
-    for text in ("x1 < x2", "x1 = x2 ; x1 != x2"):
-        fast = decide_es(parse(text), search_witness=False)
-        slow = decide_es(parse(text), naive_order=True, search_witness=False)
-        assert fast.answer == slow.answer
+def _feasibility_first_decide(pset):
+    """Reference without the verdict-first shortcut or the sign screen:
+    test every type's feasibility, then read its verdicts."""
+    undecided = False
+    for kind in (TransformKind.F1, TransformKind.F2):
+        Q = build_Q(pset, kind)
+        for typ in enumerate_types(Q):
+            verdict = is_feasible(FeasibilityInstance.from_type(Q, typ))
+            if verdict == UNDECIDED:
+                undecided = True
+            if verdict != FEASIBLE:
+                continue
+            for orientation in ("ascending", "descending"):
+                try:
+                    verdicts = eval_predicates_from_type(pset, Q, typ, orientation)
+                except InconsistentTypeError:
+                    break
+                if all(v == "nowhere" for v in verdicts.values()):
+                    return NO, (kind, typ, orientation)
+    return (UNDEC if undecided else YES), None
+
+
+_RELS = ("<", "<=", ">", ">=", "=", "!=")
+
+
+@st.composite
+def _order_sets(draw):
+    """1-2 members over atoms a*x1 - a*x2 rel 0.  One a per set keeps
+    the coefficient system at 17 types per transform, so the reference
+    stays cheap; the explicit examples cover two coefficients."""
+    a = draw(st.sampled_from((1, 2, -1, -3)))
+
+    def atom():
+        return f"{a}*x1 - {a}*x2 {draw(st.sampled_from(_RELS))} 0"
+
+    def member():
+        shape = draw(st.sampled_from(("atom", "not", "and", "or")))
+        if shape == "atom":
+            return atom()
+        if shape == "not":
+            return f"not {atom()}"
+        return f"{atom()} {shape} {atom()}"
+
+    return " ; ".join(member() for _ in range(draw(st.integers(1, 2))))
+
+
+@given(_order_sets())
+@example("x1 < x2")
+@example("x1 = x2 ; x1 != x2")
+@example("2*x1 - 2*x2 < 0 and x1 - x2 != 0")
+@example("x1 - x2 > 0 or 2*x1 - 2*x2 < 0")  # a screen-passing infeasible type comes first
+@settings(max_examples=20, deadline=None)
+def test_decide_matches_feasibility_first(text):
+    pset = parse(text)
+    got = decide_es(pset, search_witness=False)
+    want, cert = _feasibility_first_decide(pset)
+    assert got.answer == want, text
+    if want == NO:
+        assert (got.transform, got.certificate_type, got.orientation) == cert, text
+
+
+def test_screen_exhaustion_falls_through(monkeypatch):
+    """A screen that runs out of budget leaves the type to is_feasible
+    and records no undecided event."""
+    calls = []
+
+    def exhausted(sentence, budget=None):
+        calls.append(sentence)
+        raise ResourceLimitError("screen budget")
+
+    yes_text, no_text = "x1 - x2 <= 0 ; x1 != 0", "-2*x1 + 2*x2 >= 0"
+    yes = decide_es(parse(yes_text), search_witness=False)
+    no = decide_es(parse(no_text), search_witness=False)
+    assert yes.answer == YES and yes.stats.types_skipped_by_screen > 0
+    assert no.answer == NO and no.stats.types_skipped_by_screen > 0
+    monkeypatch.setattr(decider, "decide_sentence", exhausted)
+    for text, want in ((yes_text, yes), (no_text, no)):
+        calls.clear()
+        v = decide_es(parse(text), search_witness=False)
+        assert calls, text
+        assert v.answer == want.answer, text
+        assert v.stats.undecided_events == [], text
+        assert v.stats.types_skipped_by_screen == 0, text
+        assert (v.transform, v.certificate_type, v.orientation) == \
+            (want.transform, want.certificate_type, want.orientation), text
 
 
 def test_envelope_note_emitted():

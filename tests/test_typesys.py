@@ -142,14 +142,15 @@ def test_eval_predicates_from_type():
     Q = build_Q(MONOTONE, TransformKind.F1)
     b = [F(4), F(256)]
     typ = compute_type(Q, F(0), F(1), b, 4)  # Y > 0: increasing image
-    v = eval_predicates_from_type(MONOTONE, TransformKind.F1, typ, "ascending")
+    v = eval_predicates_from_type(MONOTONE, Q, typ, "ascending")
     assert v == {0: "everywhere", 1: "nowhere"}
-    v2 = eval_predicates_from_type(MONOTONE, TransformKind.F1, typ, "descending")
+    v2 = eval_predicates_from_type(MONOTONE, Q, typ, "descending")
     assert v2 == {0: "nowhere", 1: "everywhere"}
 
     taut = parse("0 = 0")
-    for typ2 in enumerate_types(build_Q(taut, TransformKind.F1)):
-        assert eval_predicates_from_type(taut, TransformKind.F1, typ2, "ascending") == {0: "everywhere"}
+    Qt = build_Q(taut, TransformKind.F1)
+    for typ2 in enumerate_types(Qt):
+        assert eval_predicates_from_type(taut, Qt, typ2, "ascending") == {0: "everywhere"}
 
 
 def test_roundtrip_containment():
@@ -203,7 +204,7 @@ def test_bridge_sample():
                     want[i] = "nowhere"
                 else:
                     want[i] = "mixed"
-            got = eval_predicates_from_type(pset, kind, typ, orientation)
+            got = eval_predicates_from_type(pset, Q, typ, orientation)
             assert got == want, (pset.to_text(), kind, A, B, orientation)
 
 
