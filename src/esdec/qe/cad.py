@@ -16,6 +16,28 @@ points beyond the extremes), and sections carry their real algebraic
 number.  Truth is evaluated at full sample points only and folded back
 up through the quantifier prefix with short-circuiting.
 
+Lifting reuses its own results within one call (partial CAD's reuse
+across sibling cells; Collins & Hong, JSC 1991).  A polynomial's roots
+over a sample point, and an atom's sign at a full sample point, are
+memoized under the polynomial's position and the point's coordinates on
+the variables that polynomial actually uses.  This is sound because:
+
+* the roots of p(point, var) and the sign of p at point depend only on
+  the coordinates of the variables p uses, so siblings that differ
+  only in other coordinates get the same answer;
+* those coordinates are exact and keyed exactly: a rational, or a real
+  algebraic number collapsed to one, keys as its Fraction value (as in
+  roots._split_point); an irrational real algebraic number keys as the
+  object itself, by identity, since refinement narrows its interval in
+  place but never changes its value;
+* real algebraic numbers may be shared freely (see roots.py).
+
+The memo lives on one decision call and is dropped when it returns.
+It holds at most one entry per polynomial or atom per charged cell, so
+the cell budget bounds it too.  Every sample is still charged as a
+cell, so cell counts, budgets and answers are those of the unmemoized
+lifting.
+
 Budgets make partiality honest: exceeding the cell budget raises
 ResourceLimitError, which callers surface as "undecided", never as an
 answer.
@@ -23,7 +45,7 @@ answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
@@ -43,18 +65,6 @@ class QeBudget:
     def __post_init__(self):
         if self.max_cells <= 0 or self.max_vars <= 0:
             raise ValueError("budgets must be positive")
-
-
-@dataclass
-class CadCell:
-    """One cell of the decomposition, for inspection and tests."""
-
-    level: int
-    variable: str | None
-    kind: str  # "sector" | "section" | "root"
-    sample: object  # Fraction | RealAlgebraicNumber | None at the root
-    truth: bool | None = None
-    children: list = field(default_factory=list)
 
 
 def _canonical(p: MultiPoly) -> MultiPoly | None:
@@ -156,17 +166,37 @@ def _merge_roots(groups: list) -> list:
     return merged
 
 
+def _coord_key(x):
+    """Exact memo key of one coordinate: its Fraction value, or an
+    irrational RealAlgebraicNumber itself, which hashes by identity."""
+    if isinstance(x, RealAlgebraicNumber):
+        return x if x.value is None else x.value
+    return x
+
+
 class _Decider:
-    def __init__(self, sentence: Sentence, budget: QeBudget, record: bool):
+    def __init__(self, sentence: Sentence, budget: QeBudget):
         self.sentence = sentence
         self.budget = budget
-        self.record = record
         self.cells_used = 0
         self.order = list(sentence.variables)  # outermost ... innermost
         self.nvars = len(self.order)
         self.levels: dict = {i: [] for i in range(1, self.nvars + 1)}
-        self.constant_atoms: dict = {}
         self._build_levels()
+        # memo keys: the variables each level polynomial uses besides the
+        # level's own, and each matrix atom's (by identity) polynomial
+        # slot and used variables; see the module docstring
+        self._root_vars = {
+            lvl: [tuple(v for v in p.used_vars() if v != self.order[lvl - 1]) for p in polys]
+            for lvl, polys in self.levels.items()
+        }
+        slots: dict = {}
+        self._atom_keys = {
+            id(atom): (slots.setdefault(atom.poly, len(slots)), atom.poly.used_vars())
+            for atom in atoms_of(sentence.matrix)
+        }
+        self._roots_memo: dict = {}
+        self._sign_memo: dict = {}
 
     def _level_of(self, p: MultiPoly) -> int:
         used = p.used_vars()
@@ -182,11 +212,7 @@ class _Decider:
 
     def _build_levels(self):
         for atom in atoms_of(self.sentence.matrix):
-            c = atom.poly.constant_value()
-            if c is not None:
-                self.constant_atoms[atom] = 0 if c == 0 else (1 if c > 0 else -1)
-            else:
-                self._add_poly(atom.poly)
+            self._add_poly(atom.poly)
         for lvl in range(self.nvars, 1, -1):
             var = self.order[lvl - 1]
             for p in collins_project(self.levels[lvl], var):
@@ -200,19 +226,35 @@ class _Decider:
                 cells=self.cells_used,
             )
 
-    def _matrix_truth(self, point: dict) -> bool:
-        def truth(atom: Atom) -> bool:
-            if atom in self.constant_atoms:
-                return rel_holds(self.constant_atoms[atom], atom.rel)
-            return rel_holds(sign_at_point(atom.poly, point), atom.rel)
+    def _roots(self, level: int, index: int, point: dict):
+        """roots_at_point for the index-th polynomial of the level, memoized."""
+        key = (level, index, tuple(_coord_key(point[v]) for v in self._root_vars[level][index]))
+        try:
+            return self._roots_memo[key]
+        except KeyError:
+            roots = roots_at_point(self.levels[level][index], point, self.order[level - 1])
+            self._roots_memo[key] = roots
+            return roots
 
-        return eval_with(self.sentence.matrix, truth)
+    def _atom_sign(self, atom: Atom, point: dict) -> int:
+        """sign_at_point of the atom's polynomial, memoized."""
+        slot, used = self._atom_keys[id(atom)]
+        key = (slot, tuple(_coord_key(point[v]) for v in used))
+        sign = self._sign_memo.get(key)
+        if sign is None:
+            sign = self._sign_memo[key] = sign_at_point(atom.poly, point)
+        return sign
+
+    def _matrix_truth(self, point: dict) -> bool:
+        return eval_with(
+            self.sentence.matrix,
+            lambda atom: rel_holds(self._atom_sign(atom, point), atom.rel),
+        )
 
     def _samples(self, level: int, point: dict):
-        var = self.order[level - 1]
         groups = []
-        for p in self.levels[level]:
-            roots = roots_at_point(p, point, var)
+        for index in range(len(self.levels[level])):
+            roots = self._roots(level, index, point)
             if roots:
                 groups.append(roots)
         roots = _merge_roots(groups)
@@ -226,27 +268,25 @@ class _Decider:
                 yield "sector", _rational_between(r, roots[i + 1])
         yield "sector", _rational_above(roots[-1])
 
-    def decide(self, level: int, point: dict, cell: CadCell | None) -> bool:
+    def decide(self, level: int, point: dict, cell) -> bool:
+        """Truth of the prefix from ``level`` inward, with the outer
+        variables fixed to ``point``.
+
+        ``cell`` is unused here and passed down as None; it lets a
+        subclass thread a cell tree through the recursion."""
         if level > self.nvars:
             return self._matrix_truth(point)
         quant, var = self.sentence.prefix[level - 1]
-        result = quant == FORALL
-        for kind, sample in self._samples(level, point):
+        for _kind, sample in self._samples(level, point):
             self._charge_cell()
             child_point = dict(point)
             child_point[var] = sample
-            child = None
-            if self.record:
-                child = CadCell(level, var, kind, sample)
-                cell.children.append(child)
-            sub = self.decide(level + 1, child_point, child)
-            if self.record:
-                child.truth = sub
+            sub = self.decide(level + 1, child_point, None)
             if quant == EXISTS and sub:
                 return True
             if quant == FORALL and not sub:
                 return False
-        return result
+        return quant == FORALL
 
 
 def decide_sentence(sentence: Sentence, budget: QeBudget | None = None) -> bool:
@@ -260,14 +300,4 @@ def decide_sentence(sentence: Sentence, budget: QeBudget | None = None) -> bool:
             f"{len(sentence.prefix)} variables exceeds the limit {budget.max_vars}",
             variables=len(sentence.prefix),
         )
-    return _Decider(sentence, budget, record=False).decide(1, {}, None)
-
-
-def decide_with_tree(sentence: Sentence, budget: QeBudget | None = None):
-    """decide_sentence variant that also returns the sampled cell tree."""
-    budget = budget or QeBudget()
-    dec = _Decider(sentence, budget, record=True)
-    root = CadCell(0, None, "root", None)
-    truth = dec.decide(1, {}, root)
-    root.truth = truth
-    return truth, root
+    return _Decider(sentence, budget).decide(1, {}, None)

@@ -32,7 +32,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .algebra import TransformKind
-from .errors import ExtractionFailure, InconsistentTypeError
+from .errors import ExtractionFailure
 
 
 @dataclass(frozen=True)
@@ -679,8 +679,6 @@ def extract_homogeneous(a: Sequence[Fraction], pset, n: int,
         refined = refine_well_placed(emb.sequence, Q, w.A, w.B, GrowthParams(R, n + 2))
         typ = typesys.compute_type(Q, w.A, w.B, list(refined.values), R)
         if not isinstance(typ, typesys.NotWellPlaced):
-            orientation = "ascending" if w.orientation == "forward" else "descending"
-            typesys.eval_predicates_from_type(pset, Q, typ, orientation)
             start, stop = refined.start, min(refined.stop, refined.start + n)
             n_all = len(emb.sequence)
             if w.orientation == "forward":
@@ -693,6 +691,6 @@ def extract_homogeneous(a: Sequence[Fraction], pset, n: int,
                 if all(s in ("everywhere", "nowhere") for s in verdicts.values()):
                     return HomogeneousResult(tuple(hostpos), tuple(vals), verdicts,
                                              "constructive")
-    except (ExtractionFailure, InconsistentTypeError):
+    except ExtractionFailure:
         pass
     return _homogeneous_bruteforce(host, pset, n, node_budget)

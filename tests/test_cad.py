@@ -1,20 +1,73 @@
 import random
 import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from esdec.errors import ParseError, ResourceLimitError
 from esdec.poly import MultiPoly
 from esdec.qe import (
     QeBudget, decide_sentence, export_smtlib, parse_sentence, sentence_negate,
 )
-from esdec.qe.cad import collins_project, decide_with_tree
-from esdec.qe.roots import sign_at_point
+from esdec.qe import cad
+from esdec.qe.cad import EXISTS, FORALL, _Decider, collins_project
+from esdec.qe.roots import RealAlgebraicNumber, roots_at_point, sign_at_point
 
 from golden import GOLDEN_SENTENCES
 
 F = Fraction
+
+
+@dataclass
+class CadCell:
+    """One sampled cell of the decomposition."""
+
+    level: int
+    variable: str | None
+    kind: str  # "sector" | "section" | "root"
+    sample: object  # Fraction | RealAlgebraicNumber | None at the root
+    truth: bool | None = None
+    children: list = field(default_factory=list)
+
+
+class _TreeDecider(_Decider):
+    """The decision recursion, recording each sampled cell as a child of
+    the cell it was lifted over."""
+
+    def decide(self, level, point, cell):
+        if level > self.nvars:
+            return self._matrix_truth(point)
+        quant, var = self.sentence.prefix[level - 1]
+        for kind, sample in self._samples(level, point):
+            self._charge_cell()
+            child = CadCell(level, var, kind, sample)
+            cell.children.append(child)
+            child.truth = self.decide(level + 1, {**point, var: sample}, child)
+            if quant == EXISTS and child.truth:
+                return True
+            if quant == FORALL and not child.truth:
+                return False
+        return quant == FORALL
+
+
+def decide_with_tree(sentence, budget=None):
+    """decide_sentence that also returns the sampled cell tree."""
+    root = CadCell(0, None, "root", None)
+    root.truth = _TreeDecider(sentence, budget or QeBudget()).decide(1, {}, root)
+    return root.truth, root
+
+
+class _PlainDecider(_Decider):
+    """Lifting without the memo: every root set and every atom sign is
+    computed afresh at each sample point."""
+
+    def _roots(self, level, index, point):
+        return cad.roots_at_point(self.levels[level][index], point, self.order[level - 1])
+
+    def _atom_sign(self, atom, point):
+        return cad.sign_at_point(atom.poly, point)
 
 
 def test_parse_sentence_shapes():
@@ -76,8 +129,7 @@ def test_cell_tree_sign_invariance():
     rng = random.Random(3)
     level1 = [cell for cell in root.children if cell.kind == "sector"]
     # collect the level-1 polynomials from the decomposition run
-    from esdec.qe.cad import _Decider
-    dec = _Decider(s, QeBudget(), record=False)
+    dec = _Decider(s, QeBudget())
     polys = dec.levels[1]
     assert polys
     for cell in level1:
@@ -120,3 +172,81 @@ def test_five_var_linear_sentence():
         "forall a. exists b. forall c. exists d. exists e. e > d and d > c and b = a"
     )
     assert decide_sentence(s)
+
+
+def _run(decider_cls, sentence, budget):
+    dec = decider_cls(sentence, budget)
+    try:
+        truth = dec.decide(1, {}, None)
+    except ResourceLimitError:
+        truth = "exhausted"
+    return truth, dec.cells_used, dec
+
+
+_RELS = ("<", "<=", ">", ">=", "=", "!=")
+
+
+@st.composite
+def _small_sentences(draw):
+    """Prenex sentences in 2-3 variables; atoms have 1-3 terms of degree
+    <= 2 with coefficients in -2..2, joined by and/or."""
+    names = draw(st.permutations(("x", "y", "z")))[: draw(st.integers(2, 3))]
+    monomials = ["1", *names] + [f"{a}*{b}" for i, a in enumerate(names) for b in names[i:]]
+
+    def atom():
+        terms = draw(st.lists(
+            st.tuples(st.integers(-2, 2), st.sampled_from(monomials)), min_size=1, max_size=3,
+        ))
+        poly = " + ".join(f"({c})*{m}" for c, m in terms)
+        return f"{poly} {draw(st.sampled_from(_RELS))} 0"
+
+    matrix = atom()
+    for _ in range(draw(st.integers(0, 2))):
+        matrix = f"({matrix}) {draw(st.sampled_from(('and', 'or')))} {atom()}"
+    prefix = " ".join(f"{draw(st.sampled_from((FORALL, EXISTS)))} {v}." for v in names)
+    return f"{prefix} {matrix}"
+
+
+@given(_small_sentences())
+@example("forall x. exists y. x^2 - 2 != 0 or y^2 - x^2 = 0")  # irrational sections
+@example("forall x. exists y. x^2 - 2 != 0 or (y - x > 0 and y - 1 < 0)")  # ... told apart
+@example("exists x. exists y. x^2 - 2 = 0 and y^2 - x*y - 1 < 0")
+@example("forall z. forall x. exists y. z^2 - 1 != 0 or y^2 - x >= 0 or y - x < 0")  # z unused inside
+@settings(max_examples=40, deadline=None)
+def test_lifting_memo_matches_plain_lifting(text):
+    sentence = parse_sentence(text)
+    budget = QeBudget(max_cells=300)
+    truth, cells, _ = _run(_Decider, sentence, budget)
+    assert (truth, cells) == _run(_PlainDecider, sentence, budget)[:2], text
+
+
+def test_lifting_memo_keys_irrational_samples_by_identity():
+    s = parse_sentence("forall x. exists y. x^2 - 2 != 0 or (y - x > 0 and y - 1 < 0)")
+    truth, _, dec = _run(_Decider, s, QeBudget())
+    assert truth is False
+    keys = [k for (_, _, coords) in dec._roots_memo for k in coords]
+    assert any(isinstance(k, RealAlgebraicNumber) and not k.is_rational for k in keys)
+    assert all(isinstance(k, (Fraction, RealAlgebraicNumber)) for k in keys)
+
+
+def test_lifting_memo_reuses_results_across_unused_coordinates(monkeypatch):
+    """z is outermost and no polynomial of the inner levels uses it, so
+    every z-cell after the first reuses the roots and atom signs found
+    over the first one."""
+    calls = {"roots": 0, "signs": 0}
+
+    def counted(kind, fn):
+        def wrapper(*args):
+            calls[kind] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cad, "roots_at_point", counted("roots", roots_at_point))
+    monkeypatch.setattr(cad, "sign_at_point", counted("signs", sign_at_point))
+    s = parse_sentence("forall z. forall x. exists y. z^2 - 1 != 0 or y^2 - x >= 0 or y - x < 0")
+    truth, cells, _ = _run(_Decider, s, QeBudget())
+    memo = dict(calls)
+    calls.update(roots=0, signs=0)
+    assert (truth, cells) == _run(_PlainDecider, s, QeBudget())[:2] == (True, 55)
+    assert memo["roots"] < cells <= calls["roots"]
+    assert memo["signs"] < calls["signs"]
