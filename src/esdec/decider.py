@@ -13,10 +13,13 @@ the overall answer UNDECIDED (unless a NO was already found, which is
 conclusive on its own).
 
 The brute-force harness computes the exact Ramsey value of an
-order-invariant set by enumerating canonical weak orderings, which are
-exhaustive for such sets; order-invariance itself is checked by
-realizing every weak ordering of argument tuples at several scales and
-comparing atom truth.
+order-invariant set by searching canonical weak orderings, which are
+exhaustive for such sets, depth-first for one without a good n-term
+subsequence.  A prefix that already holds a good subsequence is never
+extended, and each member is evaluated once per distinct tuple of
+argument levels.  Order-invariance itself is checked by realizing every
+weak ordering of argument tuples at several scales and comparing atom
+truth.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .feasibility import (
     FEASIBLE, UNDECIDED, FeasibilityInstance, is_feasible, sign_sentence,
     witness_search,
 )
-from .predicates import PredicateSet, atoms_of, holds_everywhere, rel_holds
+from .predicates import PredicateSet, atoms_of, eval_at, rel_holds
 from .qe import QeBudget, decide_sentence
 from .typesys import (
     CandidateType, CoefficientSystem, build_Q, enumerate_types,
@@ -205,10 +208,13 @@ def _reverify_no(pset: PredicateSet, Q: CoefficientSystem, verdict: Verdict):
 # -- exact Ramsey values for order-invariant sets -----------------------
 
 
-def weak_orderings(n: int):
+def weak_orderings(n: int, keep=None):
     """Canonical weak orderings of n positions: all rank assignments
-    surjective onto an initial segment {1..m}.  Counts are the ordered
-    Bell numbers (3 for n=2: ties, up, down)."""
+    surjective onto an initial segment {1..m}, depth-first in the order
+    of their prefixes.  Counts are the ordered Bell numbers (3 for n=2:
+    ties, up, down).  ``keep(prefix)``, if given, is asked about every
+    nonempty prefix, the full ordering included; a prefix it rejects is
+    neither yielded nor extended."""
     if n == 0:
         yield ()
         return
@@ -222,9 +228,13 @@ def weak_orderings(n: int):
         for level in range(1, top + remaining + 1):
             new_present = present | {level}
             new_top = max(top, level)
-            missing = new_top - sum(1 for l in new_present if l <= new_top)
-            if missing <= remaining - 1:
-                yield from rec(prefix + (level,), new_present, new_top)
+            # every present level is <= new_top; the missing ones must
+            # still fit into the positions left after this one
+            if new_top - len(new_present) > remaining - 1:
+                continue
+            new_prefix = prefix + (level,)
+            if keep is None or keep(new_prefix):
+                yield from rec(new_prefix, new_present, new_top)
 
     yield from rec((), frozenset(), 0)
 
@@ -277,30 +287,53 @@ class EsValue:
         return self.value is not None
 
 
-def _admits_good_subsequence(pset: PredicateSet, seq: list, n: int) -> bool:
-    idx = range(len(seq))
-    for subset in combinations(idx, n):
-        sub = [seq[i] for i in subset]
-        if any(holds_everywhere(m, sub) for m in pset.members):
-            return True
-    return False
-
-
 def es_bruteforce(pset: PredicateSet, n: int, n_max: int) -> EsValue:
     """Exact Ramsey value: the least N <= n_max such that every weak
     ordering of length N admits an n-term subsequence on which some
-    member holds everywhere.  Requires order invariance (checked)."""
+    member holds everywhere.  Requires order invariance (checked).
+
+    For each N the weak orderings are searched in ``weak_orderings``
+    order for the first one without such a subsequence (the
+    counterexample), with two shortcuts that leave the result unchanged:
+
+    - A prefix whose values already contain a good n-term subsequence
+      is not extended.  The subsequences of a prefix's values are
+      subsequences of every extension, so a pruned subtree holds no
+      counterexample, and the first ordering that survives is the first
+      counterexample of the full enumeration.  Each new prefix checks
+      only the n-subsets that contain its last position; every other
+      subset was checked when a shorter prefix was kept.
+    - Member truths come from a table local to the call, keyed by the
+      member and its tuple of argument levels.  Truth is a function of
+      the argument values, and a level always realizes as the same
+      Fraction, so an entry is exact wherever it is reused; order
+      invariance is needed only for weak orderings to be exhaustive.
+    """
     check_order_invariance(pset)
     if n < 1:
         raise ValueError("n must be >= 1")
+    k = pset.arity
+    members = list(enumerate(pset.members))
+    truth: dict = {}
+
+    def holds(i: int, member, levels: tuple) -> bool:
+        key = (i, levels)
+        if key not in truth:
+            truth[key] = eval_at(member, [Fraction(level) for level in levels])
+        return truth[key]
+
+    def keep(prefix: tuple) -> bool:
+        last = prefix[-1]
+        for rest in combinations(prefix[:-1], n - 1):
+            sub = rest + (last,)
+            if any(all(holds(i, m, tup) for tup in combinations(sub, k))
+                   for i, m in members):
+                return False
+        return True
+
     last_counterexample = None
     for N in range(n, n_max + 1):
-        failed = None
-        for pattern in weak_orderings(N):
-            seq = [Fraction(level) for level in pattern]
-            if not _admits_good_subsequence(pset, seq, n):
-                failed = pattern
-                break
+        failed = next(weak_orderings(N, keep), None)
         if failed is None:
             return EsValue(N, N, last_counterexample)
         last_counterexample = failed

@@ -255,10 +255,6 @@ def holds_everywhere(pred: Predicate, seq: Sequence[Fraction]) -> bool:
     return all(eval_at(pred, tup) for tup in combinations(values, k))
 
 
-def holds_nowhere(pred: Predicate, seq: Sequence[Fraction]) -> bool:
-    return holds_everywhere(negate(pred), seq)
-
-
 # -- negation (NNF) ---------------------------------------------------
 
 _FLIP = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "!=", "!=": "="}
@@ -351,13 +347,20 @@ def symmetrize_single(pset: PredicateSet, conjunct_cap: int = 20000) -> Predicat
 
 def member_verdicts(pset: PredicateSet, seq: Sequence[Fraction]) -> dict:
     """Per-member homogeneity status on a sequence: 'everywhere',
-    'nowhere', or 'mixed'."""
+    'nowhere', or 'mixed', from one pass over the increasing tuples.
+    A sequence shorter than the arity has no tuples: 'everywhere'."""
+    values = [Fraction(x) for x in seq]
     out = {}
     for i, m in enumerate(pset.members):
-        if holds_everywhere(m, seq):
-            out[i] = "everywhere"
-        elif holds_nowhere(m, seq):
+        seen = set()
+        for tup in combinations(values, m.arity):
+            seen.add(eval_at(m, tup))
+            if len(seen) == 2:
+                break
+        if len(seen) == 2:
+            out[i] = "mixed"
+        elif seen == {False}:
             out[i] = "nowhere"
         else:
-            out[i] = "mixed"
+            out[i] = "everywhere"
     return out

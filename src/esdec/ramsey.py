@@ -676,21 +676,21 @@ def extract_homogeneous(a: Sequence[Fraction], pset, n: int,
         emb = extract_growing_embedding(host, GrowthParams(R, n + 2))
         w = emb.witness
         Q = typesys.build_Q(pset, w.kind)
+        # refine_well_placed has checked every finite coefficient ratio
+        # against refined[0]/R and refined[-1]**R, so the run is well placed
         refined = refine_well_placed(emb.sequence, Q, w.A, w.B, GrowthParams(R, n + 2))
-        typ = typesys.compute_type(Q, w.A, w.B, list(refined.values), R)
-        if not isinstance(typ, typesys.NotWellPlaced):
-            start, stop = refined.start, min(refined.stop, refined.start + n)
-            n_all = len(emb.sequence)
-            if w.orientation == "forward":
-                hostpos = w.index_map[start:stop]
-            else:
-                hostpos = w.index_map[n_all - stop:n_all - start]
-            vals = [host[i] for i in hostpos]
-            if len(vals) == n:
-                verdicts = member_verdicts(pset, vals)
-                if all(s in ("everywhere", "nowhere") for s in verdicts.values()):
-                    return HomogeneousResult(tuple(hostpos), tuple(vals), verdicts,
-                                             "constructive")
+        start, stop = refined.start, min(refined.stop, refined.start + n)
+        n_all = len(emb.sequence)
+        if w.orientation == "forward":
+            hostpos = w.index_map[start:stop]
+        else:
+            hostpos = w.index_map[n_all - stop:n_all - start]
+        vals = [host[i] for i in hostpos]
+        if len(vals) == n:
+            verdicts = member_verdicts(pset, vals)
+            if all(s in ("everywhere", "nowhere") for s in verdicts.values()):
+                return HomogeneousResult(tuple(hostpos), tuple(vals), verdicts,
+                                         "constructive")
     except ExtractionFailure:
         pass
     return _homogeneous_bruteforce(host, pset, n, node_budget)

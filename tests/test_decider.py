@@ -1,15 +1,18 @@
+from fractions import Fraction
+from itertools import combinations, product
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from esdec import decider
 from esdec.algebra import TransformKind
 from esdec.decider import (
-    NO, UNDEC, YES, check_order_invariance, decide_es, es_bruteforce,
+    NO, UNDEC, YES, EsValue, check_order_invariance, decide_es, es_bruteforce,
     weak_orderings,
 )
 from esdec.errors import InconsistentTypeError, OrderInvarianceError, ResourceLimitError
 from esdec.feasibility import FEASIBLE, UNDECIDED, FeasibilityInstance, is_feasible
-from esdec.predicates import holds_everywhere, parse
+from esdec.predicates import eval_at, holds_everywhere, parse
 from esdec.typesys import build_Q, enumerate_types, eval_predicates_from_type
 
 
@@ -17,6 +20,20 @@ def test_weak_orderings_counts():
     # ordered Bell numbers
     for n, count in ((1, 1), (2, 3), (3, 13), (4, 75), (5, 541)):
         assert sum(1 for _ in weak_orderings(n)) == count
+
+
+def test_weak_orderings_order():
+    """Lexicographic order of the canonical rank tuples; a prefix filter
+    drops exactly the orderings with a rejected prefix, keeping order."""
+    def no_repeat(prefix):
+        return len(prefix) < 2 or prefix[-1] != prefix[-2]
+
+    for n in range(6):
+        want = [t for t in product(range(1, n + 1), repeat=n)
+                if set(t) == set(range(1, max(t, default=0) + 1))]
+        assert list(weak_orderings(n)) == want
+        assert list(weak_orderings(n, no_repeat)) == \
+            [t for t in want if all(a != b for a, b in zip(t, t[1:]))]
 
 
 def test_decide_monotone_pair_yes():
@@ -157,8 +174,6 @@ def test_es_bruteforce_monotone():
     assert got.value == 5
     assert got.counterexample is not None and len(got.counterexample) == 4
     # verify the counterexample: no 3-term subsequence is monotone
-    from fractions import Fraction
-    from itertools import combinations
     seq = [Fraction(l) for l in got.counterexample]
     for sub in combinations(seq, 3):
         assert not any(holds_everywhere(m, list(sub)) for m in mono.members)
@@ -178,3 +193,76 @@ def test_es_bruteforce_cap():
     got = es_bruteforce(parse("x1 = x2"), 2, 4)
     assert got.value is None
     assert got.searched_up_to == 4
+
+
+def _admits_good_subsequence(pset, seq, n):
+    for subset in combinations(range(len(seq)), n):
+        sub = [seq[i] for i in subset]
+        if any(holds_everywhere(m, sub) for m in pset.members):
+            return True
+    return False
+
+
+def _full_enumeration_es(pset, n, n_max):
+    """Reference without pruning or the truth table: test every weak
+    ordering of each length in full."""
+    last_counterexample = None
+    for N in range(n, n_max + 1):
+        failed = None
+        for pattern in weak_orderings(N):
+            if not _admits_good_subsequence(pset, [Fraction(l) for l in pattern], n):
+                failed = pattern
+                break
+        if failed is None:
+            return EsValue(N, N, last_counterexample)
+        last_counterexample = failed
+    return EsValue(None, n_max, last_counterexample)
+
+
+@st.composite
+def _invariant_sets(draw):
+    """1-3 members, each a Boolean combination of atoms a*x1 - a*x2 rel 0,
+    which are order-invariant by construction."""
+    def atom():
+        a = draw(st.sampled_from((1, 2, -1, -3)))
+        return f"{a}*x1 - {a}*x2 {draw(st.sampled_from(_RELS))} 0"
+
+    def node(depth):
+        shape = draw(st.sampled_from(("atom", "not", "and", "or") if depth else ("atom",)))
+        if shape == "atom":
+            return atom()
+        if shape == "not":
+            return f"not ({node(depth - 1)})"
+        return f"({node(depth - 1)}) {shape} ({node(depth - 1)})"
+
+    return " ; ".join(node(2) for _ in range(draw(st.integers(1, 3))))
+
+
+@given(_invariant_sets(), st.sampled_from(((2, 3), (2, 4), (2, 5), (3, 4), (3, 5))))
+@example("x1 < x2 ; x1 >= x2", (3, 5))
+@example("x1 < x2 ; x1 > x2", (3, 5))
+@example("x1 = x2", (2, 5))
+@example("x1 <= x2 and x1 != x2 ; x1 = x2", (3, 5))
+@settings(max_examples=40, deadline=None)
+def test_es_bruteforce_matches_full_enumeration(text, params):
+    pset = parse(text)
+    n, n_max = params
+    assert es_bruteforce(pset, n, n_max) == _full_enumeration_es(pset, n, n_max), text
+
+
+def test_es_bruteforce_evaluates_each_member_once_per_tuple(monkeypatch):
+    """Each member is evaluated at most once per tuple of levels, and
+    the pruned search needs at most 2 members * 5^2 level pairs here
+    (check_order_invariance evaluates atoms directly and is not
+    counted)."""
+    calls = []
+
+    def counting(member, point):
+        calls.append((member, tuple(point)))
+        return eval_at(member, point)
+
+    monkeypatch.setattr(decider, "eval_at", counting)
+    got = es_bruteforce(parse("x1 < x2 ; x1 >= x2"), 3, 6)
+    assert got.value == 5
+    assert len(calls) == len(set(calls))
+    assert len(calls) <= 2 * 5 ** 2

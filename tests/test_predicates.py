@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from esdec.errors import ParseError
 from esdec.predicates import (
     And, Atom, Not, Or,
-    disjunction_collapse, eval_at, holds_everywhere, negate, parse,
-    parse_predicate, symmetrize_single,
+    PredicateSet, disjunction_collapse, eval_at, holds_everywhere, member_verdicts,
+    negate, parse, parse_predicate, symmetrize_single,
 )
 
 
@@ -141,3 +142,61 @@ def test_symmetrize_equivalence_bruteforce():
             lhs = holds_everywhere(sym, seq)
             rhs = any(holds_everywhere(m, seq) for m in ps.members)
             assert lhs == rhs, seq
+
+
+def _two_pass_verdicts(pset, seq):
+    """Reference: holds everywhere, else its NNF negation holds
+    everywhere, else mixed."""
+    out = {}
+    for i, m in enumerate(pset.members):
+        if holds_everywhere(m, seq):
+            out[i] = "everywhere"
+        elif holds_everywhere(negate(m), seq):
+            out[i] = "nowhere"
+        else:
+            out[i] = "mixed"
+    return out
+
+
+_VERDICT_RELS = ("<", "<=", ">", ">=", "=", "!=")
+
+
+@st.composite
+def _verdict_sets(draw):
+    """1-3 members over order atoms x_i - x_j rel 0 and linear atoms
+    a*x_i + b*x_j + c rel 0, combined with and/or/not and padded to an
+    arity of 1-3, so sequences of length 0-6 include ones too short for
+    the arity."""
+    arity = draw(st.integers(1, 3))
+    var = st.integers(1, arity).map(lambda i: f"x{i}")
+
+    def atom():
+        rel = draw(st.sampled_from(_VERDICT_RELS))
+        if draw(st.booleans()):
+            return f"{draw(var)} - {draw(var)} {rel} 0"
+        a, b, c = (draw(st.integers(-3, 3)) for _ in range(3))
+        return f"{a}*{draw(var)} + {b}*{draw(var)} + {c} {rel} 0"
+
+    def node(depth):
+        shape = draw(st.sampled_from(("atom", "not", "and", "or") if depth else ("atom",)))
+        if shape == "atom":
+            return atom()
+        if shape == "not":
+            return f"not ({node(depth - 1)})"
+        return f"({node(depth - 1)}) {shape} ({node(depth - 1)})"
+
+    members = [parse_predicate(node(2)).padded(arity)
+               for _ in range(draw(st.integers(1, 3)))]
+    return PredicateSet(tuple(members))
+
+
+@given(_verdict_sets(),
+       st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4),
+                min_size=0, max_size=6))
+@example(parse("x1 < x2 ; x1 - x2 != 0"), [])
+@example(parse("x1 < x2 ; x1 - x2 != 0"), [Fraction(3)])
+@example(parse("x1 < x2 ; x1 >= x2"), [Fraction(1), Fraction(2), Fraction(0)])
+@settings(max_examples=150, deadline=None)
+def test_member_verdicts_matches_two_passes(pset, seq):
+    assert member_verdicts(pset, seq) == _two_pass_verdicts(pset, seq), \
+        (pset.to_text(), seq)
