@@ -70,8 +70,10 @@ def substitute_transform(
     Returns (num, den) over y1..yk, X, Y.  For F1 the denominator is 1;
     for F2 it is prod y_i^(deg_{x_i} p).  k defaults to the largest
     x-index appearing in p; pass the ambient arity when p is an atom of
-    a wider predicate.
+    a wider predicate.  Variables that p does not use (a cancelled x2,
+    say) are dropped first, so they need not lie within k.
     """
+    p = p.drop_unused()
     if k is None:
         k = infer_arity(p)
     allv = y_names(k) + ("X", "Y")

@@ -36,7 +36,7 @@ from .feasibility import (
     FEASIBLE, UNDECIDED, FeasibilityInstance, is_feasible, sign_sentence,
     witness_search,
 )
-from .predicates import PredicateSet, atoms_of, eval_at, rel_holds
+from .predicates import PredicateSet, atom_sign, atoms_of, eval_at, rel_holds
 from .qe import QeBudget, decide_sentence
 from .typesys import (
     CandidateType, CoefficientSystem, build_Q, enumerate_types,
@@ -58,12 +58,17 @@ class DecisionStats:
     """Every enumerated type counts in ``types_total`` and has its
     verdicts evaluated (``types_inconsistent``: no dominant coefficient).
     Only types with an all-nowhere orientation are screened and tested,
-    so ``types_feasible`` is at most 1: the first is the NO certificate."""
+    so ``types_feasible`` is at most 1: the first is the NO certificate.
+    ``qe_calls`` counts decide_sentence calls by purpose: the sign
+    screen, and the feasibility test; ``screen_cache_hits`` counts
+    types whose screen answer was already known from their signs."""
 
     types_total: int = 0
     types_feasible: int = 0
     types_skipped_by_screen: int = 0
     types_inconsistent: int = 0
+    qe_calls: dict = field(default_factory=lambda: {"screen": 0, "feasibility": 0})
+    screen_cache_hits: int = 0
     undecided_events: list = field(default_factory=list)
     elapsed: float = 0.0
     notes: list = field(default_factory=list)
@@ -74,6 +79,8 @@ class DecisionStats:
             "typesFeasible": self.types_feasible,
             "typesSkippedByScreen": self.types_skipped_by_screen,
             "typesInconsistent": self.types_inconsistent,
+            "qeCalls": dict(self.qe_calls),
+            "screenCacheHits": self.screen_cache_hits,
             "undecidedEvents": list(self.undecided_events),
             "elapsed": self.elapsed,
             "notes": list(self.notes),
@@ -153,14 +160,20 @@ def decide_es(pset: PredicateSet, budget: QeBudget | None = None,
             if orientation is None:
                 continue
             inst = FeasibilityInstance.from_type(Q, typ)
-            if not inst.constant_conflict and typ.sigmas not in screen_cache:
+            if inst.constant_conflict:
+                continue  # infeasible without any QE
+            if typ.sigmas in screen_cache:
+                stats.screen_cache_hits += 1
+            else:
+                stats.qe_calls["screen"] += 1
                 try:
                     screen_cache[typ.sigmas] = decide_sentence(sign_sentence(inst), budget)
                 except ResourceLimitError:
                     screen_cache[typ.sigmas] = None
-            if screen_cache.get(typ.sigmas) is False:
+            if screen_cache[typ.sigmas] is False:
                 stats.types_skipped_by_screen += 1
                 continue
+            stats.qe_calls["feasibility"] += 1
             verdict = is_feasible(inst, budget)
             if verdict == UNDECIDED:
                 stats.undecided_events.append(f"{kind.value}: type undecided")
@@ -263,12 +276,7 @@ def check_order_invariance(pset: PredicateSet):
             tuple(scale(level) for level in pattern) for scale in _SCALES
         ]
         for atom in atoms:
-            truths = set()
-            for point in realizations:
-                assignment = {v: point[int(v[1:]) - 1] for v in atom.poly.vars}
-                value = atom.poly.evaluate(assignment) if atom.poly.vars else atom.poly.constant_value()
-                sign = 0 if value == 0 else (1 if value > 0 else -1)
-                truths.add(rel_holds(sign, atom.rel))
+            truths = {rel_holds(atom_sign(atom, point), atom.rel) for point in realizations}
             if len(truths) > 1:
                 raise OrderInvarianceError(
                     f"atom '{atom.poly.to_text()} {atom.rel} 0' differs across "

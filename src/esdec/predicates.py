@@ -226,12 +226,12 @@ def _wrap(text: str, need: bool) -> str:
 # -- evaluation -------------------------------------------------------
 
 
-def _atom_sign(atom: Atom, point: Sequence[Fraction]) -> int:
-    assignment = {}
-    for v in atom.poly.vars:
-        idx = int(v[1:]) - 1
-        assignment[v] = point[idx]
-    value = atom.poly.evaluate(assignment)
+def atom_sign(atom: Atom, point: Sequence[Fraction]) -> int:
+    """Sign of the atom's polynomial with x_i = point[i-1].  Only the
+    variables it uses are read: a cancelled variable may lie beyond the
+    arity, which counts used variables only."""
+    poly = atom.poly.drop_unused()
+    value = poly.evaluate({v: point[int(v[1:]) - 1] for v in poly.vars})
     return 0 if value == 0 else (1 if value > 0 else -1)
 
 
@@ -240,7 +240,7 @@ def eval_at(pred: Predicate, point: Sequence[Fraction]) -> bool:
     if len(point) != pred.arity:
         raise ValueError(f"arity mismatch: predicate takes {pred.arity}, got {len(point)}")
     point = [Fraction(x) for x in point]
-    return eval_with(pred.root, lambda a: rel_holds(_atom_sign(a, point), a.rel))
+    return eval_with(pred.root, lambda a: rel_holds(atom_sign(a, point), a.rel))
 
 
 def holds_everywhere(pred: Predicate, seq: Sequence[Fraction]) -> bool:

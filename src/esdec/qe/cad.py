@@ -16,6 +16,16 @@ points beyond the extremes), and sections carry their real algebraic
 number.  Truth is evaluated at full sample points only and folded back
 up through the quantifier prefix with short-circuiting.
 
+An "eventually" level lifts one cell only: the sector above the largest
+root of the level's polynomials (the whole line, sampled at 0, when
+there is none).  Over a sample point the level's polynomials are
+delineable, so the truth of the inner formula is constant on each
+sector of the line, in particular on that unbounded top sector, which
+is exactly where "for all sufficiently large v" looks.  The other
+samples are never built, and the roots are compared only to find the
+largest.  As in partial CAD (Collins & Hong, JSC 1991), only cells
+that can decide the answer are lifted.
+
 Lifting reuses its own results within one call (partial CAD's reuse
 across sibling cells; Collins & Hong, JSC 1991).  A polynomial's roots
 over a sample point, and an atom's sign at a full sample point, are
@@ -54,7 +64,7 @@ from ..poly import MultiPoly
 from ..predicates import Atom, atoms_of, eval_with, rel_holds
 from .resultants import psc_set
 from .roots import RealAlgebraicNumber, roots_at_point, sign_at_point
-from .sentences import EXISTS, FORALL, Sentence
+from .sentences import EVENTUALLY, EXISTS, FORALL, Sentence
 
 
 @dataclass
@@ -166,6 +176,13 @@ def _merge_roots(groups: list) -> list:
     return merged
 
 
+def _settles(quant: str, sub: bool) -> bool:
+    """Whether one lifted cell's truth is the level's answer: a witness
+    for exists, a counterexample for forall, and always for eventually,
+    which lifts a single cell."""
+    return quant == EVENTUALLY or sub == (quant == EXISTS)
+
+
 def _coord_key(x):
     """Exact memo key of one coordinate: its Fraction value, or an
     irrational RealAlgebraicNumber itself, which hashes by identity."""
@@ -251,7 +268,22 @@ class _Decider:
             lambda atom: rel_holds(self._atom_sign(atom, point), atom.rel),
         )
 
+    def _top_sample(self, level: int, point: dict) -> Fraction:
+        """A rational above every root of the level's polynomials; each
+        polynomial's roots come ascending, so only its last one counts."""
+        top = None
+        for index in range(len(self.levels[level])):
+            roots = self._roots(level, index, point)
+            if roots and (top is None or roots[-1].compare(top) > 0):
+                top = roots[-1]
+        return Fraction(0) if top is None else _rational_above(top)
+
     def _samples(self, level: int, point: dict):
+        """(kind, sample) for the cells lifted at this level over the
+        point: all of them, or the top sector's alone for 'eventually'."""
+        if self.sentence.prefix[level - 1][0] == EVENTUALLY:
+            yield "sector", self._top_sample(level, point)
+            return
         groups = []
         for index in range(len(self.levels[level])):
             roots = self._roots(level, index, point)
@@ -282,10 +314,8 @@ class _Decider:
             child_point = dict(point)
             child_point[var] = sample
             sub = self.decide(level + 1, child_point, None)
-            if quant == EXISTS and sub:
-                return True
-            if quant == FORALL and not sub:
-                return False
+            if _settles(quant, sub):
+                return sub
         return quant == FORALL
 
 

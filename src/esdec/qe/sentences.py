@@ -4,6 +4,13 @@ Text form: a quantifier prefix "forall r. exists l. ..." followed by a
 quantifier-free Boolean combination in the predicate grammar, with the
 quantified lowercase names as variables.  Sentences have no free
 variables.
+
+Besides forall and exists, a prefix may say "eventually v.": the rest
+of the sentence holds for all sufficiently large v, i.e. there is a c
+such that it holds for every v > c.  The truth set of a formula in v
+(outer variables fixed) is semialgebraic, so either it or its
+complement contains a ray (c, oo); hence "not eventually v. phi" is
+"eventually v. not phi".
 """
 
 from __future__ import annotations
@@ -13,11 +20,13 @@ from fractions import Fraction
 
 from ..errors import ParseError
 from ..parser import PolyParser, TokenStream, tokenize
-from ..poly import MultiPoly
+from ..poly import MultiPoly, var_sort_key
 from ..predicates import And, Atom, Node, Not, Or, atoms_of, negate_node
 
 FORALL = "forall"
 EXISTS = "exists"
+EVENTUALLY = "eventually"
+QUANTIFIERS = (FORALL, EXISTS, EVENTUALLY)
 
 
 @dataclass(frozen=True)
@@ -29,8 +38,10 @@ class Sentence:
         names = [v for _, v in self.prefix]
         if len(set(names)) != len(names):
             raise ValueError("quantified variables must be distinct")
-        if any(q not in (FORALL, EXISTS) for q, _ in self.prefix):
-            raise ValueError("quantifiers must be forall/exists")
+        if any(q not in QUANTIFIERS for q, _ in self.prefix):
+            raise ValueError("quantifiers must be forall/exists/eventually")
+        for name in names:
+            var_sort_key(name)  # letters then digits, or ValueError
         free = set()
         for atom in atoms_of(self.matrix):
             free.update(atom.poly.used_vars())
@@ -42,23 +53,24 @@ class Sentence:
         return tuple(v for _, v in self.prefix)
 
 
+_DUAL = {FORALL: EXISTS, EXISTS: FORALL, EVENTUALLY: EVENTUALLY}
+
+
 def sentence_negate(s: Sentence) -> Sentence:
-    flipped = tuple(
-        (EXISTS if q == FORALL else FORALL, v) for q, v in s.prefix
-    )
+    flipped = tuple((_DUAL[q], v) for q, v in s.prefix)
     return Sentence(flipped, negate_node(s.matrix))
 
 
 # -- parsing ------------------------------------------------------------
 
-_KEYWORDS = {"and", "or", "not", FORALL, EXISTS}
+_KEYWORDS = {"and", "or", "not", *QUANTIFIERS}
 
 
 def parse_sentence(text: str) -> Sentence:
     stream = TokenStream(tokenize(text))
     prefix = []
     declared: list = []
-    while stream.peek().text in (FORALL, EXISTS):
+    while stream.peek().text in QUANTIFIERS:
         quant = stream.next().text
         name_tok = stream.next()
         if name_tok.kind != "name" or name_tok.text in _KEYWORDS:
@@ -180,11 +192,19 @@ def _smt_node(node: Node) -> str:
 
 def export_smtlib(s: Sentence) -> str:
     """Semantically equivalent SMT-LIB2 script (logic NRA); used as an
-    external cross-check channel only, never as the decision path."""
+    external cross-check channel only, never as the decision path.
+
+    "eventually v. phi" becomes "exists c_v. forall v. v > c_v => phi";
+    variable names are letters and digits only, so c_v is fresh."""
     body = _smt_node(s.matrix)
     for quant, var in reversed(s.prefix):
-        q = "forall" if quant == FORALL else "exists"
-        body = f"({q} (({var} Real)) {body})"
+        if quant in (FORALL, EXISTS):
+            body = f"({quant} (({var} Real)) {body})"
+        elif quant == EVENTUALLY:
+            c = f"c_{var}"
+            body = f"(exists (({c} Real)) (forall (({var} Real)) (=> (> {var} {c}) {body})))"
+        else:
+            raise ValueError(f"unknown quantifier {quant!r}")
     return "\n".join([
         "(set-logic NRA)",
         f"(assert {body})",

@@ -45,6 +45,15 @@ def test_substitute_constant():
     assert den.constant_value() == 1
 
 
+def test_substitute_ignores_cancelled_variables():
+    """x2 - x2 leaves x2 among the variables but unused; an arity-1
+    substitution must not ask for y2."""
+    p = xv(1) + xv(2) - xv(2)
+    assert "x2" in p.vars
+    for kind in TransformKind:
+        assert substitute_transform(p, kind, k=1) == substitute_transform(xv(1), kind, k=1)
+
+
 def test_substitute_consistency_random():
     rng = random.Random(7)
     for _ in range(50):

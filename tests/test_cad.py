@@ -8,11 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from esdec.errors import ParseError, ResourceLimitError
 from esdec.poly import MultiPoly
+from esdec.predicates import Atom, Or
 from esdec.qe import (
-    QeBudget, decide_sentence, export_smtlib, parse_sentence, sentence_negate,
+    QeBudget, Sentence, decide_sentence, export_smtlib, parse_sentence, sentence_negate,
 )
 from esdec.qe import cad
-from esdec.qe.cad import EXISTS, FORALL, _Decider, collins_project
+from esdec.qe.cad import EVENTUALLY, EXISTS, FORALL, _Decider, _settles, collins_project
 from esdec.qe.roots import RealAlgebraicNumber, roots_at_point, sign_at_point
 
 from golden import GOLDEN_SENTENCES
@@ -45,10 +46,8 @@ class _TreeDecider(_Decider):
             child = CadCell(level, var, kind, sample)
             cell.children.append(child)
             child.truth = self.decide(level + 1, {**point, var: sample}, child)
-            if quant == EXISTS and child.truth:
-                return True
-            if quant == FORALL and not child.truth:
-                return False
+            if _settles(quant, child.truth):
+                return child.truth
         return quant == FORALL
 
 
@@ -250,3 +249,76 @@ def test_lifting_memo_reuses_results_across_unused_coordinates(monkeypatch):
     assert (truth, cells) == _run(_PlainDecider, s, QeBudget())[:2] == (True, 55)
     assert memo["roots"] < cells <= calls["roots"]
     assert memo["signs"] < calls["signs"]
+
+
+# (sentence, truth); "eventually v" reads "for all sufficiently large v"
+EVENTUALLY_CASES = (
+    ("eventually x. x > 5", True),
+    ("eventually x. x < 5", False),
+    ("eventually x. x^2 - 3*x + 1 > 0", True),
+    ("eventually x. exists y. y^2 = x", True),
+    ("eventually x. forall y. x > y", False),
+    ("forall y. eventually x. x > y", True),
+    ("eventually x. eventually y. x*y > 1", True),
+    ("exists y. eventually x. x*y < 0 and y^2 = 2", True),
+)
+
+
+def test_eventually_parse_and_negate_roundtrip():
+    s = parse_sentence("forall y. eventually x. x > y")
+    assert s.prefix == (("forall", "y"), ("eventually", "x"))
+    n = sentence_negate(s)
+    assert n.prefix == (("exists", "y"), ("eventually", "x"))
+    assert sentence_negate(n).prefix == s.prefix
+    with pytest.raises(ParseError):
+        parse_sentence("eventually eventually. eventually > 0")  # keyword as a name
+    with pytest.raises(ValueError):
+        Sentence((("sometimes", "x"),), parse_sentence("exists x. x > 0").matrix)
+
+
+def test_eventually_truth_and_duality():
+    for text, expected in EVENTUALLY_CASES:
+        s = parse_sentence(text)
+        assert decide_sentence(s) == expected, text
+        assert decide_sentence(sentence_negate(s)) == (not expected), text
+
+
+def test_eventually_lifts_one_cell_per_level():
+    """The eventually levels lift the top sector alone: one cell each."""
+    dec = _Decider(parse_sentence("eventually x. eventually y. x*y > 1"), QeBudget())
+    assert dec.decide(1, {}, None) is True
+    assert dec.cells_used == 2
+
+
+@given(_small_sentences(), st.integers(0, 2))
+@example("forall x. exists y. x^2 - 2 != 0 or y^2 - x^2 = 0", 1)
+@example("exists x. forall y. x*y - 1 > 0 or y < 0", 0)
+@example("exists y. forall x. x*y + 1 < 0 or x > 0", 1)
+@settings(max_examples=40, deadline=None)
+def test_eventually_matches_its_definition(text, index):
+    """eventually v. Psi  ==  exists c. forall v. v <= c or Psi, with the
+    disjunct moved into the matrix (the inner quantifiers do not bind c
+    or v)."""
+    s = parse_sentence(text)
+    i = index % len(s.prefix)
+    v = s.prefix[i][1]
+    sentence = Sentence(s.prefix[:i] + ((EVENTUALLY, v),) + s.prefix[i + 1:], s.matrix)
+    v_minus_c = MultiPoly.var(v, (v, "c")) - MultiPoly.var("c", (v, "c"))
+    reference = Sentence(
+        s.prefix[:i] + ((EXISTS, "c"), (FORALL, v)) + s.prefix[i + 1:],
+        Or((Atom(v_minus_c, "<="), s.matrix)),
+    )
+    assert decide_sentence(sentence, QeBudget(max_cells=3000)) == \
+        decide_sentence(reference, QeBudget(max_cells=30_000)), (text, i)
+
+
+def test_export_smtlib_eventually():
+    text = export_smtlib(parse_sentence("eventually x. exists y. y > x"))
+    assert "(exists ((c_x Real)) (forall ((x Real)) (=> (> x c_x) (exists ((y Real))" in text
+    # one bound name per eventually level, none shared with a variable
+    two = export_smtlib(parse_sentence("eventually c. eventually x. x*c > 1"))
+    assert "((c_c Real))" in two and "((c_x Real))" in two
+    s = parse_sentence("exists x. x > 0")
+    object.__setattr__(s, "prefix", (("sometimes", "x"),))  # bypass the AST check
+    with pytest.raises(ValueError):
+        export_smtlib(s)

@@ -30,6 +30,18 @@ def test_decide_no_with_certificate(tmp_path, capsys):
     assert "type" in payload and "witness" in payload
 
 
+def test_decide_reports_qe_calls(tmp_path, capsys):
+    """x1 < x2 is NO: one type is screened and tested, and it is the
+    certificate."""
+    pred = tmp_path / "increasing.pred"
+    pred.write_text("x1 < x2\n")
+    code, out, _ = run(capsys, "decide", str(pred), "--no-witness")
+    assert code == 10
+    stats = json.loads(out)["stats"]
+    assert stats["qeCalls"] == {"screen": 1, "feasibility": 1}
+    assert stats["screenCacheHits"] == 0
+
+
 def test_decide_malformed(tmp_path, capsys):
     pred = tmp_path / "bad.pred"
     pred.write_text("x1 << x2\n")
@@ -45,6 +57,11 @@ def test_qe_commands(capsys):
     assert code == 10
     code, out, _ = run(capsys, "qe", "--smtlib", "exists x. x^2 - 2 = 0")
     assert code == 0 and "(check-sat)" in out
+    code, out, _ = run(capsys, "qe", "eventually x. exists y. y^2 = x")
+    assert code == 0 and json.loads(out)["truth"] is True
+    code, out, _ = run(capsys, "qe", "--smtlib", "eventually x. x > 1")
+    assert code == 0
+    assert "(exists ((c_x Real)) (forall ((x Real)) (=> (> x c_x) (> (+ x (- 1)) 0))))" in out
 
 
 def test_gen_and_roundtrip(tmp_path, capsys):

@@ -156,6 +156,27 @@ def test_screen_exhaustion_falls_through(monkeypatch):
             (want.transform, want.certificate_type, want.orientation), text
 
 
+def test_decide_counts_qe_calls():
+    """QE calls by purpose and screen-cache hits, in the stats and their
+    JSON.  In x1 - x2 >= 0 two all-nowhere types share their signs with
+    a screened one, and the screen rejects four types before the fifth
+    is tested and certifies NO; a YES pair with no all-nowhere type
+    makes no QE call at all."""
+    cases = (  # text, answer, QE calls, screen-cache hits, types skipped by the screen
+        ("x1 < x2", NO, {"screen": 1, "feasibility": 1}, 0, 0),
+        ("x1 - x2 >= 0", NO, {"screen": 3, "feasibility": 1}, 2, 4),
+        ("x1 < x2 ; x1 >= x2", YES, {"screen": 0, "feasibility": 0}, 0, 0),
+    )
+    for text, answer, qe_calls, hits, skipped in cases:
+        v = decide_es(parse(text), search_witness=False)
+        assert v.answer == answer, text
+        assert v.stats.qe_calls == qe_calls, text
+        assert v.stats.screen_cache_hits == hits, text
+        assert v.stats.types_skipped_by_screen == skipped, text
+        got = v.to_json()["stats"]
+        assert (got["qeCalls"], got["screenCacheHits"]) == (qe_calls, hits), text
+
+
 def test_envelope_note_emitted():
     with pytest.warns(UserWarning):
         v = decide_es(parse("x1^3 > x2"), search_witness=False, type_cap=100)
@@ -166,6 +187,8 @@ def test_order_invariance_check():
     check_order_invariance(parse("x1 < x2 ; x1 >= x2"))
     with pytest.raises(OrderInvarianceError):
         check_order_invariance(parse("x1 + x2 > 1"))
+    # a cancelled variable beyond the arity is not read
+    check_order_invariance(parse("x2 - x2 != 0 or x1 > x1"))
 
 
 def test_es_bruteforce_monotone():

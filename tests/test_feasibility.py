@@ -1,15 +1,18 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
 from esdec.algebra import TransformKind
 from esdec.feasibility import (
-    FEASIBLE, INFEASIBLE, FeasibilityInstance, build_psi_star, is_feasible,
-    sign_sentence, witness_search,
+    FEASIBLE, INFEASIBLE, FeasibilityInstance, build_psi_eventual, build_psi_star,
+    is_feasible, sign_sentence, witness_search,
 )
 from esdec.poly import MultiPoly
 from esdec.predicates import parse
-from esdec.qe import decide_sentence
+from esdec.qe import decide_sentence, parse_sentence
 from esdec.typesys import build_Q, compute_type, enumerate_types
 
 F = Fraction
@@ -147,3 +150,126 @@ def test_sign_sentence_screen():
         else:
             unsat += 1
     assert sat > 0 and unsat > 0
+
+
+def test_gigantic_denominator_sign_must_be_forced():
+    """The collapse of forall H needs s_b*q_b > 0 on every gigantic pair."""
+    with pytest.raises(ValueError):
+        FeasibilityInstance(sign_constraints=((X, 1),), dwarfed=(), gigantic=((X, 1, Y, 1),))
+    with pytest.raises(ValueError):  # the sign is constrained, but to the other side
+        FeasibilityInstance(((X, 1), (Y, -1)), (), ((X, 1, Y, 1),))
+    one = MultiPoly.const(1, ("X", "Y"))
+    with pytest.raises(ValueError):  # a constant of the wrong sign
+        FeasibilityInstance(((X, 1),), (), ((X, 1, one, -1),))
+    FeasibilityInstance(((X, 1),), (), ((X, 1, one, 1),))  # a constant of the right sign
+    FeasibilityInstance(((X, 1),), (), ((X, 1, one, -1),), constant_conflict=True)
+    FeasibilityInstance(((X, 1),), ((X, 1, Y, 1),), ())  # dwarfed pairs need nothing
+
+
+# hand-built instances over the coefficients X and Y, with their status
+_EXPLICIT = (
+    # |X| >= H|Y| for every H: X unbounded against Y
+    (((X, 1), (Y, 1)), (), ((X, 1, Y, 1),), FEASIBLE),
+    # X dwarfed by Y and gigantic against it: H <= L for every H
+    (((X, 1), (Y, 1)), ((X, 1, Y, 1),), ((X, 1, Y, 1),), INFEASIBLE),
+    # both orders gigantic: H^2 <= 1 for every H
+    (((X, 1), (Y, 1)), (), ((X, 1, Y, 1), (Y, 1, X, 1)), INFEASIBLE),
+    # X + Y gigantic against Y, all positive: take X large
+    (((X, 1), (Y, 1), (X + Y, 1)), (), ((X + Y, 1, Y, 1),), FEASIBLE),
+    # ... but with X < 0 < Y, X + Y stays below Y
+    (((X, -1), (Y, 1), (X + Y, 1)), (), ((X + Y, 1, Y, 1),), INFEASIBLE),
+    # X - Y gigantic against Y while 0 < X < Y: X - Y is negative
+    (((X, 1), (Y, 1), (Y - X, 1)), (), ((X - Y, 1, Y, 1),), INFEASIBLE),
+    # Y dwarfed by X, X^2 + 1 gigantic against Y (Y -> 0)
+    (((X, 1), (Y, 1)), ((Y, 1, X, 1),), ((X ** 2 + 1, 1, Y, 1),), FEASIBLE),
+)
+
+
+def test_explicit_instances_match_psi_star():
+    for signs, dwarfed, gigantic, want in _EXPLICIT:
+        inst = FeasibilityInstance(signs, dwarfed, gigantic)
+        assert is_feasible(inst) == want, (signs, dwarfed, gigantic)
+        full = FEASIBLE if decide_sentence(build_psi_star(inst)) else INFEASIBLE
+        assert full == want, (signs, dwarfed, gigantic)
+
+
+@st.composite
+def _small_instances(draw):
+    """from_type instances of {a*x1 + b*x2 + c rel 0}, optionally with an
+    order atom k*x1 - k*x2; the relations do not change Q, so they are
+    fixed.  Two general linear atoms make psi* cost seconds."""
+    a, b = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any))
+    c = draw(st.integers(-1, 1))
+    text = f"{a}*x1 + {b}*x2 + {c} > 0"
+    k = draw(st.sampled_from((0, 1, 2, -1)))
+    if k:
+        text += f" ; {k}*x1 - {k}*x2 < 0"
+    kind = draw(st.sampled_from(list(TransformKind)))
+    Q = build_Q(parse(text), kind)
+    types = list(enumerate_types(Q))
+    return text, kind, Q, types[draw(st.integers(0, len(types) - 1))]
+
+
+@given(_small_instances())
+@settings(max_examples=25, deadline=None)
+def test_is_feasible_matches_psi_star(case):
+    """The top-sector collapse against the full five-variable sentence."""
+    text, kind, Q, typ = case
+    inst = FeasibilityInstance.from_type(Q, typ)
+    assume(not inst.constant_conflict)  # settled before any QE, and psi* omits constants
+    full = FEASIBLE if decide_sentence(build_psi_star(inst)) else INFEASIBLE
+    event(full)
+    assert is_feasible(inst) == full, (text, kind, typ)
+
+
+def test_psi_eventual_shape():
+    inst = FeasibilityInstance(((X, 1), (Y, 1)), ((Y, 1, X, 1),), ((X, 1, Y, 1),))
+    s = build_psi_eventual(inst)
+    assert s.prefix == (("eventually", "L"), ("eventually", "H"), ("exists", "X"), ("exists", "Y"))
+    assert len(build_psi_star(inst).matrix.children) == len(s.matrix.children) + 1  # no L >= R
+    assert decide_sentence(build_psi_eventual(FeasibilityInstance((), (), ())))
+
+
+# growth-gap sentences in the benchmark's style: two forms u, v in x, y
+# with an invertible linear part in {-1, 0, 1}, seeded nonzero signs, and
+# one of eight dwarfed (D) / gigantic (G) patterns over the ordered pairs
+_GROWTH_PATTERNS = (
+    (("D", "u", "v"),),
+    (("G", "u", "v"),),
+    (("D", "u", "v"), ("D", "v", "u")),
+    (("D", "u", "v"), ("G", "v", "u")),
+    (("G", "u", "v"), ("D", "v", "u")),
+    (("D", "u", "v"), ("G", "u", "v")),
+    (("G", "u", "v"), ("G", "v", "u")),
+    (("D", "v", "u"), ("G", "v", "u")),
+)
+_LINEAR_PARTS = tuple(m for m in product((-1, 0, 1), repeat=4) if m[0] * m[3] != m[1] * m[2])
+
+
+def _growth_gap_truth(pattern) -> bool:
+    """False exactly when one ordered pair is both dwarfed and gigantic
+    (H <= L for every H), or both orders are gigantic (H^2 <= 1)."""
+    for p, q in (("u", "v"), ("v", "u")):
+        if ("D", p, q) in pattern and ("G", p, q) in pattern:
+            return False
+    return not (("G", "u", "v") in pattern and ("G", "v", "u") in pattern)
+
+
+def _eventual_growth_gap(pattern, linear, signs) -> str:
+    a1, b1, a2, b2 = linear
+    forms = {"u": f"({a1}*x + {b1}*y)", "v": f"({a2}*x + {b2}*y)"}
+    signed = {k: f if signs[k] > 0 else f"(-{f})" for k, f in forms.items()}
+    atoms = [f"{forms[k]} {'>' if signs[k] > 0 else '<'} 0" for k in ("u", "v")]
+    for kind, p, q in pattern:
+        bound = "l" if kind == "D" else "h"
+        atoms.append(f"{signed[p]} {'<=' if kind == 'D' else '>='} {bound}*{signed[q]}")
+    return "eventually l. eventually h. exists x. exists y. " + " and ".join(atoms)
+
+
+def test_eventual_growth_gap_sentences_match_analytic_rule():
+    rng = random.Random(5)
+    for pattern in _GROWTH_PATTERNS:
+        for linear in rng.sample(_LINEAR_PARTS, 12):
+            signs = {"u": rng.choice((1, -1)), "v": rng.choice((1, -1))}
+            text = _eventual_growth_gap(pattern, linear, signs)
+            assert decide_sentence(parse_sentence(text)) == _growth_gap_truth(pattern), text

@@ -200,3 +200,12 @@ def _verdict_sets(draw):
 def test_member_verdicts_matches_two_passes(pset, seq):
     assert member_verdicts(pset, seq) == _two_pass_verdicts(pset, seq), \
         (pset.to_text(), seq)
+
+
+def test_eval_at_ignores_cancelled_variables():
+    """x2 - x2 cancels, so the predicate's arity is 1 and x2 is never read."""
+    pred = parse_predicate("x2 - x2 != 0 or x1 > 0")
+    assert pred.arity == 1
+    assert eval_at(pred, [1]) is True
+    assert eval_at(pred, [-1]) is False
+    assert member_verdicts(PredicateSet((pred,)), [Fraction(1), Fraction(2)]) == {0: "everywhere"}
