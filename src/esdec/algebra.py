@@ -51,17 +51,6 @@ def infer_arity(p: MultiPoly, pattern: re.Pattern = _XVAR) -> int:
     return best
 
 
-def poly_arith(lhs: MultiPoly, rhs: MultiPoly, op: str) -> MultiPoly:
-    """Exact add/sub/mul with automatic variable-union alignment."""
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    if op == "mul":
-        return lhs * rhs
-    raise ValueError(f"unknown op {op!r}")
-
-
 def substitute_transform(
     p: MultiPoly, kind: TransformKind, k: int | None = None
 ) -> tuple[MultiPoly, MultiPoly]:

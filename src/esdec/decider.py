@@ -52,6 +52,10 @@ ENVELOPE_NOTE = (
     "per member, degree <= 2); the candidate type count may be prohibitive"
 )
 
+# growth parameters (R, n) at which a NO's witness is searched for
+WITNESS_R = 4
+WITNESS_N = 4
+
 
 @dataclass
 class DecisionStats:
@@ -125,7 +129,6 @@ def _within_envelope(pset: PredicateSet) -> bool:
 
 def decide_es(pset: PredicateSet, budget: QeBudget | None = None,
               type_cap: int = 200_000, search_witness: bool = True,
-              witness_R: int = 4, witness_n: int = 4,
               witness_seed: int = 0) -> Verdict:
     """Decide whether every long enough sequence admits a fixed-length
     subsequence on which some member holds everywhere.
@@ -180,7 +183,7 @@ def decide_es(pset: PredicateSet, budget: QeBudget | None = None,
             if verdict != FEASIBLE:
                 continue
             stats.types_feasible += 1
-            witness = (witness_search(inst, witness_R, witness_n, seed=witness_seed)
+            witness = (witness_search(inst, WITNESS_R, WITNESS_N, seed=witness_seed)
                        if search_witness else None)
             stats.elapsed = time.monotonic() - t0
             out = Verdict(NO, kind, typ, typ.to_json(Q), orientation,

@@ -110,7 +110,8 @@ class FeasibilityInstance:
                 want = sigma[alpha]
                 actual = _constant_sign(c)
                 if actual is None:
-                    signs.append((c, want))
+                    if (c, want) not in signs:
+                        signs.append((c, want))
                 elif actual != want:
                     conflict = True
             for (a, b) in entry.pairs:

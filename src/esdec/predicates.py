@@ -297,13 +297,6 @@ def negate(pred: Predicate) -> Predicate:
 # -- one-predicate replacements ---------------------------------------
 
 
-def disjunction_collapse(pset: PredicateSet) -> Predicate:
-    """The disjunction of all members (members already share an arity)."""
-    if len(pset.members) == 1:
-        return pset.members[0]
-    return Predicate(Or(tuple(m.root for m in pset.members)), pset.arity)
-
-
 def _rename_x(node: Node, mapping: dict) -> Node:
     if isinstance(node, Atom):
         return Atom(node.poly.rename_vars(mapping), node.rel)

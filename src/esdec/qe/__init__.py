@@ -8,11 +8,11 @@ cylindrical-decomposition decision procedure itself (cad).
 
 from .cad import QeBudget, decide_sentence
 from .resultants import psc_set, resultant
-from .roots import RealAlgebraicNumber, alg_sign_at, isolate_real_roots
+from .roots import RealAlgebraicNumber, isolate_real_roots
 from .sentences import Sentence, export_smtlib, parse_sentence, sentence_negate
 
 __all__ = [
     "QeBudget", "decide_sentence", "psc_set", "resultant",
-    "RealAlgebraicNumber", "alg_sign_at", "isolate_real_roots",
+    "RealAlgebraicNumber", "isolate_real_roots",
     "Sentence", "export_smtlib", "parse_sentence", "sentence_negate",
 ]

@@ -100,10 +100,6 @@ def _reducta(coeffs: list) -> list:
     return out
 
 
-def _from_coeffs(coeffs: list, var: str) -> MultiPoly:
-    return MultiPoly.from_univar(coeffs, var)
-
-
 def collins_project(polys: list, var: str) -> list:
     """The Collins projection of a level's polynomials w.r.t. its main
     variable; output polynomials no longer involve ``var``."""
@@ -121,7 +117,7 @@ def collins_project(polys: list, var: str) -> list:
         for c in coeffs:
             add(c)
         for red in _reducta(coeffs):
-            redp = _from_coeffs(red, var)
+            redp = MultiPoly.from_univar(red, var)
             dred = redp.derivative(var)
             if redp.degree(var) >= 2:
                 for v in psc_set(redp, dred, var):
@@ -130,7 +126,8 @@ def collins_project(polys: list, var: str) -> list:
         for j in range(i + 1, len(unis)):
             for ri in _reducta(unis[i]):
                 for rj in _reducta(unis[j]):
-                    for v in psc_set(_from_coeffs(ri, var), _from_coeffs(rj, var), var):
+                    for v in psc_set(MultiPoly.from_univar(ri, var),
+                                     MultiPoly.from_univar(rj, var), var):
                         add(v)
     return list(out)
 

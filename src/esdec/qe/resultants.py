@@ -1,29 +1,13 @@
 """Resultants and principal subresultant coefficients, exactly.
 
-Two computation routes are kept deliberately:
-
-  * Sylvester-submatrix determinants evaluated by fraction-free Bareiss
-    elimination.  Slow but transparently correct; this is the route the
-    projection operator uses for psc sets, and the oracle the tests
-    compare everything against.
-  * the subresultant polynomial remainder sequence, used as the fast
-    path for plain resultants, falling back to the determinant on
-    defective tails.
-
-Polynomial entries are MultiPoly over the non-main variables, so both
-routes work for multivariate inputs.
+Both are determinants of Sylvester submatrices, evaluated by
+fraction-free Bareiss elimination.  Polynomial entries are MultiPoly
+over the non-main variables, so multivariate inputs work too.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..poly import MultiPoly
-
-
-def _unicoeffs(p: MultiPoly, var: str) -> list:
-    """Dense coefficient list in ``var`` (index = degree)."""
-    return p.as_univar(var)
 
 
 def det_bareiss(rows: list) -> MultiPoly:
@@ -75,9 +59,10 @@ def _subresultant_matrix(fc: list, gc: list, j: int) -> list:
 
 def psc_set(f: MultiPoly, g: MultiPoly, var: str) -> list:
     """Principal subresultant coefficients psc_j for 0 <= j < min(deg f,
-    deg g); psc_0 is the resultant.  Empty when either degree is < 1."""
-    fc = _unicoeffs(f, var)
-    gc = _unicoeffs(g, var)
+    deg g); psc_0 is the resultant with the larger degree first.  Empty
+    when either degree is < 1."""
+    fc = f.as_univar(var)
+    gc = g.as_univar(var)
     m, n = len(fc) - 1, len(gc) - 1
     if m < 1 or n < 1 or f.is_zero or g.is_zero:
         return []
@@ -86,10 +71,11 @@ def psc_set(f: MultiPoly, g: MultiPoly, var: str) -> list:
     return [det_bareiss(_subresultant_matrix(fc, gc, j)) for j in range(min(m, n))]
 
 
-def resultant_det(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """Resultant as the Sylvester determinant (oracle route)."""
-    fc = _unicoeffs(f, var)
-    gc = _unicoeffs(g, var)
+def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
+    """Res(f, g) in ``var``, the Sylvester determinant; a swap to put
+    the larger degree first costs the sign (-1)^(deg f * deg g)."""
+    fc = f.as_univar(var)
+    gc = g.as_univar(var)
     m, n = len(fc) - 1, len(gc) - 1
     if f.is_zero or g.is_zero:
         raise ValueError("resultant of a zero polynomial")
@@ -98,98 +84,5 @@ def resultant_det(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
         fc, gc, m, n = gc, fc, n, m
         if (m * n) % 2:
             sign = -1
-    if n == 0:
-        out = gc[0] ** m
-        return out if sign == 1 else -out
-    out = det_bareiss(_subresultant_matrix(fc, gc, 0))
+    out = gc[0] ** m if n == 0 else det_bareiss(_subresultant_matrix(fc, gc, 0))
     return out if sign == 1 else -out
-
-
-def _deg(coeffs: list) -> int:
-    return len(coeffs) - 1
-
-
-def _lc(coeffs: list) -> MultiPoly:
-    return coeffs[-1]
-
-
-def _trim(coeffs: list) -> list:
-    c = list(coeffs)
-    while len(c) > 1 and c[-1].is_zero:
-        c.pop()
-    return c
-
-
-def _prem(a: list, b: list) -> list:
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a   mod b."""
-    r = list(a)
-    db = _deg(b)
-    lcb = _lc(b)
-    e = _deg(a) - db + 1
-    while not (len(r) == 1 and r[0].is_zero) and _deg(r) >= db:
-        lead = r[-1]
-        shift = _deg(r) - db
-        new = [lcb * c for c in r]
-        for i, bc in enumerate(b):
-            new[i + shift] = new[i + shift] - lead * bc
-        r = _trim(new[:-1] if len(new) > 1 else new)
-        e -= 1
-    if e > 0:
-        scale = lcb ** e
-        r = [scale * c for c in r]
-    return _trim(r)
-
-
-def subresultant_prs(f: MultiPoly, g: MultiPoly, var: str) -> list:
-    """The subresultant polynomial remainder sequence of f and g
-    (deg f >= deg g assumed after an internal swap), as MultiPoly."""
-    fc = _trim(_unicoeffs(f, var))
-    gc = _trim(_unicoeffs(g, var))
-    if _deg(fc) < _deg(gc):
-        fc, gc = gc, fc
-    seq = [fc, gc]
-    a, b = fc, gc
-    delta = _deg(a) - _deg(b)
-    beta = MultiPoly.const((-1) ** (delta + 1))
-    psi = MultiPoly.const(-1)
-    while True:
-        if len(b) == 1 and b[0].is_zero:
-            break
-        r = _prem(a, b)
-        if len(r) == 1 and r[0].is_zero:
-            break
-        r = [c.exact_div(beta) for c in r]
-        seq.append(r)
-        lcb = _lc(b)
-        if delta > 0:
-            psi = ((-lcb) ** delta).exact_div(psi ** (delta - 1))
-        a, b = b, r
-        delta = _deg(a) - _deg(b)
-        beta = -lcb * psi ** delta
-    def to_poly(coeffs):
-        return MultiPoly.from_univar(coeffs, var)
-    return [to_poly(c) for c in seq]
-
-
-def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """Classical resultant via the subresultant PRS; falls back to the
-    Sylvester determinant on defective tails, so the result is exact in
-    every case (cross-checked in the test suite)."""
-    fc = _trim(_unicoeffs(f, var))
-    gc = _trim(_unicoeffs(g, var))
-    if f.is_zero or g.is_zero:
-        raise ValueError("resultant of a zero polynomial")
-    m, n = _deg(fc), _deg(gc)
-    if min(m, n) == 0 or m < 2 or n < 2:
-        return resultant_det(f, g, var)
-    prs = subresultant_prs(f, g, var)
-    last = prs[-1]
-    if last.degree(var) > 0:
-        return MultiPoly.const(0)
-    prev_deg = prs[-2].degree(var)
-    if prev_deg == 1:
-        out = last
-        if m < n and (m * n) % 2:
-            out = -out
-        return out
-    return resultant_det(f, g, var)

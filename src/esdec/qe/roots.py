@@ -59,8 +59,8 @@ def uderiv(c: Coeffs) -> Coeffs:
     return [Fraction(i) * c[i] for i in range(1, len(c))]
 
 
-def uprimitive(c: Coeffs) -> Coeffs:
-    """Integer primitive form with positive leading coefficient."""
+def _positive_primitive(c: Coeffs) -> Coeffs:
+    """Content-normalized by a positive rational: signs preserved."""
     c = utrim(c)
     if uis_zero(c):
         return [Fraction(0)]
@@ -71,10 +71,13 @@ def uprimitive(c: Coeffs) -> Coeffs:
     g = 0
     for x in ints:
         g = int_gcd(g, abs(int(x)))
-    ints = [x / g for x in ints]
-    if ints[-1] < 0:
-        ints = [-x for x in ints]
-    return ints
+    return [x / g for x in ints]
+
+
+def uprimitive(c: Coeffs) -> Coeffs:
+    """Integer primitive form with positive leading coefficient."""
+    ints = _positive_primitive(c)
+    return [-x for x in ints] if ints[-1] < 0 else ints
 
 
 def udivmod(a: Coeffs, b: Coeffs):
@@ -113,21 +116,6 @@ def usquarefree(c: Coeffs) -> Coeffs:
     q, r = udivmod(c, g)
     assert uis_zero(r)
     return uprimitive(q)
-
-
-def _positive_primitive(c: Coeffs) -> Coeffs:
-    """Content-normalized by a positive rational: signs preserved."""
-    c = utrim(c)
-    if uis_zero(c):
-        return [Fraction(0)]
-    den = 1
-    for x in c:
-        den = den * x.denominator // int_gcd(den, x.denominator)
-    ints = [x * den for x in c]
-    g = 0
-    for x in ints:
-        g = int_gcd(g, abs(int(x)))
-    return [x / g for x in ints]
 
 
 def sturm_chain(c: Coeffs) -> list:
@@ -402,21 +390,6 @@ class _SortKey:
         return self.ran.compare(other.ran) < 0
 
 
-def alg_sign_at(p, x: RealAlgebraicNumber) -> int:
-    """Exact sign of a univariate polynomial at a real algebraic number."""
-    if isinstance(p, MultiPoly):
-        used = p.used_vars()
-        if len(used) > 1:
-            raise ValueError("alg_sign_at needs a univariate polynomial")
-        if not used:
-            v = p.constant_value()
-            return 0 if v == 0 else (1 if v > 0 else -1)
-        coeffs = [c.constant_value() for c in p.as_univar(used[0])]
-    else:
-        coeffs = [Fraction(x) for x in p]
-    return x.sign_of_poly(coeffs)
-
-
 # -- signs and roots at mixed rational/algebraic sample points ----------
 
 
@@ -481,7 +454,7 @@ def _eliminate_algebraics(M: MultiPoly, algs: dict) -> MultiPoly:
     """Cascade of resultants with the defining polynomials; the result
     vanishes wherever M vanishes at the actual algebraic coordinates
     (with conjugate combinations possibly adding spurious zeros)."""
-    from .resultants import resultant_det
+    from .resultants import resultant
 
     out = M
     for v in sorted(algs, key=lambda s: s):
@@ -490,7 +463,7 @@ def _eliminate_algebraics(M: MultiPoly, algs: dict) -> MultiPoly:
         if v not in out.used_vars():
             out = out.partial_eval({v: Fraction(0)}) if v in out.vars else out
             continue
-        out = resultant_det(_defining_multipoly(a, v), out, v)
+        out = resultant(_defining_multipoly(a, v), out, v)
     return out
 
 

@@ -8,8 +8,8 @@ embedding witness:
   2. a strictly monotone subsequence (decreasing handled by negating,
      which folds into the witness parameters);
   3. an additive R-fold chain ("x3 - x1 >= R*(x2 - x1)" on all triples),
-     obtained by striding a doubling-differences (DDC) chain or, below
-     the guaranteed lengths, by direct dynamic programming;
+     obtained by striding a doubling-differences (DDC) chain at the
+     guaranteed lengths and, below them, by an exact chain search;
   4. a shift by the first term, making values positive with consecutive
      ratios >= R;
   5. a multiplicative R-fold pass.  Logarithms never appear: the
@@ -237,7 +237,7 @@ def _longest_chain(values, append_ok, want=None):
     """Longest subsequence whose every append step satisfies
     ``append_ok(first, last, new)``.
 
-    The triple conditions used here (DDC and R-fold, in either scale)
+    The triple conditions it serves (R-fold and DDC, in either scale)
     are tightest at (first, last, new), so a chain's extendability
     depends only on its first and last elements and the O(n^3) dynamic
     program below is exact.  Returns the index list of a longest chain
@@ -285,38 +285,20 @@ def _verify_rfold(values, R, scale) -> bool:
     )
 
 
-def extract_ddc(seq: Sequence[Fraction], k: int, l: int, mode: str = "proof",
-                scale=ADDITIVE) -> Extraction:
+def extract_ddc(seq: Sequence[Fraction], k: int, l: int, scale=ADDITIVE) -> Extraction:
     """A subsequence of length k satisfying the doubling-differences
-    condition, or one of length l whose reverse-negation does.
-
-    ``proof`` mode runs the midpoint-split recursion and needs input
-    length >= the recurrence guarantee; ``optimal`` mode runs a dynamic
-    program on any input and returns the longest chain found.  Either
-    way the output is re-verified exactly.
+    condition, or one of length l whose reverse-negation does, by the
+    midpoint-split recursion; needs input length >= the recurrence
+    guarantee.  The output is re-verified exactly.
     """
     vals = _check_increasing(seq, scale)
-    items = list(zip(vals, range(len(vals))))
-    if mode == "proof":
-        need = ddc_guarantee_length(k, l)
-        if len(items) < need:
-            raise ExtractionFailure(
-                f"proof mode needs length >= {need} for (k={k}, l={l}), got {len(items)}",
-                stage="precondition",
-            )
-        direction, sub = _ddc_split(items, k, l, scale)
-    elif mode == "optimal":
-        fwd = _longest_chain(vals, scale.ddc_ok)
-        rev_vals = [scale.invert(v) for v in reversed(vals)]
-        rev = _longest_chain(rev_vals, scale.ddc_ok)
-        if len(fwd) >= len(rev):
-            direction, sub = "forward", [(vals[i], i) for i in fwd]
-        else:
-            n = len(vals)
-            idx = sorted(n - 1 - i for i in rev)
-            direction, sub = "reverse-negated", [(vals[i], i) for i in idx]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    need = ddc_guarantee_length(k, l)
+    if len(vals) < need:
+        raise ExtractionFailure(
+            f"the midpoint split needs length >= {need} for (k={k}, l={l}), got {len(vals)}",
+            stage="precondition",
+        )
+    direction, sub = _ddc_split(list(zip(vals, range(len(vals)))), k, l, scale)
     out = Extraction(direction, tuple(i for _, i in sub), tuple(v for v, _ in sub))
     if not _verify_ddc(out.normalized(scale), scale):
         raise ExtractionFailure("extracted chain failed the doubling check", stage="verify")
@@ -327,12 +309,22 @@ def extract_rfold(seq: Sequence[Fraction], n: int, R: int, scale=ADDITIVE) -> Ex
     """A subsequence on which "x3 - x1 >= R*(x2 - x1)" (in the given
     scale) holds everywhere, in forward or reverse-negated direction.
 
-    Construction: extract a doubling-differences chain of length
-    r*(n-1)+1 with r = ceil(log2 R) and keep every r-th element, which
-    turns each doubling step into an R-fold one.  Guaranteed when the
-    input reaches the recurrence length; otherwise best effort, first
-    by the same striding on an optimal chain, then by a direct dynamic
-    program.  The R-fold property is verified exactly before returning.
+    At or above the recurrence length ddc_guarantee_length(m, m), with
+    m = r*(n-1)+1 and r = ceil(log2 R), the paper's construction: a
+    doubling-differences chain of length m by the midpoint split, of
+    which every r-th element is kept, turning each doubling step into
+    an R-fold one.  Below it, the exact chain search: ``_longest_chain``
+    under ``rfold_append``, forward and then on the reverse-inverted
+    values.
+
+    The search dominates striding any shorter doubling chain: R-fold is
+    tightest at (first, last, new) in both scales, so ``_longest_chain``
+    is exact for it and finds n terms whenever any n-term R-fold chain
+    exists in that direction, a strided one included.  R-fold with
+    R >= 2 implies the doubling step, so from each start it reaches no
+    more positions than a doubling-chain program would, and with
+    ``want=n`` it stops at the first start that reaches n.  The R-fold
+    property is verified exactly before returning.
     """
     if not isinstance(R, int) or R < 2:
         raise ValueError("R must be an integer >= 2")
@@ -345,39 +337,28 @@ def extract_rfold(seq: Sequence[Fraction], n: int, R: int, scale=ADDITIVE) -> Ex
     r = (R - 1).bit_length()  # ceil(log2 R) for R >= 2
     m = r * (n - 1) + 1
 
-    def stride(chain: Extraction) -> Extraction | None:
-        if len(chain.indices) < m:
-            return None
-        if chain.direction == "forward":
-            picked = [chain.indices[t * r] for t in range(n)]
-        else:
-            top = len(chain.indices) - 1
-            picked = sorted(chain.indices[top - t * r] for t in range(n))
-        ext = Extraction(chain.direction, tuple(picked), tuple(vals[i] for i in picked))
-        return ext if _verify_rfold(ext.normalized(scale), R, scale) else None
-
     if len(vals) >= ddc_guarantee_length(m, m):
-        got = stride(extract_ddc(vals, m, m, "proof", scale))
-        if got is not None:
-            return got
-    got = stride(extract_ddc(vals, m, m, "optimal", scale))
-    if got is not None:
-        return got
-    # direct search, still exact
-    fwd = _longest_chain(vals, lambda x, y, z: scale.rfold_append(x, y, z, R), want=n)
-    if len(fwd) >= n:
-        idx = fwd[:n]
-        ext = Extraction("forward", tuple(idx), tuple(vals[i] for i in idx))
+        chain = extract_ddc(vals, m, m, scale)
+        # the chain has exactly m terms, so every r-th index from either
+        # end picks the same n positions
+        picked = chain.indices[::r]
+        ext = Extraction(chain.direction, picked, tuple(vals[i] for i in picked))
         if _verify_rfold(ext.normalized(scale), R, scale):
             return ext
-    rev_vals = [scale.invert(v) for v in reversed(vals)]
-    rev = _longest_chain(rev_vals, lambda x, y, z: scale.rfold_append(x, y, z, R), want=n)
-    if len(rev) >= n:
-        top = len(vals) - 1
-        idx = sorted(top - i for i in rev[:n])
-        ext = Extraction("reverse-negated", tuple(idx), tuple(vals[i] for i in idx))
-        if _verify_rfold(ext.normalized(scale), R, scale):
-            return ext
+
+    def append_ok(first, last, new):
+        return scale.rfold_append(first, last, new, R)
+
+    top = len(vals) - 1
+    for direction in ("forward", "reverse-negated"):
+        forward = direction == "forward"
+        values = vals if forward else [scale.invert(v) for v in reversed(vals)]
+        chain = _longest_chain(values, append_ok, want=n)
+        if len(chain) >= n:
+            idx = sorted(i if forward else top - i for i in chain[:n])
+            ext = Extraction(direction, tuple(idx), tuple(vals[i] for i in idx))
+            if _verify_rfold(ext.normalized(scale), R, scale):
+                return ext
     raise ExtractionFailure(
         f"no {n}-term R-fold chain found in length-{len(vals)} input (R={R})",
         stage="rfold",

@@ -197,14 +197,6 @@ def _entry_assignments(entry: QEntry, prune: bool, cap: int = 1_000_000) -> list
     return out
 
 
-def count_types(Q: CoefficientSystem, prune: bool = True,
-                cap: int = 1_000_000) -> int:
-    total = 1
-    for entry in Q.entries:
-        total *= len(_entry_assignments(entry, prune, cap))
-    return total
-
-
 def enumerate_types(Q: CoefficientSystem, prune: bool = True,
                     cap: int = 1_000_000) -> Iterator[CandidateType]:
     """All candidate types satisfying the validity constraints, in a

@@ -135,7 +135,7 @@ def test_criterion_4_ddc_suite():
         for _ in range(length):
             vals.append(cur)
             cur += rng.randint(1, 12)
-        got = extract_ddc(vals, k, l, "proof")
+        got = extract_ddc(vals, k, l)
         want = k if got.direction == "forward" else l
         assert len(got.values) == want
         assert check_ddc_triples(got.normalized())

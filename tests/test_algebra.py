@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from esdec.algebra import (
     TransformKind,
     coefficient_decomposition,
@@ -177,13 +175,3 @@ def test_spanning_subset():
     assert spanning_subset([MultiPoly.zero(("x1",))], 2, 1) == []
     y = MultiPoly.var("x2")
     assert len(spanning_subset([x, y, x + y], 1, 2)) == 2
-
-
-def test_poly_arith_dispatch():
-    from esdec.algebra import poly_arith
-    a, b = xv(1), xv(2)
-    assert poly_arith(a, b, "add") == a + b
-    assert poly_arith(a, b, "sub") == a - b
-    assert poly_arith(a, b, "mul") == a * b
-    with pytest.raises(ValueError):
-        poly_arith(a, b, "div")

@@ -74,6 +74,24 @@ def test_vacuous_pairs_excluded():
         assert len(inst.dwarfed) + len(inst.gigantic) == want_pairs
 
 
+def test_sign_constraints_listed_once():
+    """A coefficient shared by several entries of Q gives one sign
+    constraint: type 1320 of this F2 system has Y in three entries."""
+    Q = build_Q(parse("x1 + 0*x2 + 1 != 0 ; x1 + x2 > 0"), TransformKind.F2)
+    types = list(enumerate_types(Q))
+    for typ in types[::7] + [types[1320]]:
+        inst = FeasibilityInstance.from_type(Q, typ)
+        want = {
+            (entry.decomp.coeffs[alpha], typ.sigma(entry)[alpha])
+            for entry in Q.entries for alpha in entry.support
+            if entry.decomp.coeffs[alpha].constant_value() is None
+        }
+        assert len(inst.sign_constraints) == len(want)
+        assert set(inst.sign_constraints) == want
+    inst = FeasibilityInstance.from_type(Q, types[1320])
+    assert [c.to_text() for c, _ in inst.sign_constraints].count("Y") == 1
+
+
 def test_witness_search_examples():
     ps = parse("x1 > 0")  # F1 numerator: X + Y*y1, coefficients X and Y
     Q = build_Q(ps, TransformKind.F1)

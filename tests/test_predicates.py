@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from esdec.errors import ParseError
 from esdec.predicates import (
     And, Atom, Not, Or,
-    PredicateSet, disjunction_collapse, eval_at, holds_everywhere, member_verdicts,
+    PredicateSet, eval_at, holds_everywhere, member_verdicts,
     negate, parse, parse_predicate, symmetrize_single,
 )
 
@@ -105,14 +105,6 @@ def test_negate_pointwise_random():
         for _ in range(3400):
             point = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(pred.arity))
             assert eval_at(neg, point) == (not eval_at(pred, point))
-
-
-def test_disjunction_collapse():
-    ps = parse("x1 < x2 ; x1 >= x2")
-    d = disjunction_collapse(ps)
-    assert isinstance(d.root, Or) and len(d.root.children) == 2
-    single = parse("x1 = x2")
-    assert disjunction_collapse(single) == single.members[0]
 
 
 def test_symmetrize_identity_case():

@@ -2,11 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import example, given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.subresultants_qq_zz import sylvester
 
 from esdec.poly import MultiPoly
-from esdec.qe.resultants import det_bareiss, psc_set, resultant, resultant_det, subresultant_prs
+from esdec.qe.resultants import det_bareiss, psc_set, resultant
 from esdec.qe.roots import (
-    RealAlgebraicNumber, alg_sign_at, interval_eval, isolate_real_roots,
+    RealAlgebraicNumber, interval_eval, isolate_real_roots,
     roots_at_point, sign_at_point, usquarefree,
 )
 
@@ -49,10 +53,10 @@ def test_isolate_random_rational_roots():
 def test_alg_sign_at():
     x = X()
     sqrt2 = isolate_real_roots(x ** 2 - 2)[1]
-    assert alg_sign_at(x ** 2 - 2, sqrt2) == 0
-    assert alg_sign_at(x - 1, sqrt2) == 1
-    assert alg_sign_at(x - F(3, 2), sqrt2) == -1
-    assert alg_sign_at(x ** 3 - 2 * x, sqrt2) == 0  # x(x^2-2)
+    assert sqrt2.sign_of_poly([F(-2), F(0), F(1)]) == 0
+    assert sqrt2.sign_of_poly([F(-1), F(1)]) == 1
+    assert sqrt2.sign_of_poly([F(-3, 2), F(1)]) == -1
+    assert sqrt2.sign_of_poly([F(0), F(-2), F(0), F(1)]) == 0  # x(x^2-2)
 
 
 def test_compare_and_dedup():
@@ -75,29 +79,61 @@ def test_resultant_examples():
     assert resultant(p, p, "x1").is_zero
 
 
-def test_resultant_prs_vs_det_random():
-    rng = random.Random(23)
-    for _ in range(60):
-        vars_ = ("x1", "a1")
-        def rand_poly():
-            p = MultiPoly.zero(vars_)
-            for _ in range(rng.randint(1, 5)):
-                mono = (rng.randint(0, 4), rng.randint(0, 1))
-                p = p + MultiPoly(vars_, {mono: F(rng.randint(-4, 4))})
-            return p
-        f, g = rand_poly(), rand_poly()
-        if f.degree("x1") < 1 or g.degree("x1") < 1:
-            continue
-        assert resultant(f, g, "x1") == resultant_det(f, g, "x1")
+def _to_sympy(p: MultiPoly):
+    syms = [sympy.Symbol(v) for v in p.vars]
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*(s ** e for s, e in zip(syms, mono)))
+        for mono, c in p.terms.items()
+    ))
 
 
-def test_subresultant_prs_shape():
-    x = X("x1")
-    f = x ** 4 - x ** 2
-    g = f.derivative("x1")
-    prs = subresultant_prs(f, g, "x1")
-    assert prs[0].degree("x1") == 4
-    assert not prs[-1].is_zero
+# bivariate polynomials in x1 (degree <= 4) and a1 (degree <= 2)
+_bivariate = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 2)),
+    st.integers(-4, 4).filter(bool),
+    min_size=1, max_size=5,
+).map(lambda terms: MultiPoly(("x1", "a1"), {m: F(c) for m, c in terms.items()}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bivariate, _bivariate)
+@example(X("x1") + 2, X("x1") ** 3)  # deg f < deg g with mn odd: -8
+@example(MultiPoly.const(3, ("x1",)), X("x1") ** 2 + 1)
+def test_resultant_matches_sylvester_determinant(f, g):
+    """The one resultant is det Sylvester(f, g) in that order, also when
+    deg f < deg g (sympy's ``resultant`` swaps to Res(g, f) there)."""
+    M = sylvester(_to_sympy(f), _to_sympy(g), sympy.Symbol("x1"))
+    if M.rows == 0:  # two constants
+        want = 1
+    else:  # det over ZZ[a1]: sympy's generic det is 40x slower here
+        dm = DomainMatrix.from_Matrix(M)
+        want = dm.domain.to_sympy(dm.det())
+    assert sympy.expand(_to_sympy(resultant(f, g, "x1")) - want) == 0
+
+
+# univariate integer polynomials of degree 1..4, as coefficient lists
+_uni = st.lists(st.integers(-3, 3), min_size=2, max_size=5).filter(lambda c: c[-1] != 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_uni, _uni, st.lists(st.integers(-2, 2), min_size=1, max_size=3).filter(lambda c: c[-1] != 0))
+@example([0, 1], [0, 0, 1], [1])  # gcd x
+@example([-1, 1], [-1, 1], [1])  # equal inputs: every psc is zero
+def test_psc_set_resultant_and_gcd_degree(fc, gc, hc):
+    """psc_0 is the resultant with the larger degree first; on univariate
+    inputs the leading zero pscs count deg gcd(f, g)."""
+    h = MultiPoly.from_univar([MultiPoly.const(c) for c in hc], "x1")
+    f = h * MultiPoly.from_univar([MultiPoly.const(c) for c in fc], "x1")
+    g = h * MultiPoly.from_univar([MultiPoly.const(c) for c in gc], "x1")
+    pscs = psc_set(f, g, "x1")
+    m, n = f.degree("x1"), g.degree("x1")
+    assert len(pscs) == min(m, n)
+    big, small = (f, g) if m >= n else (g, f)
+    assert pscs[0] == resultant(big, small, "x1")
+    zeros = next((j for j, p in enumerate(pscs) if not p.is_zero), len(pscs))
+    x = sympy.Symbol("x1")
+    assert zeros == sympy.degree(sympy.gcd(_to_sympy(f), _to_sympy(g)), x)
 
 
 def test_psc_set():

@@ -3,12 +3,13 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from esdec.algebra import TransformKind
 from esdec.errors import ExtractionFailure
 from esdec.ramsey import (
     ADDITIVE, MULTIPLICATIVE,
-    EmbeddingWitness, GrowthParams,
+    EmbeddingWitness, Extraction, GrowthParams, _longest_chain,
     canonical_growing, check_ddc, check_ddc_triples, ddc_guarantee_length,
     extract_ddc, extract_growing_embedding, extract_rfold,
     is_R_growing, verify_embedding,
@@ -58,30 +59,33 @@ def test_ddc_guarantee_table():
 
 
 def test_extract_ddc_optimal():
-    got = extract_ddc([1, 2, 3, 4], 3, 3, "optimal")
-    assert got.direction == "forward"
-    assert len(got.values) == 3
-    assert check_ddc(got.normalized())
+    vals = [1, 2, 3, 4]
+    chain = _longest_chain(vals, ADDITIVE.ddc_ok)
+    assert len(chain) == 3
+    assert check_ddc([vals[i] for i in chain])
 
 
 def test_extract_ddc_revneg():
-    got = extract_ddc([0, 5, 8, 10, 11], 4, 4, "optimal")
+    # shrinking gaps: no forward doubling triple, so the split must
+    # return the reverse-negated direction at full length l
+    got = extract_ddc([0, 8, 12, 14, 15], 3, 5)
+    assert got.direction == "reverse-negated"
     norm = got.normalized()
     assert check_ddc(norm)
-    assert len(norm) >= 3
+    assert len(norm) == 5
 
 
 def test_extract_ddc_proof_geometric():
     seq = [F(2) ** i for i in range(20)]
-    got = extract_ddc(seq, 3, 3, "proof")
+    got = extract_ddc(seq, 3, 3)
     assert len(got.values) == 3
     assert check_ddc(got.normalized())
 
 
 def test_extract_ddc_proof_needs_length():
     with pytest.raises(ExtractionFailure):
-        extract_ddc([1, 2], 3, 3, "proof")
-    got = extract_ddc([1, 2], 2, 2, "proof")
+        extract_ddc([1, 2], 3, 3)
+    got = extract_ddc([1, 2], 2, 2)
     assert got.direction == "forward" and got.values == (1, 2)
 
 
@@ -97,7 +101,7 @@ def test_extract_ddc_proof_random():
         for _ in range(length):
             vals.append(cur)
             cur += rng.randint(1, 10)
-        got = extract_ddc(vals, k, l, "proof")
+        got = extract_ddc(vals, k, l)
         want = k if got.direction == "forward" else l
         assert len(got.values) == want
         assert check_ddc_triples(got.normalized())
@@ -124,6 +128,107 @@ def test_extract_rfold_trivial_and_failure():
     assert got.values == (3, 7)
     with pytest.raises(ExtractionFailure):
         extract_rfold([1, 2, 3], 3, 50)
+
+
+def _all_triples(vals, R, scale):
+    return all(scale.rfold_append(x, y, z, R) for x, y, z in combinations(vals, 3))
+
+
+def _brute_longest(vals, R, scale):
+    for size in range(len(vals), 0, -1):
+        for sub in combinations(vals, size):
+            if _all_triples(sub, R, scale):
+                return size
+    return 0
+
+
+def _increasing(max_len):
+    """Strictly increasing positive sequences whose gaps grow and shrink."""
+    gaps = st.lists(st.tuples(st.integers(0, 8), st.integers(0, 3)), max_size=max_len)
+    return gaps.map(
+        lambda gs: [F(1 + sum(2 ** e + j for e, j in gs[:i])) for i in range(len(gs))])
+
+
+_scales = st.sampled_from([ADDITIVE, MULTIPLICATIVE])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_increasing(10), st.integers(2, 5), _scales, st.integers(1, 10))
+def test_longest_chain_rfold_matches_brute_force(vals, R, scale, want):
+    """The chain program is exact for R-fold in both scales: its chains
+    hold on all triples and are as long as the longest such subset."""
+    def append_ok(first, last, new):
+        return scale.rfold_append(first, last, new, R)
+
+    best = _brute_longest(vals, R, scale)
+    full = _longest_chain(vals, append_ok)
+    early = _longest_chain(vals, append_ok, want=want)
+    assert len(full) == best
+    assert len(early) >= min(want, best)
+    for chain in (full, early):
+        assert all(i < j for i, j in zip(chain, chain[1:]))
+        assert _all_triples([vals[i] for i in chain], R, scale)
+
+
+def _cascade_rfold(vals, n, R, scale):
+    """extract_rfold as it was with the optimal-DDC stride (n >= 3): the
+    proof-mode stride at the guarantee length, then a stride of the
+    longer optimal doubling chain, then the exact R-fold search; None
+    where all three fail."""
+    r = (R - 1).bit_length()
+    m = r * (n - 1) + 1
+    top = len(vals) - 1
+
+    def stride(direction, chain):
+        if len(chain) < m:
+            return None
+        if direction == "forward":
+            picked = [chain[t * r] for t in range(n)]
+        else:
+            picked = sorted(chain[len(chain) - 1 - t * r] for t in range(n))
+        ext = Extraction(direction, tuple(picked), tuple(vals[i] for i in picked))
+        return ext if _all_triples(ext.normalized(scale), R, scale) else None
+
+    if len(vals) >= ddc_guarantee_length(m, m):
+        ddc = extract_ddc(vals, m, m, scale)
+        got = stride(ddc.direction, ddc.indices)
+        if got is not None:
+            return got
+    rev_vals = [scale.invert(v) for v in reversed(vals)]
+    fwd = _longest_chain(vals, scale.ddc_ok)
+    rev = _longest_chain(rev_vals, scale.ddc_ok)
+    got = (stride("forward", fwd) if len(fwd) >= len(rev)
+           else stride("reverse-negated", sorted(top - i for i in rev)))
+    if got is not None:
+        return got
+    for direction, values in (("forward", vals), ("reverse-negated", rev_vals)):
+        chain = _longest_chain(values, lambda x, y, z: scale.rfold_append(x, y, z, R),
+                               want=n)
+        if len(chain) >= n:
+            idx = sorted(i if direction == "forward" else top - i for i in chain[:n])
+            return Extraction(direction, tuple(idx), tuple(vals[i] for i in idx))
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_increasing(22), st.integers(3, 5), st.integers(2, 5), _scales)
+@example([F(x) for x in (0, 64, 96, 112, 120, 124, 126, 127)], 4, 2, ADDITIVE)
+@example([F(2 ** k) for k in range(21)], 3, 4, ADDITIVE)  # proof-mode stride
+@example([F(256 - 2 ** k) for k in range(7, -1, -1)], 3, 2, MULTIPLICATIVE)
+def test_extract_rfold_matches_cascade(vals, n, R, scale):
+    """Wherever the old cascade found n terms, the exact search finds n
+    terms too (and the other way round), each an R-fold chain."""
+    want = _cascade_rfold(vals, n, R, scale)
+    try:
+        got = extract_rfold(vals, n, R, scale)
+    except ExtractionFailure:
+        got = None
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert len(got.indices) == n
+        assert all(i < j for i, j in zip(got.indices, got.indices[1:]))
+        assert got.values == tuple(vals[i] for i in got.indices)
+        assert _all_triples(got.normalized(scale), R, scale)
 
 
 def test_multiplicative_scale_chain():
@@ -212,6 +317,7 @@ def test_optimal_at_least_as_long_as_proof():
         for _ in range(length):
             vals.append(cur)
             cur += rng.randint(1, 9)
-        proof = extract_ddc(vals, k, l, "proof")
-        optimal = extract_ddc(vals, k, l, "optimal")
-        assert len(optimal.values) >= len(proof.values)
+        proof = extract_ddc(vals, k, l)
+        optimal = max(len(_longest_chain(vals, ADDITIVE.ddc_ok)),
+                      len(_longest_chain([-v for v in reversed(vals)], ADDITIVE.ddc_ok)))
+        assert optimal >= len(proof.values)
