@@ -6,11 +6,13 @@ The two rational transformations used throughout the package are
 
 Substituting a transform into a k-variate polynomial p(x1..xk) and
 clearing denominators yields a pair (num, den) of polynomials over
-y1..yk, X, Y.  Grouping num by y-monomials gives the coefficient
-decomposition q = sum_a q_a(X, Y) * y^a whose support drives the
-dominance analysis: on sequences that grow fast enough, the sign of a
-polynomial at any increasing tuple is the sign of the coefficient of
-its dominant monomial.
+y1..yk, X, Y.  Only F1 is expanded: the F2 numerator is the F1
+numerator with each y_i exponent j reflected to deg_{x_i} p - j (the
+argument is in ``substitute_transform``).  Grouping num by y-monomials
+gives the coefficient decomposition q = sum_a q_a(X, Y) * y^a whose
+support drives the dominance analysis: on sequences that grow fast
+enough, the sign of a polynomial at any increasing tuple is the sign
+of the coefficient of its dominant monomial.
 
 Dominance orientation: for ascending tuples (later arguments
 astronomically larger) the dominant exponent vector maximizes
@@ -57,48 +59,42 @@ def substitute_transform(
     """Substitute x_i = f(y_i, X, Y) into p and clear denominators.
 
     Returns (num, den) over y1..yk, X, Y.  For F1 the denominator is 1;
-    for F2 it is prod y_i^(deg_{x_i} p).  k defaults to the largest
-    x-index appearing in p; pass the ambient arity when p is an atom of
-    a wider predicate.  Variables that p does not use (a cancelled x2,
-    say) are dropped first, so they need not lie within k.
+    for F2 it is prod y_i^(d_i) with d_i = deg_{x_i} p.  k defaults to
+    the largest x-index appearing in p; pass the ambient arity when p is
+    an atom of a wider predicate.  Variables that p does not use (a
+    cancelled x2, say) are dropped first, so they need not lie within k;
+    any other variable outside x1..xk raises ValueError, for both kinds.
+
+    F2 is derived from F1.  A monomial c * prod x_i^(e_i) of p becomes
+    c * prod (X + Y/y_i)^(e_i) * y_i^(d_i) = c * prod (X*y_i + Y)^(e_i) *
+    y_i^(d_i - e_i) under F2, while F1 gives c * prod (X + Y*y_i)^(e_i).
+    Expanding, the F1 term X^(e-j) Y^j y_i^j pairs with the F2 term
+    X^(e-j) Y^j y_i^(d_i - j), with the same binomial coefficient.  So
+    the F2 numerator is the F1 numerator with every y_i exponent j
+    replaced by d_i - j.  j <= e_i <= d_i keeps the result a polynomial,
+    and j -> d_i - j is a bijection of 0..d_i, so no two terms merge.
     """
+    if kind not in (TransformKind.F1, TransformKind.F2):
+        raise ValueError(f"unknown transform {kind!r}")
     p = p.drop_unused()
     if k is None:
         k = infer_arity(p)
     allv = y_names(k) + ("X", "Y")
     X = MultiPoly.var("X", allv)
     Y = MultiPoly.var("Y", allv)
-    present = [v for v in p.vars if _XVAR.match(v)]
+    mapping = {
+        x: X + Y * MultiPoly.var(f"y{_XVAR.match(x).group(1)}", allv)
+        for x in p.vars if _XVAR.match(x)
+    }
+    num = p.substitute(mapping).with_vars(allv)
     if kind is TransformKind.F1:
-        mapping = {
-            x: X + Y * MultiPoly.var(f"y{_XVAR.match(x).group(1)}", allv)
-            for x in present
-        }
-        num = p.substitute(mapping).with_vars(allv)
         return num, MultiPoly.const(1, allv)
-    if kind is not TransformKind.F2:
-        raise ValueError(f"unknown transform {kind!r}")
-    degs = {i: p.degree(f"x{i}") for i in range(1, k + 1)}
-    den = MultiPoly.const(1, allv)
-    for i in range(1, k + 1):
-        if degs[i]:
-            den = den * MultiPoly.var(f"y{i}", allv) ** degs[i]
-    num = MultiPoly.zero(allv)
-    xpos = {i: p.vars.index(f"x{i}") for i in range(1, k + 1) if f"x{i}" in p.vars}
-    for mono, coeff in p.terms.items():
-        piece = MultiPoly.const(coeff, allv)
-        for i in range(1, k + 1):
-            e = mono[xpos[i]] if i in xpos else 0
-            d = degs[i]
-            if not d:
-                continue
-            yv = MultiPoly.var(f"y{i}", allv)
-            if e:
-                piece = piece * (X * yv + Y) ** e
-            if d - e:
-                piece = piece * yv ** (d - e)
-        num = num + piece
-    return num, den
+    degs = tuple(p.degree(f"x{i}") for i in range(1, k + 1))
+    reflected = {
+        tuple(d - j for d, j in zip(degs, mono)) + mono[k:]: coeff
+        for mono, coeff in num.terms.items()
+    }
+    return MultiPoly(allv, reflected), MultiPoly(allv, {degs + (0, 0): 1})
 
 
 @dataclass(frozen=True)
@@ -143,11 +139,10 @@ def coefficient_decomposition(q: MultiPoly, k: int | None = None) -> Coefficient
         alpha = tuple(mono[i] for i in ypos)
         key2 = tuple(mono[i] for i in rest)
         buckets.setdefault(alpha, {})[key2] = coeff
-    coeffs = {}
-    for alpha, terms in buckets.items():
-        c = MultiPoly.zero(rest_names)
-        c.terms = dict(terms)
-        coeffs[alpha] = c.with_vars(("X", "Y"))
+    coeffs = {
+        alpha: MultiPoly(rest_names, terms).with_vars(("X", "Y"))
+        for alpha, terms in buckets.items()
+    }
     return CoefficientDecomposition(
         source=q, k=k, support=frozenset(coeffs), coeffs=coeffs
     )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -38,8 +37,7 @@ def _read(path: str) -> str:
 
 
 def _budget(args) -> QeBudget:
-    cells = getattr(args, "cell_cap", None) or int(os.environ.get("ESDEC_CELL_CAP", 100_000))
-    return QeBudget(max_cells=cells)
+    return QeBudget(max_cells=getattr(args, "cell_cap", None) or 100_000)
 
 
 def _emit(args, payload: dict, text: str):
@@ -213,8 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", parents=[common], help="is the predicate set Erdos-Szekeres?")
     p.add_argument("predicates")
-    p.add_argument("--type-cap", type=int,
-                   default=int(os.environ.get("ESDEC_TYPE_CAP", 200_000)))
+    p.add_argument("--type-cap", type=int, default=200_000)
     p.add_argument("--cell-cap", type=int, default=None)
     p.add_argument("--no-witness", action="store_true")
     p.add_argument("--seed", type=int, default=0)

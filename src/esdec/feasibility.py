@@ -52,6 +52,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, product
 from .errors import ResourceLimitError
 from .poly import MultiPoly
 from .predicates import And, Atom
@@ -225,13 +226,12 @@ def witness_search(inst: FeasibilityInstance, R: int, n: int,
     base = [Fraction(v) for v in (0, 1, -1, 2, -2, 3, -3, 5, -5)]
     base += [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(2, 3)]
     base += [big, -big, 1 / big, -1 / big]
-    candidates = [(a, b) for a in base for b in base]
-    for _ in range(budget):
-        candidates.append((
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-        ))
-    for A, B in candidates:
+    draws = (
+        (Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+         Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        for _ in range(budget)
+    )
+    for A, B in chain(product(base, repeat=2), draws):
         got = _try_witness(Q, typ, A, B, R, n)
         if got is not None:
             return got

@@ -12,8 +12,9 @@ Grammar (predicates; whitespace insignificant, ``#`` starts a comment):
 
 Atoms normalize to (lhs - rhs) rel 0.  Sentence text prepends a
 quantifier prefix ("forall r. exists l. ...") and uses the quantified
-lowercase names as variables; that parser lives in the sentence module
-and reuses the machinery here.
+lowercase names as variables.  The sentence module reads the prefix
+itself, then parses the matrix with the predicate module's
+FormulaParser, whose PolyParser resolves only the quantified names.
 
 Sequence files carry one rational per line ("-3/7", or a decimal such
 as "2.5", stored exactly).

@@ -5,6 +5,13 @@ together with an ordered tuple of variable names.  Everything is exact:
 no floats anywhere.  Values are immutable after construction; all
 operations return new objects, so instances are safe to share.
 
+There are two constructors.  ``MultiPoly(variables, terms)`` is the
+checked one: it sorts the variables, remaps the exponents to match,
+converts coefficients to Fraction and drops zeros.  ``MultiPoly._make``
+is for results computed in this module, whose variables are already
+canonical and whose coefficients are nonzero Fractions; it adopts both
+as they are, so no result pays for a second sort.
+
 Variable order is canonical: lowercase names sort before uppercase,
 then alphabetically by letter part, then numerically by index, which
 yields x1 < x2 < ..., y1 < ... < yk < X < Y.  Arithmetic between
@@ -73,6 +80,16 @@ class MultiPoly:
     # -- constructors ------------------------------------------------
 
     @staticmethod
+    def _make(ordered: tuple, terms: dict) -> "MultiPoly":
+        """Adopt canonical ``ordered`` and nonzero Fraction ``terms``
+        unchecked; the caller must not mutate ``terms`` afterwards."""
+        out = object.__new__(MultiPoly)
+        out.vars = ordered
+        out.terms = terms
+        out._hash = None
+        return out
+
+    @staticmethod
     def zero(variables: Sequence[str] = ()) -> "MultiPoly":
         return MultiPoly(variables, {})
 
@@ -91,7 +108,7 @@ class MultiPoly:
             raise ValueError(f"{name!r} not among {variables}")
         ordered = tuple(sorted(set(variables), key=var_sort_key))
         mono = tuple(1 if v == name else 0 for v in ordered)
-        return MultiPoly(ordered, {mono: Fraction(1)})
+        return MultiPoly._make(ordered, {mono: Fraction(1)})
 
     # -- basic queries -----------------------------------------------
 
@@ -147,9 +164,7 @@ class MultiPoly:
             for p, e in zip(pos, mono):
                 fixed[p] = e
             terms[tuple(fixed)] = coeff
-        out = MultiPoly.zero(ordered)
-        out.terms = terms
-        return out
+        return MultiPoly._make(ordered, terms)
 
     def drop_unused(self) -> "MultiPoly":
         used = self.used_vars()
@@ -157,9 +172,7 @@ class MultiPoly:
             return self
         keep = [i for i, v in enumerate(self.vars) if v in used]
         terms = {tuple(m[i] for i in keep): c for m, c in self.terms.items()}
-        out = MultiPoly.zero(used)
-        out.terms = terms
-        return out
+        return MultiPoly._make(used, terms)
 
     @staticmethod
     def _aligned(a: "MultiPoly", b: "MultiPoly"):
@@ -181,17 +194,13 @@ class MultiPoly:
                 terms.pop(mono, None)
             else:
                 terms[mono] = s
-        out = MultiPoly.zero(a.vars)
-        out.terms = terms
-        return out
+        return MultiPoly._make(a.vars, terms)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self) -> "MultiPoly":
-        out = MultiPoly.zero(self.vars)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return MultiPoly._make(self.vars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
@@ -204,10 +213,8 @@ class MultiPoly:
     def __mul__(self, other) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
             c = Fraction(other)
-            out = MultiPoly.zero(self.vars)
-            if c != 0:
-                out.terms = {m: k * c for m, k in self.terms.items()}
-            return out
+            terms = {m: k * c for m, k in self.terms.items()} if c else {}
+            return MultiPoly._make(self.vars, terms)
         a, b = MultiPoly._aligned(self, other)
         terms: dict = {}
         for m1, c1 in a.terms.items():
@@ -218,9 +225,7 @@ class MultiPoly:
                     terms.pop(mono, None)
                 else:
                     terms[mono] = s
-        out = MultiPoly.zero(a.vars)
-        out.terms = terms
-        return out
+        return MultiPoly._make(a.vars, terms)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -228,7 +233,7 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative int")
-        result = MultiPoly.const(1, self.vars)
+        result = MultiPoly._make(self.vars, {(0,) * len(self.vars): Fraction(1)})
         base = self
         while n:
             if n & 1:
@@ -277,8 +282,7 @@ class MultiPoly:
         fixed = {v: Fraction(x) for v, x in point.items() if v in self.vars}
         if not fixed:
             return self
-        keep = [v for v in self.vars if v not in fixed]
-        out = MultiPoly.zero(keep)
+        keep = tuple(v for v in self.vars if v not in fixed)
         terms: dict = {}
         idx_fixed = [(i, fixed[v]) for i, v in enumerate(self.vars) if v in fixed]
         idx_keep = [i for i, v in enumerate(self.vars) if v not in fixed]
@@ -295,8 +299,7 @@ class MultiPoly:
                 terms.pop(key, None)
             else:
                 terms[key] = s
-        out.terms = terms
-        return out
+        return MultiPoly._make(keep, terms)
 
     def substitute(self, mapping: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Compose: replace each mapped variable by a polynomial."""
@@ -306,27 +309,19 @@ class MultiPoly:
         target_vars = tuple(v for v in self.vars if v not in relevant)
         for p in relevant.values():
             target_vars = merge_vars(target_vars, p.vars)
+        images = [relevant[v].with_vars(target_vars) if v in relevant
+                  else MultiPoly.var(v, target_vars) for v in self.vars]
+        origin = (0,) * len(target_vars)
         acc = MultiPoly.zero(target_vars)
         pow_cache: dict = {}
-
-        def power(v: str, e: int) -> MultiPoly:
-            key = (v, e)
-            got = pow_cache.get(key)
-            if got is None:
-                got = relevant[v] ** e
-                pow_cache[key] = got
-            return got
-
         for mono, coeff in self.terms.items():
-            piece = MultiPoly.const(coeff, target_vars)
+            piece = MultiPoly._make(target_vars, {origin: coeff})
             for i, e in enumerate(mono):
-                if not e:
-                    continue
-                v = self.vars[i]
-                if v in relevant:
-                    piece = piece * power(v, e)
-                else:
-                    piece = piece * MultiPoly.var(v, target_vars) ** e
+                if e:
+                    power = pow_cache.get((i, e))
+                    if power is None:
+                        power = pow_cache[(i, e)] = images[i] ** e
+                    piece = piece * power
             acc = acc + piece
         return acc
 
@@ -334,39 +329,22 @@ class MultiPoly:
         new_names = [mapping.get(v, v) for v in self.vars]
         if len(set(new_names)) != len(new_names):
             raise ValueError("rename collides variables")
-        out = MultiPoly(new_names, {})
-        remap = [out.vars.index(n) for n in new_names]
-        terms = {}
-        for mono, coeff in self.terms.items():
-            fixed = [0] * len(out.vars)
-            for pos, e in enumerate(mono):
-                fixed[remap[pos]] = e
-            terms[tuple(fixed)] = coeff
-        out.terms = terms
-        return out
+        return MultiPoly(new_names, self.terms)
 
     # -- univariate views ---------------------------------------------
 
     def as_univar(self, main: str) -> list:
         """Dense coefficient list in ``main``; entry i is a MultiPoly
         over the remaining variables."""
-        others = tuple(v for v in self.vars if v != main)
         if main not in self.vars:
             return [self]
-        i_main = self.vars.index(main)
-        d = self.degree(main)
-        coeffs = [MultiPoly.zero(others) for _ in range(d + 1)]
-        buckets: list = [dict() for _ in range(d + 1)]
+        i = self.vars.index(main)
+        others = self.vars[:i] + self.vars[i + 1:]
+        # the top bucket is nonempty unless self is zero, which gives [0]
+        buckets: list = [dict() for _ in range(self.degree(main) + 1)]
         for mono, coeff in self.terms.items():
-            rest = tuple(e for j, e in enumerate(mono) if j != i_main)
-            buckets[mono[i_main]][rest] = buckets[mono[i_main]].get(rest, Fraction(0)) + coeff
-        for k, b in enumerate(buckets):
-            p = MultiPoly.zero(others)
-            p.terms = {m: c for m, c in b.items() if c != 0}
-            coeffs[k] = p
-        while len(coeffs) > 1 and coeffs[-1].is_zero:
-            coeffs.pop()
-        return coeffs
+            buckets[mono[i]][mono[:i] + mono[i + 1:]] = coeff
+        return [MultiPoly._make(others, b) for b in buckets]
 
     @staticmethod
     def from_univar(coeffs: Iterable["MultiPoly"], main: str) -> "MultiPoly":
@@ -380,17 +358,15 @@ class MultiPoly:
 
     def derivative(self, name: str) -> "MultiPoly":
         if name not in self.vars:
-            return MultiPoly.zero(self.vars)
+            return MultiPoly._make(self.vars, {})
         i = self.vars.index(name)
         terms = {}
         for mono, coeff in self.terms.items():
             e = mono[i]
             if e:
                 m2 = mono[:i] + (e - 1,) + mono[i + 1:]
-                terms[m2] = terms.get(m2, Fraction(0)) + coeff * e
-        out = MultiPoly.zero(self.vars)
-        out.terms = {m: c for m, c in terms.items() if c != 0}
-        return out
+                terms[m2] = coeff * e
+        return MultiPoly._make(self.vars, terms)
 
     # -- normalization ------------------------------------------------
 
@@ -414,9 +390,7 @@ class MultiPoly:
         lead = max(self.terms)
         if self.terms[lead] < 0:
             c = -c
-        out = MultiPoly.zero(self.vars)
-        out.terms = {m: k / c for m, k in self.terms.items()}
-        return out
+        return MultiPoly._make(self.vars, {m: k / c for m, k in self.terms.items()})
 
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact polynomial division; raises if not divisible."""
@@ -436,7 +410,7 @@ class MultiPoly:
             if any(e < 0 for e in mono):
                 raise ValueError("exact_div: not divisible")
             coeff = rem[lead_r] / cb
-            q[mono] = q.get(mono, Fraction(0)) + coeff
+            q[mono] = coeff  # lead_r strictly falls, so each mono once
             for m2, c2 in b.terms.items():
                 key = tuple(e1 + e2 for e1, e2 in zip(mono, m2))
                 s = rem.get(key, Fraction(0)) - coeff * c2
@@ -444,9 +418,7 @@ class MultiPoly:
                     rem.pop(key, None)
                 else:
                     rem[key] = s
-        out = MultiPoly.zero(a.vars)
-        out.terms = {m: c for m, c in q.items() if c != 0}
-        return out
+        return MultiPoly._make(a.vars, q)
 
     # -- printing ------------------------------------------------------
 

@@ -133,19 +133,26 @@ class PredicateSet:
 # -- parsing ----------------------------------------------------------
 
 
-class _PredParser:
-    def __init__(self, stream: TokenStream):
+class FormulaParser:
+    """Boolean combinations of atoms.  ``resolve`` is handed to the
+    PolyParser: the default reads x1, x2, ...; the sentence parser
+    passes one that accepts its quantified names."""
+
+    def __init__(self, stream: TokenStream, resolve=None):
         self.stream = stream
-        self.polys = PolyParser(stream)
+        self.polys = PolyParser(stream, resolve)
+
+    def expect_end(self):
+        tok = self.stream.peek()
+        if tok.kind != "end":
+            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
 
     def parse_set(self) -> PredicateSet:
         members = [self.parse_pred()]
         while self.stream.peek().text == ";":
             self.stream.next()
             members.append(self.parse_pred())
-        tok = self.stream.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+        self.expect_end()
         return PredicateSet(tuple(members))
 
     def parse_pred(self) -> Predicate:
@@ -190,7 +197,7 @@ class _PredParser:
 
 def parse(text: str) -> PredicateSet:
     """Parse a semicolon-separated predicate set."""
-    return _PredParser(TokenStream(tokenize(text))).parse_set()
+    return FormulaParser(TokenStream(tokenize(text))).parse_set()
 
 
 def parse_predicate(text: str) -> Predicate:
@@ -260,38 +267,27 @@ def holds_everywhere(pred: Predicate, seq: Sequence[Fraction]) -> bool:
 _FLIP = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "!=", "!=": "="}
 
 
-def _nnf_neg(node: Node) -> Node:
+def _nnf(node: Node, negated: bool) -> Node:
+    """``node`` (its negation when ``negated``) in NNF over atoms."""
     if isinstance(node, Atom):
-        return Atom(node.poly, _FLIP[node.rel])
+        return Atom(node.poly, _FLIP[node.rel]) if negated else node
     if isinstance(node, Not):
-        return _nnf_pos(node.child)
+        return _nnf(node.child, not negated)
     if isinstance(node, And):
-        return Or(tuple(_nnf_neg(c) for c in node.children))
+        return (Or if negated else And)(tuple(_nnf(c, negated) for c in node.children))
     if isinstance(node, Or):
-        return And(tuple(_nnf_neg(c) for c in node.children))
-    raise TypeError(f"not a predicate node: {node!r}")
-
-
-def _nnf_pos(node: Node) -> Node:
-    if isinstance(node, Atom):
-        return node
-    if isinstance(node, Not):
-        return _nnf_neg(node.child)
-    if isinstance(node, And):
-        return And(tuple(_nnf_pos(c) for c in node.children))
-    if isinstance(node, Or):
-        return Or(tuple(_nnf_pos(c) for c in node.children))
+        return (And if negated else Or)(tuple(_nnf(c, negated) for c in node.children))
     raise TypeError(f"not a predicate node: {node!r}")
 
 
 def negate_node(node: Node) -> Node:
     """Negation of a bare predicate tree, pushed to NNF over atoms."""
-    return _nnf_neg(node)
+    return _nnf(node, True)
 
 
 def negate(pred: Predicate) -> Predicate:
     """Logical negation pushed to negation normal form over atoms."""
-    return Predicate(_nnf_neg(pred.root), pred.arity)
+    return Predicate(_nnf(pred.root, True), pred.arity)
 
 
 # -- one-predicate replacements ---------------------------------------

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import ParseError
-from ..parser import PolyParser, TokenStream, tokenize
+from ..parser import TokenStream, tokenize
 from ..poly import MultiPoly, var_sort_key
-from ..predicates import And, Atom, Node, Not, Or, atoms_of, negate_node
+from ..predicates import And, Atom, FormulaParser, Node, Not, Or, atoms_of, negate_node
 
 FORALL = "forall"
 EXISTS = "exists"
@@ -93,54 +93,10 @@ def parse_sentence(text: str) -> Sentence:
             raise ParseError(f"unquantified variable {tok.text!r}", tok.line, tok.col)
         return tok.text
 
-    matrix = _MatrixParser(stream, resolve).parse()
+    matrix_parser = FormulaParser(stream, resolve)
+    matrix = matrix_parser.parse_disj()
+    matrix_parser.expect_end()
     return Sentence(tuple(prefix), matrix)
-
-
-class _MatrixParser:
-    def __init__(self, stream: TokenStream, resolve):
-        self.stream = stream
-        self.polys = PolyParser(stream, resolve)
-
-    def parse(self) -> Node:
-        node = self.parse_disj()
-        tok = self.stream.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-        return node
-
-    def parse_disj(self) -> Node:
-        parts = [self.parse_conj()]
-        while self.stream.peek().text == "or":
-            self.stream.next()
-            parts.append(self.parse_conj())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-    def parse_conj(self) -> Node:
-        parts = [self.parse_unary()]
-        while self.stream.peek().text == "and":
-            self.stream.next()
-            parts.append(self.parse_unary())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
-
-    def parse_unary(self) -> Node:
-        tok = self.stream.peek()
-        if tok.text == "not":
-            self.stream.next()
-            return Not(self.parse_unary())
-        if tok.text == "(":
-            mark = self.stream.save()
-            try:
-                poly, rel = self.polys.parse_atom_parts()
-                return Atom(poly, rel)
-            except ParseError:
-                self.stream.restore(mark)
-            self.stream.expect("(")
-            inner = self.parse_disj()
-            self.stream.expect(")")
-            return inner
-        poly, rel = self.polys.parse_atom_parts()
-        return Atom(poly, rel)
 
 
 # -- SMT-LIB export ------------------------------------------------------

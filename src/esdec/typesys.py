@@ -170,7 +170,7 @@ def _entry_bound(entry: QEntry) -> int:
     return sig * 2 ** len(entry.pairs)
 
 
-def _entry_assignments(entry: QEntry, prune: bool, cap: int = 1_000_000) -> list:
+def _entry_assignments(entry: QEntry, cap: int = 1_000_000) -> list:
     if _entry_bound(entry) > cap:
         raise ResourceLimitError(
             f"entry {entry.entry_id}: up to {_entry_bound(entry)} candidate "
@@ -188,22 +188,17 @@ def _entry_assignments(entry: QEntry, prune: bool, cap: int = 1_000_000) -> list
         sigma = dict(zip(support, sigma_vec))
         for tau_vec in product((DWARFED, GIGANTIC), repeat=len(pairs)):
             tau = dict(zip(pairs, tau_vec))
-            if prune and not _valid_entry_assignment(support, pairs, sigma, tau,
-                                                     entry.forced_positive):
-                continue
-            if not prune and entry.forced_positive and any(s != 1 for s in sigma_vec):
-                continue
-            out.append((sigma_vec, tau_vec))
+            if _valid_entry_assignment(support, pairs, sigma, tau,
+                                       entry.forced_positive):
+                out.append((sigma_vec, tau_vec))
     return out
 
 
-def enumerate_types(Q: CoefficientSystem, prune: bool = True,
+def enumerate_types(Q: CoefficientSystem,
                     cap: int = 1_000_000) -> Iterator[CandidateType]:
     """All candidate types satisfying the validity constraints, in a
-    deterministic order.  ``prune=False`` keeps constraint-violating
-    types (minus the structurally forced denominator signs) for
-    differential testing.  Raises ResourceLimitError beyond ``cap``."""
-    per_entry = [_entry_assignments(entry, prune, cap) for entry in Q.entries]
+    deterministic order.  Raises ResourceLimitError beyond ``cap``."""
+    per_entry = [_entry_assignments(entry, cap) for entry in Q.entries]
     total = 1
     for lst in per_entry:
         total *= len(lst)

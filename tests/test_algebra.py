@@ -1,8 +1,13 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
 from esdec.algebra import (
     TransformKind,
+    infer_arity,
+    y_names,
     coefficient_decomposition,
     dominant_monomial,
     lex_sign_on_growing,
@@ -74,6 +79,68 @@ def test_substitute_consistency_random():
             lhs = num.evaluate(point)
             rhs = p.evaluate(xs) * den.evaluate(point)
             assert lhs == rhs
+
+
+def _f2_expansion(p, k):
+    """F2 expanded term by term: each x_i^e becomes (X*y_i + Y)^e times
+    y_i^(d_i - e), with d_i = deg_{x_i} p."""
+    p = p.drop_unused()
+    allv = y_names(k) + ("X", "Y")
+    X = MultiPoly.var("X", allv)
+    Y = MultiPoly.var("Y", allv)
+    degs = {i: p.degree(f"x{i}") for i in range(1, k + 1)}
+    den = MultiPoly.const(1, allv)
+    for i in range(1, k + 1):
+        if degs[i]:
+            den = den * MultiPoly.var(f"y{i}", allv) ** degs[i]
+    num = MultiPoly.zero(allv)
+    xpos = {i: p.vars.index(f"x{i}") for i in range(1, k + 1) if f"x{i}" in p.vars}
+    for mono, coeff in p.terms.items():
+        piece = MultiPoly.const(coeff, allv)
+        for i in range(1, k + 1):
+            e = mono[xpos[i]] if i in xpos else 0
+            d = degs[i]
+            if not d:
+                continue
+            yv = MultiPoly.var(f"y{i}", allv)
+            if e:
+                piece = piece * (X * yv + Y) ** e
+            if d - e:
+                piece = piece * yv ** (d - e)
+        num = num + piece
+    return num, den
+
+
+_XS = ("x1", "x2", "x3")
+_X_POLYS = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3),
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3)),
+    max_size=5,
+).map(lambda terms: MultiPoly(_XS, terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_X_POLYS, st.integers(0, 2))
+@example(xv(1) * xv(2) + xv(2), 0)
+@example(MultiPoly.zero(_XS), 0)
+@example(MultiPoly.const(3, _XS), 1)
+def test_substitute_f2_matches_term_expansion(p, extra):
+    k = max(infer_arity(p), 1) + extra
+    num, den = substitute_transform(p, TransformKind.F2, k)
+    ref_num, ref_den = _f2_expansion(p, k)
+    assert num.vars == ref_num.vars and num.terms == ref_num.terms
+    assert den.vars == ref_den.vars and den.terms == ref_den.terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(_X_POLYS, st.integers(1, 2))
+@example(xv(1) * xv(2) + xv(2), 1)
+def test_substitute_rejects_k_below_used_index(p, k):
+    if infer_arity(p) <= k:
+        p = p + xv(3) ** 4  # exponents above 3 are not drawn, so it stays
+    for kind in TransformKind:
+        with pytest.raises(ValueError):
+            substitute_transform(p, kind, k)
 
 
 def test_decomposition_examples():

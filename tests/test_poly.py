@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from esdec.poly import MultiPoly, merge_vars, var_sort_key
 
@@ -94,3 +94,49 @@ def test_ring_axioms_sample(a, b, c):
     assert (p + q) * r == p * r + q * r
     assert p * q == q * p
     assert (p - p).is_zero
+
+
+_POOL = ("x1", "x2", "y1", "X", "Y")
+_COEFF = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+
+
+@st.composite
+def _polys(draw):
+    """Polynomials over a random subset of _POOL, handed to the checked
+    constructor in random variable order, zero coefficients included."""
+    names = draw(st.lists(st.sampled_from(_POOL), unique=True, max_size=4))
+    monos = st.tuples(*[st.integers(0, 2)] * len(names))
+    return MultiPoly(names, draw(st.dictionaries(monos, _COEFF, max_size=4)))
+
+
+def _assert_canonical(r):
+    assert r.vars == tuple(sorted(r.vars, key=var_sort_key))
+    assert len(set(r.vars)) == len(r.vars)
+    for mono, coeff in r.terms.items():
+        assert len(mono) == len(r.vars)
+        assert isinstance(coeff, Fraction) and coeff != 0
+    rebuilt = MultiPoly(r.vars, r.terms)
+    assert r == rebuilt and hash(r) == hash(rebuilt)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys(), _polys(), _COEFF, st.permutations(_POOL), st.integers(0, 3))
+def test_operations_return_canonical_polys(p, q, c, order, e):
+    results = [
+        p + q, p - q, -p, p * q, p * c, c * p, p ** e,
+        p.with_vars(order), p.drop_unused(), p.primitive(),
+        MultiPoly.var(order[e], order), MultiPoly.const(c, order),
+        MultiPoly.zero(order),
+    ]
+    if not q.is_zero:
+        results.append((p * q).exact_div(q))
+    for i, v in enumerate(p.vars):
+        results.append(p.partial_eval({v: c}))
+        results.append(p.substitute({v: q}))
+        results.append(p.derivative(v))
+        coeffs = p.as_univar(v)
+        results.extend(coeffs)
+        results.append(MultiPoly.from_univar(coeffs, v))
+        results.append(p.rename_vars({v: f"z{i + 1}"}))
+    for r in results:
+        _assert_canonical(r)
