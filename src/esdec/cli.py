@@ -37,7 +37,7 @@ def _read(path: str) -> str:
 
 
 def _budget(args) -> QeBudget:
-    return QeBudget(max_cells=getattr(args, "cell_cap", None) or 100_000)
+    return QeBudget() if args.cell_cap is None else QeBudget(max_cells=args.cell_cap)
 
 
 def _emit(args, payload: dict, text: str):
@@ -283,6 +283,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except EsdecError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

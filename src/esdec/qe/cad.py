@@ -117,17 +117,15 @@ def collins_project(polys: list, var: str) -> list:
         for c in coeffs:
             add(c)
         for red in _reducta(coeffs):
-            redp = MultiPoly.from_univar(red, var)
-            dred = redp.derivative(var)
-            if redp.degree(var) >= 2:
-                for v in psc_set(redp, dred, var):
+            if len(red) >= 3:
+                dred = [red[k] * k for k in range(1, len(red))]
+                for v in psc_set(red, dred):
                     add(v)
     for i in range(len(unis)):
         for j in range(i + 1, len(unis)):
             for ri in _reducta(unis[i]):
                 for rj in _reducta(unis[j]):
-                    for v in psc_set(MultiPoly.from_univar(ri, var),
-                                     MultiPoly.from_univar(rj, var), var):
+                    for v in psc_set(ri, rj):
                         add(v)
     return list(out)
 

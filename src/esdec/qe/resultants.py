@@ -16,7 +16,8 @@ def det_bareiss(rows: list) -> MultiPoly:
     if n == 0:
         return MultiPoly.const(1)
     M = [list(r) for r in rows]
-    assert all(len(r) == n for r in M)
+    if any(len(r) != n for r in M):
+        raise ValueError("det_bareiss needs a square matrix")
     sign = 1
     prev = MultiPoly.const(1)
     for k in range(n - 1):
@@ -57,18 +58,18 @@ def _subresultant_matrix(fc: list, gc: list, j: int) -> list:
     return rows
 
 
-def psc_set(f: MultiPoly, g: MultiPoly, var: str) -> list:
+def psc_set(fc: list, gc: list) -> list:
     """Principal subresultant coefficients psc_j for 0 <= j < min(deg f,
-    deg g); psc_0 is the resultant with the larger degree first.  Empty
-    when either degree is < 1."""
-    fc = f.as_univar(var)
-    gc = g.as_univar(var)
+    deg g) of two polynomials given as dense coefficient lists in the
+    main variable (index = degree, MultiPoly entries over the others,
+    nonzero last entry); psc_0 is the resultant with the larger degree
+    first.  Empty when either degree is < 1."""
     m, n = len(fc) - 1, len(gc) - 1
-    if m < 1 or n < 1 or f.is_zero or g.is_zero:
+    if m < 1 or n < 1:
         return []
     if m < n:
         fc, gc, m, n = gc, fc, n, m
-    return [det_bareiss(_subresultant_matrix(fc, gc, j)) for j in range(min(m, n))]
+    return [det_bareiss(_subresultant_matrix(fc, gc, j)) for j in range(n)]
 
 
 def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:

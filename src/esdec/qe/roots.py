@@ -1,10 +1,20 @@
 """Exact univariate real root isolation and real algebraic numbers.
 
 Univariate polynomials appear here as dense Fraction coefficient lists
-(index = degree).  Root isolation is Sturm-chain bisection after
-squarefree reduction; every interval returned has rational non-root
-endpoints and exactly one root inside, with rational roots collapsed to
-exact points.
+(index = degree).  Root isolation is Sturm-chain bisection of the
+squarefree integer primitive part sf; every interval returned has
+rational non-root endpoints and exactly one root inside.
+
+Every rational root comes back as an exact point, by the rational root
+theorem: a root p/q in lowest terms has q | lead(sf), and two distinct
+fractions with denominators <= |lead| differ by at least 1/lead^2.  So
+once an isolating interval is narrower than 1/lead^2, a rational root
+inside lies within 1/(2 lead^2) of the midpoint and every other such
+fraction lies farther: the only candidate is the fraction nearest the
+midpoint with denominator <= |lead|.  The root is rational exactly when
+that candidate lies strictly inside the interval (else it may be another
+root of sf) and sf vanishes there.  A linear sf gives its root
+-sf[0]/sf[1] directly.
 
 A real algebraic number is a squarefree integer-coefficient defining
 polynomial plus an isolating interval (or an exact rational).  Signs of
@@ -114,7 +124,8 @@ def usquarefree(c: Coeffs) -> Coeffs:
     if udeg(g) == 0:
         return uprimitive(c)
     q, r = udivmod(c, g)
-    assert uis_zero(r)
+    if not uis_zero(r):
+        raise AssertionError("the gcd with the derivative must divide exactly")
     return uprimitive(q)
 
 
@@ -213,7 +224,8 @@ class RealAlgebraicNumber:
         self.poly = [Fraction(x) for x in poly]
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
-        assert ueval(self.poly, self.lo) != 0 and ueval(self.poly, self.hi) != 0
+        if ueval(self.poly, self.lo) == 0 or ueval(self.poly, self.hi) == 0:
+            raise ValueError("isolating interval endpoints must not be roots")
 
     @staticmethod
     def from_rational(q) -> "RealAlgebraicNumber":
@@ -298,61 +310,36 @@ class RealAlgebraicNumber:
         return f"RealAlgebraicNumber({self.poly}, ({self.lo}, {self.hi}))"
 
 
-def _divisors(n: int, trial_cap: int = 10_000, count_cap: int = 300) -> list | None:
-    """Divisors of |n|; sloppy on purpose: any unfactored remainder after
-    trial division is treated as prime.  Callers verify every candidate
-    by exact evaluation, so a wrong divisor set costs time, never
-    correctness.  None when the divisor count explodes."""
-    n = abs(n)
-    if n == 0:
-        return None
-    factors: dict = {}
-    m = n
-    d = 2
-    while d * d <= m and d <= trial_cap:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        factors[m] = factors.get(m, 0) + 1
-    divs = [1]
-    for prime, mult in factors.items():
-        divs = [dv * prime ** e for dv in divs for e in range(mult + 1)]
-        if len(divs) > count_cap:
-            return None
-    return sorted(divs)
-
-
-def _extract_rational_roots(c: Coeffs):
-    """Split a squarefree polynomial into (rational roots, cofactor).
-    Best effort: roots the divisor search misses simply stay in the
-    cofactor and get interval representations."""
-    c = utrim(c)
-    roots = []
-    if c[0] == 0:
-        roots.append(Fraction(0))
-        c = utrim(c[1:])
-    if udeg(c) >= 1:
-        ints = uprimitive(c)
-        nums = _divisors(int(ints[0])) if ints[0] != 0 else [0]
-        dens = _divisors(int(ints[-1]))
-        if nums is not None and dens is not None and len(nums) * len(dens) <= 2000:
-            cands = sorted({Fraction(p, q) for p in nums for q in dens})
-            for cand in cands:
-                for val in (cand, -cand):
-                    if udeg(c) >= 1 and ueval(c, val) == 0:
-                        roots.append(val)
-                        q, r = udivmod(c, [-val, Fraction(1)])
-                        assert uis_zero(r)
-                        c = q
-    return sorted(set(roots)), c
+def _settle(sf: Coeffs, lo: Fraction, hi: Fraction):
+    """The root of the integer squarefree ``sf`` isolated in (lo, hi):
+    a Fraction when it is rational, else a narrowed isolating interval.
+    Bisect below 1/lead^2, then test the one rational candidate (see the
+    module docstring)."""
+    lead = int(sf[-1])
+    gap = Fraction(1, lead * lead)
+    lo_positive = ueval(sf, lo) > 0
+    while hi - lo >= gap:
+        mid = (lo + hi) / 2
+        v = ueval(sf, mid)
+        if v == 0:
+            return mid
+        if (v > 0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+    cand = ((lo + hi) / 2).limit_denominator(lead)
+    # a candidate outside (lo, hi) may be a root of sf, but not this one
+    if lo < cand < hi and ueval(sf, cand) == 0:
+        return cand
+    return lo, hi
 
 
 def isolate_real_roots(p) -> list:
     """All distinct real roots of a nonzero univariate polynomial, as
     RealAlgebraicNumber, ascending.  Accepts a MultiPoly in one variable
-    or a coefficient list.  Rational roots come back as exact values."""
+    or a coefficient list.  Rational roots come back as exact values;
+    irrational ones are defined by the squarefree part with its rational
+    roots divided out."""
     if isinstance(p, MultiPoly):
         used = p.used_vars()
         if len(used) > 1:
@@ -367,27 +354,18 @@ def isolate_real_roots(p) -> list:
     if uis_zero(coeffs):
         raise ValueError("cannot isolate roots of the zero polynomial")
     sf = usquarefree(coeffs)
-    rationals, rest = _extract_rational_roots(sf)
-    out = [RealAlgebraicNumber.from_rational(r) for r in rationals]
-    if udeg(rest) >= 1:
-        rest = uprimitive(rest)
-        for lo, hi in isolate_squarefree(rest):
-            if lo == hi:
-                out.append(RealAlgebraicNumber.from_rational(lo))
-            else:
-                out.append(RealAlgebraicNumber(rest, lo, hi))
-    out.sort(key=_SortKey)
-    return out
-
-
-class _SortKey:
-    """Exact comparison adapter for sorting RealAlgebraicNumbers."""
-
-    def __init__(self, ran: RealAlgebraicNumber):
-        self.ran = ran
-
-    def __lt__(self, other: "_SortKey") -> bool:
-        return self.ran.compare(other.ran) < 0
+    if udeg(sf) == 1:
+        return [RealAlgebraicNumber.from_rational(-sf[0] / sf[1])]
+    settled = [lo if lo == hi else _settle(sf, lo, hi) for lo, hi in isolate_squarefree(sf)]
+    # defining the irrational roots by sf itself would keep its rational
+    # roots, at which an elimination resultant can vanish identically
+    rest = sf
+    for r in settled:
+        if not isinstance(r, tuple):
+            rest, _ = udivmod(rest, [-r, Fraction(1)])
+    rest = uprimitive(rest)
+    return [RealAlgebraicNumber(rest, *r) if isinstance(r, tuple)
+            else RealAlgebraicNumber.from_rational(r) for r in settled]
 
 
 # -- signs and roots at mixed rational/algebraic sample points ----------
@@ -541,27 +519,25 @@ def sign_at_point(p: MultiPoly, point: dict) -> int:
 
 def roots_at_point(p: MultiPoly, point: dict, var: str):
     """Real roots (ascending RealAlgebraicNumbers) of p(sample, var), or
-    None when p vanishes identically at the sample."""
+    None when p vanishes identically at the sample.  When no algebraic
+    coordinate is left in the coefficients, their rational values go
+    straight to isolate_real_roots."""
     rats, algs = _split_point(point)
-    q = p.partial_eval(rats)
-    if var not in q.vars:
-        q = q.with_vars(q.vars + (var,))
-    coeffs = q.as_univar(var)
-    base_point = {v: point[v] for v in point}
+    coeffs = p.partial_eval(rats).as_univar(var)
     deg = -1
     for i in range(len(coeffs) - 1, -1, -1):
-        if sign_at_point(coeffs[i], base_point) != 0:
+        if sign_at_point(coeffs[i], point) != 0:
             deg = i
             break
     if deg < 0:
         return None
     if deg == 0:
         return []
-    trunc = MultiPoly.from_univar(coeffs[: deg + 1], var).drop_unused()
-    live = {v: algs[v] for v in trunc.used_vars() if v != var}
+    coeffs = coeffs[: deg + 1]
+    live = {v: algs[v] for c in coeffs for v in c.used_vars()}
     if not live:
-        flat = [c.constant_value() for c in trunc.as_univar(var)]
-        return isolate_real_roots(flat)
+        return isolate_real_roots([c.constant_value() for c in coeffs])
+    trunc = MultiPoly.from_univar(coeffs, var)
     N_poly = _eliminate_algebraics(trunc, live)
     if N_poly.is_zero:
         raise ResourceLimitError("algebraic lifting degeneracy: cascade vanished")

@@ -637,39 +637,43 @@ class HomogeneousResult:
     method: str  # "constructive" | "bruteforce"
 
 
-def _homogeneous_bruteforce(host, pset, n, node_budget):
+def _homogeneous_verdicts(pset, vals) -> dict | None:
+    """The members' verdicts on vals when each is everywhere or nowhere."""
     from .predicates import member_verdicts
 
+    v = member_verdicts(pset, vals)
+    if all(s in ("everywhere", "nowhere") for s in v.values()):
+        return v
+    return None
+
+
+def _homogeneous_dfs(host, pset, n, prefix, next_start, nodes_left):
+    """The first extension of ``prefix`` to n indices, depth-first, on
+    which every member is everywhere or nowhere, with its verdicts; None
+    if there is none.  ``nodes_left`` is a one-item list, the unspent node
+    budget.  A module function, so the recursion makes no reference
+    cycle."""
     N = len(host)
-    nodes = 0
-
-    def ok(prefix_vals) -> dict | None:
-        v = member_verdicts(pset, prefix_vals)
-        if all(s in ("everywhere", "nowhere") for s in v.values()):
-            return v
+    if len(prefix) == n:
+        v = _homogeneous_verdicts(pset, [host[i] for i in prefix])
+        return (tuple(prefix), v) if v else None
+    if len(prefix) + (N - next_start) < n:
         return None
+    for t in range(next_start, N):
+        nodes_left[0] -= 1
+        if nodes_left[0] < 0:
+            raise ExtractionFailure("node budget exhausted", stage="bruteforce")
+        cand = prefix + [t]
+        if len(cand) >= pset.arity and _homogeneous_verdicts(pset, [host[i] for i in cand]) is None:
+            continue
+        got = _homogeneous_dfs(host, pset, n, cand, t + 1, nodes_left)
+        if got:
+            return got
+    return None
 
-    def dfs(prefix, next_start):
-        nonlocal nodes
-        if len(prefix) == n:
-            vals = [host[i] for i in prefix]
-            v = ok(vals)
-            return (tuple(prefix), v) if v else None
-        if len(prefix) + (N - next_start) < n:
-            return None
-        for t in range(next_start, N):
-            nodes += 1
-            if nodes > node_budget:
-                raise ExtractionFailure("node budget exhausted", stage="bruteforce")
-            cand = prefix + [t]
-            if len(cand) >= pset.arity and ok([host[i] for i in cand]) is None:
-                continue
-            got = dfs(cand, t + 1)
-            if got:
-                return got
-        return None
 
-    found = dfs([], 0)
+def _homogeneous_bruteforce(host, pset, n, node_budget):
+    found = _homogeneous_dfs(host, pset, n, [], 0, [node_budget])
     if not found:
         raise ExtractionFailure(
             f"no homogeneous subsequence of length {n} found", stage="bruteforce"

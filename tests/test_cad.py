@@ -294,6 +294,9 @@ def test_eventually_lifts_one_cell_per_level():
 @example("forall x. exists y. x^2 - 2 != 0 or y^2 - x^2 = 0", 1)
 @example("exists x. forall y. x*y - 1 > 0 or y < 0", 0)
 @example("exists y. forall x. x*y + 1 < 0 or x > 0", 1)
+# irrational roots defined with the rational root 0 of x(2x^2 - 1) left in
+# make the elimination resultant vanish identically
+@example("forall x. forall y. 1 - 2*y*y < 0 and x*x + x*y < 0", 0)
 @settings(max_examples=40, deadline=None)
 def test_eventually_matches_its_definition(text, index):
     """eventually v. Psi  ==  exists c. forall v. v <= c or Psi, with the

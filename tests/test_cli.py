@@ -116,6 +116,27 @@ def test_extract_growing(tmp_path, capsys):
     assert code == 30 and "extraction failed" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_qe_cell_cap_must_be_positive(capsys, cap):
+    """A cap of 0 is a usage error, not the default budget."""
+    code, out, err = run(capsys, "qe", "exists x. x^2 - 2 = 0", "--cell-cap", cap)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "budgets must be positive" in err
+
+
+def test_qe_cell_cap_is_honoured(capsys):
+    code, _, err = run(capsys, "qe", "exists x. x^2 - 2 = 0", "--cell-cap", "1")
+    assert code == 20 and "cell budget 1 exhausted" in err
+
+
+def test_extract_growing_rejects_small_R(tmp_path, capsys):
+    seq = tmp_path / "affine.seq"
+    seq.write_text("1\n2\n3\n")
+    code, out, err = run(capsys, "extract-growing", str(seq), "--R", "2", "--n", "3")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "R must be an integer >= 3" in err
+
+
 def test_feasible_census(tmp_path, capsys):
     pred = tmp_path / "monotone.pred"
     pred.write_text("x1 < x2 ; x1 >= x2\n")

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -13,6 +14,7 @@ from esdec.decider import (
 from esdec.errors import InconsistentTypeError, OrderInvarianceError, ResourceLimitError
 from esdec.feasibility import FEASIBLE, UNDECIDED, FeasibilityInstance, is_feasible
 from esdec.predicates import eval_at, holds_everywhere, parse
+from esdec.ramsey import canonical_growing, extract_homogeneous
 from esdec.typesys import build_Q, enumerate_types, eval_predicates_from_type
 
 
@@ -34,6 +36,27 @@ def test_weak_orderings_order():
         assert list(weak_orderings(n)) == want
         assert list(weak_orderings(n, no_repeat)) == \
             [t for t in want if all(a != b for a, b in zip(t, t[1:]))]
+
+
+def test_searches_leave_no_reference_cycles():
+    """With the collector off, each call leaves nothing for it to free:
+    the recursive searches make no self-referencing closures."""
+    mono = parse("x1 < x2 ; x1 >= x2")
+    noise = [Fraction(x) for x in (3, -1, 4, -1, 5, -9, 2, 6, -5, 3, 5, 8)]
+    growing = [5 + 7 * x for x in canonical_growing(4, 8)]
+    calls = (
+        lambda: es_bruteforce(mono, 3, 6),
+        lambda: extract_homogeneous(noise, mono, 3),  # brute force
+        lambda: extract_homogeneous(growing, mono, 4),  # constructive
+    )
+    for call in calls:
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_decide_monotone_pair_yes():

@@ -29,11 +29,8 @@ def test_isolate_basic():
     assert lo < hi and lo >= 0
     assert isolate_real_roots(x ** 2 + 1) == []
     collapsed = isolate_real_roots((x - 1) ** 2 * x)
-    assert len(collapsed) == 2
-    vals = [r.value for r in collapsed]
-    assert vals == [0, 1] or all(
-        r.is_rational or True for r in collapsed
-    )
+    assert [r.value for r in collapsed] == [0, 1]
+    assert all(r.is_rational for r in collapsed)
 
 
 def test_isolate_random_rational_roots():
@@ -47,7 +44,61 @@ def test_isolate_random_rational_roots():
         got = isolate_real_roots(p)
         assert len(got) == len(roots)
         for ran, want in zip(got, roots):
+            assert ran.is_rational
             assert ran.compare_rational(want) == 0
+
+
+def test_real_algebraic_number_rejects_root_endpoint():
+    with pytest.raises(ValueError):
+        RealAlgebraicNumber([F(-1), F(1)], F(1), F(2))
+
+
+def _poly_product(factors):
+    out = [F(1)]
+    for f in factors:
+        prod = [F(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+# a*x - b with a rich in divisors, the denominator of the root b/a
+_linear = st.tuples(
+    st.sampled_from([1, 2, 6, 12, 60, 360, 720, 5040, 55440, 38798760]),
+    st.integers(-10 ** 9, 10 ** 9),
+).map(lambda ab: [F(-ab[1]), F(ab[0])])
+# a*x^2 + b*x + c with b^2 - 4ac not a square: no rational root
+_irreducible_quadratic = st.tuples(
+    st.integers(1, 30), st.integers(-30, 30), st.integers(-30, 30),
+).filter(lambda abc: sympy.sqrt(abc[1] ** 2 - 4 * abc[0] * abc[2]).is_rational is False
+         ).map(lambda abc: [F(abc[2]), F(abc[1]), F(abc[0])])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.one_of(_linear, _irreducible_quadratic), st.integers(1, 2)),
+                min_size=1, max_size=4))
+@example([([F(-23), F(38798760)], 1), ([F(-2), F(0), F(1)], 1)])
+@example([([F(0), F(21), F(-84), F(-63), F(6)], 1)])  # an irrational root near 0
+def test_isolate_matches_sympy(factors):
+    """Same roots as sympy's real_roots, ascending, each exact exactly
+    when it is rational."""
+    coeffs = _poly_product([f for f, mult in factors for _ in range(mult)])
+    x = sympy.Symbol("x")
+    want = sorted(set(sympy.Poly(list(reversed(coeffs)), x).real_roots()))
+    got = isolate_real_roots(coeffs)
+    assert len(got) == len(want)
+    for a, b in zip(got, got[1:]):
+        assert a.compare(b) < 0
+    for ran, root in zip(got, want):
+        assert ran.is_rational == isinstance(root, sympy.Rational)
+        if ran.is_rational:
+            assert ran.value == F(int(root.p), int(root.q))
+        else:
+            lo, hi = ran.interval()
+            assert sympy.Rational(lo.numerator, lo.denominator) < root
+            assert root < sympy.Rational(hi.numerator, hi.denominator)
 
 
 def test_alg_sign_at():
@@ -126,7 +177,7 @@ def test_psc_set_resultant_and_gcd_degree(fc, gc, hc):
     h = MultiPoly.from_univar([MultiPoly.const(c) for c in hc], "x1")
     f = h * MultiPoly.from_univar([MultiPoly.const(c) for c in fc], "x1")
     g = h * MultiPoly.from_univar([MultiPoly.const(c) for c in gc], "x1")
-    pscs = psc_set(f, g, "x1")
+    pscs = psc_set(f.as_univar("x1"), g.as_univar("x1"))
     m, n = f.degree("x1"), g.degree("x1")
     assert len(pscs) == min(m, n)
     big, small = (f, g) if m >= n else (g, f)
@@ -140,7 +191,7 @@ def test_psc_set():
     x, y = X("x1"), X("y1")
     f = x ** 2 - y
     g = x - 1
-    pscs = psc_set(f, g, "x1")
+    pscs = psc_set(f.as_univar("x1"), g.as_univar("x1"))
     assert len(pscs) == 1
     assert pscs[0] == MultiPoly.const(1) - y  # resultant(x^2-y, x-1)
 
