@@ -20,7 +20,7 @@ from .errors import EsdecError, ExtractionFailure, ParseError, ResourceLimitErro
 from .feasibility import FeasibilityInstance, is_feasible, witness_search
 from .parser import parse_sequence
 from .predicates import member_verdicts, parse
-from .qe import QeBudget, decide_sentence, export_smtlib, parse_sentence
+from .qe import QeBudget, decide_sentence_stats, export_smtlib, parse_sentence
 from .ramsey import GrowthParams, extract_growing_embedding, extract_homogeneous
 from .typesys import build_Q, enumerate_types
 
@@ -149,11 +149,12 @@ def cmd_qe(args) -> int:
         print(export_smtlib(sentence), end="")
         return EXIT_YES
     try:
-        truth = decide_sentence(sentence, _budget(args))
+        truth, stats = decide_sentence_stats(sentence, _budget(args))
     except ResourceLimitError as exc:
         print(f"undecided within budget: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    _emit(args, {"sentence": text, "truth": truth}, "true" if truth else "false")
+    payload = {"sentence": text, "truth": truth, "cells": stats.to_json()}
+    _emit(args, payload, "true" if truth else "false")
     return EXIT_YES if truth else EXIT_NO
 
 

@@ -6,13 +6,13 @@ Submodules: exact resultants and principal subresultant coefficients
 cylindrical-decomposition decision procedure itself (cad).
 """
 
-from .cad import QeBudget, decide_sentence
+from .cad import LiftStats, QeBudget, decide_sentence, decide_sentence_stats
 from .resultants import psc_set, resultant
 from .roots import RealAlgebraicNumber, isolate_real_roots
 from .sentences import Sentence, export_smtlib, parse_sentence, sentence_negate
 
 __all__ = [
-    "QeBudget", "decide_sentence", "psc_set", "resultant",
+    "LiftStats", "QeBudget", "decide_sentence", "decide_sentence_stats", "psc_set", "resultant",
     "RealAlgebraicNumber", "isolate_real_roots",
     "Sentence", "export_smtlib", "parse_sentence", "sentence_negate",
 ]

@@ -13,8 +13,24 @@ the level below, the level's polynomials are solved exactly
 (roots_at_point), the merged roots cut the line into sectors and
 sections, sectors get rational sample points (gap midpoints, integer
 points beyond the extremes), and sections carry their real algebraic
-number.  Truth is evaluated at full sample points only and folded back
-up through the quantifier prefix with short-circuiting.
+number.  Truths are folded back up through the quantifier prefix with
+short-circuiting.
+
+Trial evaluation (partial CAD's; Collins & Hong, JSC 1991): on entry to
+each level the matrix is evaluated in three-valued (Kleene) logic over
+the atoms whose variables are all assigned, the others reading
+"unknown".  When that settles the matrix, its value is returned and
+nothing below is lifted.  This is sound because:
+
+* Kleene logic is monotone: a value it reaches with some atoms unknown
+  is the value of every completion, so the matrix takes that value c at
+  every extension of the sample point;
+* every quantifier ranges over the nonempty real line ("eventually v"
+  over a nonempty ray (c, oo)), so Q v. c equals c for a c that does
+  not depend on v, and the whole inner prefix folds to c.
+
+At the full sample point every atom is known, so the last level's check
+is the full evaluation: there is one evaluator.
 
 An "eventually" level lifts one cell only: the sector above the largest
 root of the level's polynomials (the whole line, sampled at 0, when
@@ -28,9 +44,12 @@ that can decide the answer are lifted.
 
 Lifting reuses its own results within one call (partial CAD's reuse
 across sibling cells; Collins & Hong, JSC 1991).  A polynomial's roots
-over a sample point, and an atom's sign at a full sample point, are
+over a sample point, and an atom's sign at a sample point, are
 memoized under the polynomial's position and the point's coordinates on
-the variables that polynomial actually uses.  This is sound because:
+the variables that polynomial actually uses.  Trial evaluation asks for
+an atom's sign only once all its variables are assigned, so at a
+partial sample point the key is as exact as at a full one.  This is
+sound because:
 
 * the roots of p(point, var) and the sign of p at point depend only on
   the coordinates of the variables p uses, so siblings that differ
@@ -43,10 +62,10 @@ the variables that polynomial actually uses.  This is sound because:
 * real algebraic numbers may be shared freely (see roots.py).
 
 The memo lives on one decision call and is dropped when it returns.
-It holds at most one entry per polynomial or atom per charged cell, so
-the cell budget bounds it too.  Every sample is still charged as a
-cell, so cell counts, budgets and answers are those of the unmemoized
-lifting.
+It holds at most one entry per polynomial or atom per charged cell (and
+the empty point at the root), so the cell budget bounds it too.  Every
+sample is still charged as a cell, so cell counts, budgets and answers
+are those of the unmemoized lifting.
 
 Budgets make partiality honest: exceeding the cell budget raises
 ResourceLimitError, which callers surface as "undecided", never as an
@@ -61,7 +80,7 @@ from math import ceil, floor
 
 from ..errors import ResourceLimitError
 from ..poly import MultiPoly
-from ..predicates import Atom, atoms_of, eval_with, rel_holds
+from ..predicates import And, Atom, Not, Or, atoms_of, rel_holds
 from .resultants import psc_set
 from .roots import RealAlgebraicNumber, roots_at_point, sign_at_point
 from .sentences import EVENTUALLY, EXISTS, FORALL, Sentence
@@ -178,6 +197,43 @@ def _settles(quant: str, sub: bool) -> bool:
     return quant == EVENTUALLY or sub == (quant == EXISTS)
 
 
+def _kleene(node, atom_truth):
+    """Three-valued value of a matrix: True, False, or None (unknown)
+    where ``atom_truth`` reads None for the atoms it cannot decide yet."""
+    if isinstance(node, Atom):
+        return atom_truth(node)
+    if isinstance(node, Not):
+        sub = _kleene(node.child, atom_truth)
+        return None if sub is None else not sub
+    if not isinstance(node, (And, Or)):
+        raise TypeError(f"not a predicate node: {node!r}")
+    settling = isinstance(node, Or)  # a true disjunct, a false conjunct
+    unknown = False
+    for child in node.children:
+        sub = _kleene(child, atom_truth)
+        if sub is settling:
+            return settling
+        unknown = unknown or sub is None
+    return None if unknown else not settling
+
+
+@dataclass(frozen=True)
+class LiftStats:
+    """What one decision lifted: the cells charged at each level,
+    outermost first, and how many of them trial evaluation settled
+    without lifting the cylinder above them."""
+
+    by_level: tuple
+    settled_early: int
+
+    def to_json(self) -> dict:
+        return {
+            "total": sum(self.by_level),
+            "byLevel": list(self.by_level),
+            "settledEarly": self.settled_early,
+        }
+
+
 def _coord_key(x):
     """Exact memo key of one coordinate: its Fraction value, or an
     irrational RealAlgebraicNumber itself, which hashes by identity."""
@@ -191,22 +247,30 @@ class _Decider:
         self.sentence = sentence
         self.budget = budget
         self.cells_used = 0
+        self.settled_early = 0
         self.order = list(sentence.variables)  # outermost ... innermost
         self.nvars = len(self.order)
         self.levels: dict = {i: [] for i in range(1, self.nvars + 1)}
+        self.cells_by_level = [0] * self.nvars
         self._build_levels()
         # memo keys: the variables each level polynomial uses besides the
         # level's own, and each matrix atom's (by identity) polynomial
-        # slot and used variables; see the module docstring
+        # slot and used variables; see the module docstring.  An atom's
+        # level is that of its innermost variable (0 for a constant): its
+        # sign is known on entry to the next level
         self._root_vars = {
             lvl: [tuple(v for v in p.used_vars() if v != self.order[lvl - 1]) for p in polys]
             for lvl, polys in self.levels.items()
         }
         slots: dict = {}
-        self._atom_keys = {
-            id(atom): (slots.setdefault(atom.poly, len(slots)), atom.poly.used_vars())
-            for atom in atoms_of(sentence.matrix)
-        }
+        self._atom_keys = {}
+        self._atom_level = {}
+        for atom in atoms_of(sentence.matrix):
+            used = atom.poly.used_vars()
+            self._atom_keys[id(atom)] = (slots.setdefault(atom.poly, len(slots)), used)
+            self._atom_level[id(atom)] = max((self.order.index(v) + 1 for v in used), default=0)
+        # trial evaluation can only change its answer where atoms become known
+        self._trial_levels = {lvl + 1 for lvl in self._atom_level.values()}
         self._roots_memo: dict = {}
         self._sign_memo: dict = {}
 
@@ -230,8 +294,9 @@ class _Decider:
             for p in collins_project(self.levels[lvl], var):
                 self._add_poly(p)
 
-    def _charge_cell(self):
+    def _charge_cell(self, level: int):
         self.cells_used += 1
+        self.cells_by_level[level - 1] += 1
         if self.cells_used > self.budget.max_cells:
             raise ResourceLimitError(
                 f"cell budget {self.budget.max_cells} exhausted",
@@ -257,11 +322,14 @@ class _Decider:
             sign = self._sign_memo[key] = sign_at_point(atom.poly, point)
         return sign
 
-    def _matrix_truth(self, point: dict) -> bool:
-        return eval_with(
-            self.sentence.matrix,
-            lambda atom: rel_holds(self._atom_sign(atom, point), atom.rel),
-        )
+    def _trial_truth(self, level: int, point: dict):
+        """The matrix in three-valued logic over the atoms whose variables
+        are all assigned on entry to ``level``; None while unsettled."""
+        def atom_truth(atom):
+            if self._atom_level[id(atom)] >= level:
+                return None
+            return rel_holds(self._atom_sign(atom, point), atom.rel)
+        return _kleene(self.sentence.matrix, atom_truth)
 
     def _top_sample(self, level: int, point: dict) -> Fraction:
         """A rational above every root of the level's polynomials; each
@@ -297,15 +365,20 @@ class _Decider:
 
     def decide(self, level: int, point: dict, cell) -> bool:
         """Truth of the prefix from ``level`` inward, with the outer
-        variables fixed to ``point``.
+        variables fixed to ``point``.  The matrix is tried first; at
+        level nvars + 1 every atom is assigned, so it always settles there.
 
         ``cell`` is unused here and passed down as None; it lets a
         subclass thread a cell tree through the recursion."""
-        if level > self.nvars:
-            return self._matrix_truth(point)
+        if level in self._trial_levels:
+            truth = self._trial_truth(level, point)
+            if truth is not None:
+                if 1 < level <= self.nvars:
+                    self.settled_early += 1
+                return truth
         quant, var = self.sentence.prefix[level - 1]
         for _kind, sample in self._samples(level, point):
-            self._charge_cell()
+            self._charge_cell(level)
             child_point = dict(point)
             child_point[var] = sample
             sub = self.decide(level + 1, child_point, None)
@@ -314,8 +387,11 @@ class _Decider:
         return quant == FORALL
 
 
-def decide_sentence(sentence: Sentence, budget: QeBudget | None = None) -> bool:
-    """Exact truth of a prenex sentence over the reals.
+def decide_sentence_stats(
+    sentence: Sentence, budget: QeBudget | None = None,
+) -> tuple[bool, LiftStats]:
+    """Exact truth of a prenex sentence over the reals, with the
+    LiftStats of the lifting that decided it.
 
     Raises ResourceLimitError when a budget is exhausted; never guesses.
     """
@@ -325,4 +401,12 @@ def decide_sentence(sentence: Sentence, budget: QeBudget | None = None) -> bool:
             f"{len(sentence.prefix)} variables exceeds the limit {budget.max_vars}",
             variables=len(sentence.prefix),
         )
-    return _Decider(sentence, budget).decide(1, {}, None)
+    dec = _Decider(sentence, budget)
+    truth = dec.decide(1, {}, None)
+    return truth, LiftStats(tuple(dec.cells_by_level), dec.settled_early)
+
+
+def decide_sentence(sentence: Sentence, budget: QeBudget | None = None) -> bool:
+    """Exact truth of a prenex sentence over the reals (see
+    decide_sentence_stats)."""
+    return decide_sentence_stats(sentence, budget)[0]

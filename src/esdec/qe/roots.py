@@ -208,10 +208,13 @@ class RealAlgebraicNumber:
     rational interval; exact rationals collapse to a direct value.
 
     Refinement narrows the interval in place (always preserving the
-    isolating property), so instances may be shared freely.
+    isolating property), so instances may be shared freely.  It moves
+    ``lo`` only to a point where the defining polynomial has the sign it
+    has at ``lo``, so that sign is fixed once and each bisection step
+    costs one evaluation.
     """
 
-    __slots__ = ("poly", "lo", "hi", "value")
+    __slots__ = ("poly", "lo", "hi", "value", "_lo_positive")
 
     def __init__(self, poly: Coeffs | None, lo: Fraction, hi: Fraction,
                  value: Fraction | None = None):
@@ -224,8 +227,10 @@ class RealAlgebraicNumber:
         self.poly = [Fraction(x) for x in poly]
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
-        if ueval(self.poly, self.lo) == 0 or ueval(self.poly, self.hi) == 0:
+        at_lo = ueval(self.poly, self.lo)
+        if at_lo == 0 or ueval(self.poly, self.hi) == 0:
             raise ValueError("isolating interval endpoints must not be roots")
+        self._lo_positive = at_lo > 0
 
     @staticmethod
     def from_rational(q) -> "RealAlgebraicNumber":
@@ -248,10 +253,10 @@ class RealAlgebraicNumber:
             self.lo = self.hi = mid
             self.poly = None
             return
-        if ueval(self.poly, self.lo) * v < 0:
-            self.hi = mid
-        else:
+        if (v > 0) == self._lo_positive:
             self.lo = mid
+        else:
+            self.hi = mid
 
     def sign_of_poly(self, q: Coeffs) -> int:
         """Exact sign of q at this number."""
@@ -519,14 +524,20 @@ def sign_at_point(p: MultiPoly, point: dict) -> int:
 
 def roots_at_point(p: MultiPoly, point: dict, var: str):
     """Real roots (ascending RealAlgebraicNumbers) of p(sample, var), or
-    None when p vanishes identically at the sample.  When no algebraic
+    None when p vanishes identically at the sample.  The coefficients are
+    evaluated at the rational coordinates once; a constant one gives its
+    sign directly, and only one with a live algebraic variable goes to
+    sign_at_point, at the algebraic coordinates.  When no algebraic
     coordinate is left in the coefficients, their rational values go
     straight to isolate_real_roots."""
     rats, algs = _split_point(point)
     coeffs = p.partial_eval(rats).as_univar(var)
     deg = -1
     for i in range(len(coeffs) - 1, -1, -1):
-        if sign_at_point(coeffs[i], point) != 0:
+        value = coeffs[i].constant_value()
+        if value is None:
+            value = sign_at_point(coeffs[i], algs)
+        if value != 0:
             deg = i
             break
     if deg < 0:

@@ -1,6 +1,9 @@
 """The golden sentence suite: analytically known truth values covering
-1-5 variables, quantifier alternations, equалities, and both strict and
-non-strict inequalities."""
+1-5 variables, quantifier alternations, equalities, and both strict and
+non-strict inequalities.  Also the growth-gap sentences of the
+benchmark's qe workload, whose truth follows from their pattern."""
+
+from itertools import product
 
 GOLDEN_SENTENCES = [
     ("exists x. x^2 - 2 = 0", True),
@@ -31,3 +34,40 @@ GOLDEN_SENTENCES = [
 ]
 
 assert len(GOLDEN_SENTENCES) == 25
+
+
+# growth-gap sentences in the benchmark's style: two forms u, v in x, y
+# with an invertible linear part in {-1, 0, 1}, seeded nonzero signs, and
+# one of eight dwarfed (D) / gigantic (G) patterns over the ordered pairs
+GROWTH_PATTERNS = (
+    (("D", "u", "v"),),
+    (("G", "u", "v"),),
+    (("D", "u", "v"), ("D", "v", "u")),
+    (("D", "u", "v"), ("G", "v", "u")),
+    (("G", "u", "v"), ("D", "v", "u")),
+    (("D", "u", "v"), ("G", "u", "v")),
+    (("G", "u", "v"), ("G", "v", "u")),
+    (("D", "v", "u"), ("G", "v", "u")),
+)
+LINEAR_PARTS = tuple(m for m in product((-1, 0, 1), repeat=4) if m[0] * m[3] != m[1] * m[2])
+
+
+def growth_gap_truth(pattern) -> bool:
+    """False exactly when one ordered pair is both dwarfed and gigantic
+    (H <= L for every H), or both orders are gigantic (H^2 <= 1)."""
+    for p, q in (("u", "v"), ("v", "u")):
+        if ("D", p, q) in pattern and ("G", p, q) in pattern:
+            return False
+    return not (("G", "u", "v") in pattern and ("G", "v", "u") in pattern)
+
+
+def growth_gap_atoms(pattern, linear, signs) -> list:
+    """The sign atoms of u and v and the pattern's bounds, in x, y, l, h."""
+    a1, b1, a2, b2 = linear
+    forms = {"u": f"({a1}*x + {b1}*y)", "v": f"({a2}*x + {b2}*y)"}
+    signed = {k: f if signs[k] > 0 else f"(-{f})" for k, f in forms.items()}
+    atoms = [f"{forms[k]} {'>' if signs[k] > 0 else '<'} 0" for k in ("u", "v")]
+    for kind, p, q in pattern:
+        bound = "l" if kind == "D" else "h"
+        atoms.append(f"{signed[p]} {'<=' if kind == 'D' else '>='} {bound}*{signed[q]}")
+    return atoms

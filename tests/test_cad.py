@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from esdec.errors import ParseError, ResourceLimitError
 from esdec.poly import MultiPoly
-from esdec.predicates import Atom, Or
+from esdec.predicates import Atom, Or, eval_with, rel_holds
 from esdec.qe import (
     QeBudget, Sentence, decide_sentence, export_smtlib, parse_sentence, sentence_negate,
 )
@@ -16,7 +16,7 @@ from esdec.qe import cad
 from esdec.qe.cad import EVENTUALLY, EXISTS, FORALL, _Decider, _settles, collins_project
 from esdec.qe.roots import RealAlgebraicNumber, roots_at_point, sign_at_point
 
-from golden import GOLDEN_SENTENCES
+from golden import GOLDEN_SENTENCES, GROWTH_PATTERNS, LINEAR_PARTS, growth_gap_atoms, growth_gap_truth
 
 F = Fraction
 
@@ -35,14 +35,17 @@ class CadCell:
 
 class _TreeDecider(_Decider):
     """The decision recursion, recording each sampled cell as a child of
-    the cell it was lifted over."""
+    the cell it was lifted over; a cell that trial evaluation settles
+    gets no children."""
 
     def decide(self, level, point, cell):
-        if level > self.nvars:
-            return self._matrix_truth(point)
+        if level in self._trial_levels:
+            truth = self._trial_truth(level, point)
+            if truth is not None:
+                return truth
         quant, var = self.sentence.prefix[level - 1]
         for kind, sample in self._samples(level, point):
-            self._charge_cell()
+            self._charge_cell(level)
             child = CadCell(level, var, kind, sample)
             cell.children.append(child)
             child.truth = self.decide(level + 1, {**point, var: sample}, child)
@@ -67,6 +70,25 @@ class _PlainDecider(_Decider):
 
     def _atom_sign(self, atom, point):
         return cad.sign_at_point(atom.poly, point)
+
+
+class _NoTrialDecider(_Decider):
+    """Lifting without trial evaluation: every cell is lifted to full
+    sample points, and only there is the matrix evaluated."""
+
+    def decide(self, level, point, cell):
+        if level > self.nvars:
+            return eval_with(
+                self.sentence.matrix,
+                lambda atom: rel_holds(self._atom_sign(atom, point), atom.rel),
+            )
+        quant, var = self.sentence.prefix[level - 1]
+        for _kind, sample in self._samples(level, point):
+            self._charge_cell(level)
+            sub = self.decide(level + 1, {**point, var: sample}, None)
+            if _settles(quant, sub):
+                return sub
+        return quant == FORALL
 
 
 def test_parse_sentence_shapes():
@@ -246,9 +268,11 @@ def test_lifting_memo_reuses_results_across_unused_coordinates(monkeypatch):
     truth, cells, _ = _run(_Decider, s, QeBudget())
     memo = dict(calls)
     calls.update(roots=0, signs=0)
-    assert (truth, cells) == _run(_PlainDecider, s, QeBudget())[:2] == (True, 55)
+    assert (truth, cells) == _run(_PlainDecider, s, QeBudget())[:2] == (True, 25)
     assert memo["roots"] < cells <= calls["roots"]
     assert memo["signs"] < calls["signs"]
+    # lifted to full sample points, the same sentence charges 55 cells
+    assert _run(_NoTrialDecider, s, QeBudget())[:2] == (True, 55)
 
 
 # (sentence, truth); "eventually v" reads "for all sufficiently large v"
@@ -262,6 +286,59 @@ EVENTUALLY_CASES = (
     ("eventually x. eventually y. x*y > 1", True),
     ("exists y. eventually x. x*y < 0 and y^2 = 2", True),
 )
+
+
+def _growth_gap_text(pattern, linear, signs):
+    """The benchmark's qe sentences: l >= r is known at level 2, so no
+    l < r sector needs lifting."""
+    atoms = ["l >= r", *growth_gap_atoms(pattern, linear, signs)]
+    return "forall r. exists l. forall h. exists x. exists y. " + " and ".join(atoms)
+
+
+_growth_gap_sentences = st.builds(
+    _growth_gap_text,
+    st.sampled_from(GROWTH_PATTERNS),
+    st.sampled_from(LINEAR_PARTS),
+    st.fixed_dictionaries({k: st.sampled_from((1, -1)) for k in ("u", "v")}),
+)
+GROWTH_GAP_PATTERN = (("D", "u", "v"),)
+GROWTH_GAP_EXAMPLE = _growth_gap_text(GROWTH_GAP_PATTERN, (1, 0, 0, 1), {"u": 1, "v": -1})
+
+
+def _examples(texts):
+    def apply(test):
+        for text in texts:
+            test = example(text)(test)
+        return test
+    return apply
+
+
+@given(st.one_of(_small_sentences(), _growth_gap_sentences))
+@_examples(text for text, _ in EVENTUALLY_CASES)
+@example(GROWTH_GAP_EXAMPLE)
+@example("forall x. exists y. 1 > 0 or x*y > 0")  # settled before x is assigned
+@example("exists x. forall y. 2 < 1 and x - y > 0")
+@example("exists x. forall y. not (y > 0) and x > 0")  # an unknown under not
+@settings(max_examples=30, deadline=None)
+def test_trial_evaluation_matches_lifting_to_full_points(text):
+    """Stopping at a cell whose assigned atoms settle the matrix gives the
+    truth of lifting it to full sample points, with no more cells."""
+    sentence = parse_sentence(text)
+    budget = QeBudget(max_cells=300)
+    truth, cells, _ = _run(_Decider, sentence, budget)
+    full_truth, full_cells, _ = _run(_NoTrialDecider, sentence, budget)
+    if full_truth == "exhausted":  # trial evaluation may finish within it
+        return
+    assert (truth, cells <= full_cells) == (full_truth, True), text
+
+
+def test_trial_evaluation_settles_growth_gap_cells():
+    """l >= r is known at level 2: an l-cell below r is not lifted."""
+    dec = _Decider(parse_sentence(GROWTH_GAP_EXAMPLE), QeBudget())
+    assert dec.decide(1, {}, None) is growth_gap_truth(GROWTH_GAP_PATTERN)
+    assert dec.settled_early > 0
+    assert sum(dec.cells_by_level) == dec.cells_used
+    assert dec.cells_used < _run(_NoTrialDecider, dec.sentence, QeBudget())[1]
 
 
 def test_eventually_parse_and_negate_roundtrip():

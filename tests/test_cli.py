@@ -64,6 +64,21 @@ def test_qe_commands(capsys):
     assert "(exists ((c_x Real)) (forall ((x Real)) (=> (> x c_x) (> (+ x (- 1)) 0))))" in out
 
 
+def test_qe_reports_cells(capsys):
+    """Cells per level sum to the total; a growth-gap sentence settles
+    its l < r cells before lifting them.  Text output is the truth alone."""
+    text = ("forall r. exists l. forall h. exists x. exists y. l >= r and x > 0"
+            " and y < 0 and x <= l*(-y)")
+    code, out, _ = run(capsys, "qe", text)
+    assert code == 0
+    cells = json.loads(out)["cells"]
+    assert len(cells["byLevel"]) == 5
+    assert sum(cells["byLevel"]) == cells["total"] > 0
+    assert cells["settledEarly"] > 0
+    code, out, _ = run(capsys, "qe", "--format", "text", text)
+    assert code == 0 and out == "true\n"
+
+
 def test_gen_and_roundtrip(tmp_path, capsys):
     seq = tmp_path / "ints.seq"
     code, _, _ = run(capsys, "gen", "--family", "integers", "--N", "32",

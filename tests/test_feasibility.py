@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
@@ -14,6 +13,8 @@ from esdec.poly import MultiPoly
 from esdec.predicates import parse
 from esdec.qe import decide_sentence, parse_sentence
 from esdec.typesys import build_Q, compute_type, enumerate_types
+
+from golden import GROWTH_PATTERNS, LINEAR_PARTS, growth_gap_atoms, growth_gap_truth
 
 F = Fraction
 X = MultiPoly.var("X", ("X", "Y"))
@@ -248,46 +249,15 @@ def test_psi_eventual_shape():
     assert decide_sentence(build_psi_eventual(FeasibilityInstance((), (), ())))
 
 
-# growth-gap sentences in the benchmark's style: two forms u, v in x, y
-# with an invertible linear part in {-1, 0, 1}, seeded nonzero signs, and
-# one of eight dwarfed (D) / gigantic (G) patterns over the ordered pairs
-_GROWTH_PATTERNS = (
-    (("D", "u", "v"),),
-    (("G", "u", "v"),),
-    (("D", "u", "v"), ("D", "v", "u")),
-    (("D", "u", "v"), ("G", "v", "u")),
-    (("G", "u", "v"), ("D", "v", "u")),
-    (("D", "u", "v"), ("G", "u", "v")),
-    (("G", "u", "v"), ("G", "v", "u")),
-    (("D", "v", "u"), ("G", "v", "u")),
-)
-_LINEAR_PARTS = tuple(m for m in product((-1, 0, 1), repeat=4) if m[0] * m[3] != m[1] * m[2])
-
-
-def _growth_gap_truth(pattern) -> bool:
-    """False exactly when one ordered pair is both dwarfed and gigantic
-    (H <= L for every H), or both orders are gigantic (H^2 <= 1)."""
-    for p, q in (("u", "v"), ("v", "u")):
-        if ("D", p, q) in pattern and ("G", p, q) in pattern:
-            return False
-    return not (("G", "u", "v") in pattern and ("G", "v", "u") in pattern)
-
-
 def _eventual_growth_gap(pattern, linear, signs) -> str:
-    a1, b1, a2, b2 = linear
-    forms = {"u": f"({a1}*x + {b1}*y)", "v": f"({a2}*x + {b2}*y)"}
-    signed = {k: f if signs[k] > 0 else f"(-{f})" for k, f in forms.items()}
-    atoms = [f"{forms[k]} {'>' if signs[k] > 0 else '<'} 0" for k in ("u", "v")]
-    for kind, p, q in pattern:
-        bound = "l" if kind == "D" else "h"
-        atoms.append(f"{signed[p]} {'<=' if kind == 'D' else '>='} {bound}*{signed[q]}")
-    return "eventually l. eventually h. exists x. exists y. " + " and ".join(atoms)
+    return "eventually l. eventually h. exists x. exists y. " + " and ".join(
+        growth_gap_atoms(pattern, linear, signs))
 
 
 def test_eventual_growth_gap_sentences_match_analytic_rule():
     rng = random.Random(5)
-    for pattern in _GROWTH_PATTERNS:
-        for linear in rng.sample(_LINEAR_PARTS, 12):
+    for pattern in GROWTH_PATTERNS:
+        for linear in rng.sample(LINEAR_PARTS, 12):
             signs = {"u": rng.choice((1, -1)), "v": rng.choice((1, -1))}
             text = _eventual_growth_gap(pattern, linear, signs)
-            assert decide_sentence(parse_sentence(text)) == _growth_gap_truth(pattern), text
+            assert decide_sentence(parse_sentence(text)) == growth_gap_truth(pattern), text

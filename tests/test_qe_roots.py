@@ -11,7 +11,7 @@ from esdec.poly import MultiPoly
 from esdec.qe.resultants import det_bareiss, psc_set, resultant
 from esdec.qe.roots import (
     RealAlgebraicNumber, interval_eval, isolate_real_roots,
-    roots_at_point, sign_at_point, usquarefree,
+    roots_at_point, sign_at_point, ueval, usquarefree,
 )
 
 F = Fraction
@@ -51,6 +51,20 @@ def test_isolate_random_rational_roots():
 def test_real_algebraic_number_rejects_root_endpoint():
     with pytest.raises(ValueError):
         RealAlgebraicNumber([F(-1), F(1)], F(1), F(2))
+
+
+def test_refine_evaluates_once_per_step(monkeypatch):
+    """The sign at lo is kept, so a bisection step evaluates the
+    defining polynomial at the midpoint alone."""
+    a = isolate_real_roots([F(-2), F(0), F(1)])[1]  # sqrt 2
+    calls = []
+    monkeypatch.setattr("esdec.qe.roots.ueval", lambda c, x: calls.append(x) or ueval(c, x))
+    for _ in range(20):
+        width = a.hi - a.lo
+        calls.clear()
+        a.refine()
+        assert len(calls) == 1
+        assert a.hi - a.lo == width / 2 and a.lo ** 2 < 2 < a.hi ** 2
 
 
 def _poly_product(factors):
