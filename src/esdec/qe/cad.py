@@ -11,10 +11,15 @@ cell counts.
 Lifting walks the levels outermost-first.  Over each sample point of
 the level below, the level's polynomials are solved exactly
 (roots_at_point), the merged roots cut the line into sectors and
-sections, sectors get rational sample points (gap midpoints, integer
-points beyond the extremes), and sections carry their real algebraic
-number.  Truths are folded back up through the quantifier prefix with
-short-circuiting.
+sections, sectors get rational sample points (the fraction of least
+denominator in each gap, integer points beyond the extremes), and
+sections carry their real algebraic number.  Truths are folded back up
+through the quantifier prefix with short-circuiting.  An atom's
+polynomial is one of its level's, so whether it vanishes at a sample
+point is read off the decomposition: exactly when the point's
+coordinate on that level is one of its roots there.  Exact zero tests
+at algebraic points, the costly part of sign evaluation, are not needed
+for atoms.
 
 Trial evaluation (partial CAD's; Collins & Hong, JSC 1991): on entry to
 each level the matrix is evaluated in three-valued (Kleene) logic over
@@ -157,7 +162,22 @@ def _rational_above(x: RealAlgebraicNumber) -> Fraction:
     return Fraction(ceil(x.hi) + 1)
 
 
+def _simplest_between(x: Fraction, y: Fraction) -> Fraction:
+    """The fraction of least denominator in the open interval (x, y)."""
+    n = floor(x) + 1
+    if n < y:
+        return Fraction(n)
+    whole = n - 1  # x and y lie in [whole, whole + 1]
+    if x == whole:
+        return whole + Fraction(1, floor(1 / (y - whole)) + 1)
+    return whole + 1 / _simplest_between(1 / (y - whole), 1 / (x - whole))
+
+
 def _rational_between(a: RealAlgebraicNumber, b: RealAlgebraicNumber) -> Fraction:
+    """A sector sample between two separated roots.  The endpoints of
+    narrow isolating intervals can carry huge denominators; the simplest
+    fraction between them keeps the polynomials lifted over the sample
+    small."""
     while not a.hi < b.lo:
         progressed = False
         if not a.is_rational:
@@ -168,7 +188,13 @@ def _rational_between(a: RealAlgebraicNumber, b: RealAlgebraicNumber) -> Fractio
             progressed = True
         if not progressed:
             raise AssertionError("distinct rationals must already be separated")
-    return (a.hi + b.lo) / 2
+    return _simplest_between(a.hi, b.lo)
+
+
+def _same_number(root: RealAlgebraicNumber, sample) -> bool:
+    if isinstance(sample, RealAlgebraicNumber):
+        return root.compare(sample) == 0
+    return root.compare_rational(sample) == 0
 
 
 def _merge_roots(groups: list) -> list:
@@ -265,10 +291,13 @@ class _Decider:
         slots: dict = {}
         self._atom_keys = {}
         self._atom_level = {}
+        self._atom_index = {}  # an atom's place in its level's polynomials
         for atom in atoms_of(sentence.matrix):
             used = atom.poly.used_vars()
             self._atom_keys[id(atom)] = (slots.setdefault(atom.poly, len(slots)), used)
-            self._atom_level[id(atom)] = max((self.order.index(v) + 1 for v in used), default=0)
+            lvl = self._atom_level[id(atom)] = max((self.order.index(v) + 1 for v in used), default=0)
+            if lvl:
+                self._atom_index[id(atom)] = self.levels[lvl].index(_canonical(atom.poly))
         # trial evaluation can only change its answer where atoms become known
         self._trial_levels = {lvl + 1 for lvl in self._atom_level.values()}
         self._roots_memo: dict = {}
@@ -319,8 +348,29 @@ class _Decider:
         key = (slot, tuple(_coord_key(point[v]) for v in used))
         sign = self._sign_memo.get(key)
         if sign is None:
-            sign = self._sign_memo[key] = sign_at_point(atom.poly, point)
+            sign = self._sign_memo[key] = self._sign_on_cell(atom, point)
         return sign
+
+    def _sign_on_cell(self, atom: Atom, point: dict) -> int:
+        """The atom's sign, with its zeros read off the decomposition
+        where sign_at_point would need a characteristic polynomial to
+        recognize one: at two or more irrational coordinates.  The atom's
+        polynomial is one of its level's, and the point's coordinate on
+        that level is a sample lifted over the rest of the point, so the
+        polynomial vanishes exactly where that sample is one of its roots
+        there (everywhere, if it vanishes identically).  Only a nonzero
+        sign is left to sign_at_point, which then needs no zero test."""
+        _, used = self._atom_keys[id(atom)]
+        irrational = [v for v in used if isinstance(point[v], RealAlgebraicNumber)
+                      and not point[v].is_rational]
+        if len(irrational) < 2:
+            return sign_at_point(atom.poly, point)
+        level = self._atom_level[id(atom)]
+        roots = self._roots(level, self._atom_index[id(atom)], point)
+        sample = point[self.order[level - 1]]
+        if roots is None or any(r is sample or _same_number(r, sample) for r in roots):
+            return 0
+        return sign_at_point(atom.poly, point, nonzero=True)
 
     def _trial_truth(self, level: int, point: dict):
         """The matrix in three-valued logic over the atoms whose variables

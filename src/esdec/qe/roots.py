@@ -27,11 +27,19 @@ refinement; exact zero recognition goes through a resultant cascade
 that produces an integer "characteristic" polynomial of the queried
 value, whose nonzero roots are bounded away from zero by a computable
 gap.  This keeps every decision exact without any numeric fallback.
+The cascade is built only when a few bisections leave zero inside the
+enclosure, and root finding at such points accepts a candidate root
+without it when the polynomial changes sign across the candidate's
+isolating interval.  A cascade step whose resultant vanishes identically
+(a reducible defining polynomial, or coordinates that depend on each
+other) is repaired by splitting the defining polynomial and dividing the
+shared factor out; see _eliminate_algebraics.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd as int_gcd
 
 from ..errors import ResourceLimitError
@@ -109,10 +117,13 @@ def udivmod(a: Coeffs, b: Coeffs):
 
 
 def ugcd(a: Coeffs, b: Coeffs) -> Coeffs:
+    """Primitive gcd by Euclid's algorithm; each remainder is scaled to
+    its primitive integer form, which keeps the coefficients from
+    growing with the number of steps."""
     a, b = utrim(a), utrim(b)
     while not uis_zero(b):
         _, r = udivmod(a, b)
-        a, b = b, r
+        a, b = b, _positive_primitive(r)
     return uprimitive(a) if not uis_zero(a) else [Fraction(0)]
 
 
@@ -257,6 +268,25 @@ class RealAlgebraicNumber:
             self.lo = mid
         else:
             self.hi = mid
+
+    def restrict(self, factor: Coeffs):
+        """Define this number by whichever of ``factor``, a factor of the
+        defining polynomial, and its cofactor it is a root of.  Either has
+        only roots of the defining polynomial, so the interval stays
+        isolating; a linear one gives the number's rational value.
+        Returns whether the number is a root of ``factor``."""
+        is_root = self.sign_of_poly(factor) == 0
+        if self.value is not None:
+            return is_root
+        factor = uprimitive(factor if is_root else udivmod(self.poly, factor)[0])
+        if udeg(factor) == 1:
+            self.value = -factor[0] / factor[1]
+            self.lo = self.hi = self.value
+            self.poly = None
+        else:
+            self.poly = factor
+            self._lo_positive = ueval(factor, self.lo) > 0
+        return is_root
 
     def sign_of_poly(self, q: Coeffs) -> int:
         """Exact sign of q at this number."""
@@ -433,20 +463,82 @@ def _reduce_mod(M: MultiPoly, defining: Coeffs, var: str) -> MultiPoly:
     return MultiPoly.from_univar(coeffs, var)
 
 
+def _coeffs_in(M: MultiPoly, var: str) -> dict:
+    """M as univariate coefficient lists in ``var``, one per monomial in
+    the other variables (exponent tuples with var's entry dropped)."""
+    i = M.vars.index(var)
+    by_rest: dict = {}
+    for mono, coeff in M.terms.items():
+        by_rest.setdefault(mono[:i] + mono[i + 1:], {})[mono[i]] = coeff
+    return {rest: [powers.get(k, Fraction(0)) for k in range(max(powers) + 1)]
+            for rest, powers in by_rest.items()}
+
+
+def _shared_factor(defining: Coeffs, M: MultiPoly, var: str) -> Coeffs:
+    """gcd of the defining polynomial and every coefficient of M taken
+    as a polynomial in ``var`` over the other variables."""
+    g = defining
+    for coeffs in _coeffs_in(M, var).values():
+        g = ugcd(g, coeffs)
+        if udeg(g) == 0:
+            break
+    return g
+
+
+def _divide_out(M: MultiPoly, factor: Coeffs, var: str) -> MultiPoly:
+    """M divided by the highest power of factor(var) that divides it."""
+    i = M.vars.index(var)
+    parts = _coeffs_in(M, var)
+    while True:
+        quotients = {}
+        for rest, coeffs in parts.items():
+            q, r = udivmod(coeffs, factor)
+            if not uis_zero(r):
+                return MultiPoly(M.vars, {
+                    other[:i] + (k,) + other[i:]: c
+                    for other, cs in parts.items() for k, c in enumerate(cs)})
+            quotients[rest] = q
+        parts = quotients
+
+
 def _eliminate_algebraics(M: MultiPoly, algs: dict) -> MultiPoly:
     """Cascade of resultants with the defining polynomials; the result
     vanishes wherever M vanishes at the actual algebraic coordinates
-    (with conjugate combinations possibly adding spurious zeros)."""
+    (with conjugate combinations possibly adding spurious zeros).
+
+    A resultant vanishes identically when the defining polynomial shares
+    a factor with every coefficient of the polynomial ``out`` it is taken
+    with.  The number is redefined by that factor or by its cofactor,
+    whichever it is a root of (RealAlgebraicNumber.restrict), and the step
+    is redone.  In the first case ``out`` vanishes identically at the
+    number: it is the product over the conjugates of the numbers
+    eliminated before, and some conjugate's factor vanishes there.  The
+    factor taken by the actual numbers does not, so dividing ``out`` by
+    the highest power of the shared factor keeps its zeros and leaves a
+    polynomial that does not vanish identically at the number."""
     from .resultants import resultant
 
     out = M
     for v in sorted(algs, key=lambda s: s):
         a = algs[v]
-        out = _reduce_mod(out, a.poly, v)
-        if v not in out.used_vars():
-            out = out.partial_eval({v: Fraction(0)}) if v in out.vars else out
-            continue
-        out = resultant(_defining_multipoly(a, v), out, v)
+        while not out.is_zero:
+            if a.is_rational:
+                out = out.partial_eval({v: a.value}) if v in out.vars else out
+                break
+            reduced = _reduce_mod(out, a.poly, v)
+            if not reduced.is_zero:
+                if v not in reduced.used_vars():
+                    out = reduced.partial_eval({v: Fraction(0)}) if v in reduced.vars else reduced
+                    break
+                res = resultant(_defining_multipoly(a, v), reduced, v)
+                if not res.is_zero:
+                    out = res
+                    break
+            shared = _shared_factor(a.poly, out, v)
+            if udeg(shared) == 0:  # not reached: a zero resultant needs a shared factor
+                return MultiPoly.zero()
+            if a.restrict(shared):
+                out = _divide_out(out, shared, v)
     return out
 
 
@@ -482,9 +574,29 @@ def _split_point(point: dict):
     return rats, algs
 
 
-def sign_at_point(p: MultiPoly, point: dict) -> int:
+# bisections of every live coordinate before sign_at_point builds the
+# characteristic polynomial: a nonzero value is usually told apart from
+# zero by then, and only zero needs the polynomial
+_PLAIN_REFINEMENTS = 16
+
+
+def _characteristic(q: MultiPoly, live: dict):
+    """(zero_possible, gap) from the characteristic polynomial N of q's
+    value: N(0) == 0 unless the value is nonzero, and gap lies below
+    every nonzero root of N."""
+    tvar = _fresh_var(q.vars)
+    M = MultiPoly.var(tvar, (tvar,) + q.vars) - q.with_vars((tvar,) + q.vars)
+    N_poly = _eliminate_algebraics(M, live)
+    ncoeffs = [c.constant_value() for c in N_poly.as_univar(tvar)]
+    if any(c is None for c in ncoeffs) or uis_zero(ncoeffs):
+        raise ResourceLimitError("degenerate characteristic polynomial")
+    return ncoeffs[0] == 0, _nonzero_root_gap(ncoeffs)
+
+
+def sign_at_point(p: MultiPoly, point: dict, *, nonzero: bool = False) -> int:
     """Exact sign of p at a sample point whose coordinates are Fractions
-    or RealAlgebraicNumbers."""
+    or RealAlgebraicNumbers.  A caller that knows the value is not zero
+    says ``nonzero``: refinement alone then settles the sign."""
     rats, algs = _split_point(point)
     q = p.partial_eval(rats).drop_unused()
     live = {v: algs[v] for v in q.used_vars()}
@@ -496,30 +608,40 @@ def sign_at_point(p: MultiPoly, point: dict) -> int:
         coeffs = [c.constant_value() for c in q.as_univar(v)]
         return a.sign_of_poly(coeffs)
 
-    tvar = _fresh_var(q.vars)
-    M = MultiPoly.var(tvar, (tvar,) + q.vars) - q.with_vars((tvar,) + q.vars)
-    N_poly = _eliminate_algebraics(M, live)
-    ncoeffs = [c.constant_value() for c in N_poly.as_univar(tvar)]
-    if any(c is None for c in ncoeffs) or uis_zero(ncoeffs):
-        raise ResourceLimitError("degenerate characteristic polynomial")
-    zero_possible = ncoeffs[0] == 0
-    gap = _nonzero_root_gap(ncoeffs)
-    while True:
+    zero_test = None
+    for rounds in count():
         box = interval_eval(q, {v: a.interval() for v, a in live.items()})
         if box[0] > 0:
             return 1
         if box[1] < 0:
             return -1
-        if not zero_possible:
-            pass  # the value is a nonzero root of N; keep refining
-        elif -gap < box[0] and box[1] < gap:
-            return 0
+        if rounds == _PLAIN_REFINEMENTS and not nonzero:
+            zero_test = _characteristic(q, live)
+        if zero_test is not None:
+            zero_possible, gap = zero_test
+            # else the value is a nonzero root of N; keep refining
+            if zero_possible and -gap < box[0] and box[1] < gap:
+                return 0
         collapsed = False
         for a in live.values():
             a.refine()
             collapsed = collapsed or a.is_rational
         if collapsed:
-            return sign_at_point(p, point)
+            return sign_at_point(p, point, nonzero=nonzero)
+
+
+def _changes_sign_around(p: MultiPoly, point: dict, var: str, root) -> bool:
+    """Whether p(sample, var) has opposite signs at the two ends of an
+    irrational root's isolating interval.  The interval isolates the root
+    among those of the elimination polynomial, which has every root of
+    p(sample, var), so a sign change puts a root of p at the root, and
+    p is not zero at either end.  This spares the characteristic
+    polynomial that recognizing a zero takes."""
+    if root.is_rational:
+        return False
+    lo, hi = root.interval()
+    return sign_at_point(p, {**point, var: lo}, nonzero=True) * \
+        sign_at_point(p, {**point, var: hi}, nonzero=True) < 0
 
 
 def roots_at_point(p: MultiPoly, point: dict, var: str):
@@ -557,8 +679,7 @@ def roots_at_point(p: MultiPoly, point: dict, var: str):
         raise ResourceLimitError("algebraic lifting degeneracy: cascade vanished")
     out = []
     for cand in isolate_real_roots(ncoeffs):
-        full = dict(point)
-        full[var] = cand
-        if sign_at_point(trunc, full) == 0:
+        if _changes_sign_around(trunc, algs, var, cand) or \
+                sign_at_point(trunc, {**algs, var: cand}) == 0:
             out.append(cand)
     return out

@@ -257,9 +257,9 @@ def test_lifting_memo_reuses_results_across_unused_coordinates(monkeypatch):
     calls = {"roots": 0, "signs": 0}
 
     def counted(kind, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[kind] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(cad, "roots_at_point", counted("roots", roots_at_point))
@@ -374,6 +374,9 @@ def test_eventually_lifts_one_cell_per_level():
 # irrational roots defined with the rational root 0 of x(2x^2 - 1) left in
 # make the elimination resultant vanish identically
 @example("forall x. forall y. 1 - 2*y*y < 0 and x*x + x*y < 0", 0)
+# -sqrt2 defined by x^4 - 4, whose factor x^2 + 2 divides a lifted
+# polynomial: the elimination resultant vanishes identically
+@example("forall x. forall z. exists y. (2*y*y + z*z < 0 and -2*x*y - 2*z < 0) or 1 - z + y*y < 0", 1)
 @settings(max_examples=40, deadline=None)
 def test_eventually_matches_its_definition(text, index):
     """eventually v. Psi  ==  exists c. forall v. v <= c or Psi, with the

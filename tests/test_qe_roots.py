@@ -251,6 +251,42 @@ def test_roots_at_point():
     assert [r.value for r in got] == [-2, 2]
 
 
+def test_roots_at_point_with_a_reducible_defining_polynomial():
+    """-sqrt2 defined by x^4 - 4 = (x^2 - 2)(x^2 + 2): the polynomial's
+    coefficients share the factor x^2 + 2, so the resultant with x^4 - 4
+    vanishes identically; the number is redefined by x^2 - 2."""
+    x, z = MultiPoly.var("x"), MultiPoly.var("z")
+    a = RealAlgebraicNumber([F(-4), F(0), F(0), F(0), F(1)], F(-15, 8), F(-5, 4))
+    roots = roots_at_point((x ** 2 + 2) * (z ** 2 - 1) * z, {"x": a}, "z")
+    assert [r.value for r in roots] == [-1, 0, 1]
+    assert a.poly == [F(-2), F(0), F(1)] and a.lo ** 2 > 2 > a.hi ** 2
+    # restrict keeps the factor the number is a root of, else the cofactor
+    b = RealAlgebraicNumber([F(-4), F(0), F(0), F(0), F(1)], F(-15, 8), F(-5, 4))
+    b.restrict([F(-2), F(0), F(1)])
+    assert b.poly == [F(-2), F(0), F(1)] and sign_at_point(x ** 2 - 2, {"x": b}) == 0
+    # a linear factor gives the rational value: 1 is the root of
+    # (x - 1)(x^2 - 2) in (1/2, 5/4)
+    c = RealAlgebraicNumber([F(2), F(-2), F(-1), F(1)], F(1, 2), F(5, 4))
+    c.restrict([F(2), F(0), F(-1)])
+    assert c.is_rational and c.value == 1
+
+
+def test_roots_at_point_with_dependent_coordinates():
+    """a = -1/sqrt2 and b = sqrt2: (ab - 1)(z^2 - 2) vanishes identically
+    at the conjugate a = 1/sqrt2, so the cascade over a leaves a factor
+    b^2 - 2 that vanishes at b; it is divided out, and the zeros at the
+    actual coordinates stay."""
+    a, b, z = MultiPoly.var("a"), MultiPoly.var("b"), MultiPoly.var("z")
+    alpha = RealAlgebraicNumber([F(-1), F(0), F(2)], F(-1), F(0))
+    beta = RealAlgebraicNumber([F(-2), F(0), F(1)], F(1), F(2))
+    point = {"a": alpha, "b": beta}
+    low, high = roots_at_point((a * b - 1) * (z ** 2 - 2), point, "z")
+    assert sign_at_point(z + b, {"b": beta, "z": low}) == 0
+    assert sign_at_point(z - b, {"b": beta, "z": high}) == 0
+    assert sign_at_point(a * b + 1, point) == 0
+    assert sign_at_point(a * b * z, {**point, "z": high}) == -1
+
+
 def test_interval_eval():
     x = MultiPoly.var("x1")
     lo, hi = interval_eval(x ** 2 - 1, {"x1": (F(-1, 2), F(1, 2))})
