@@ -134,10 +134,16 @@ def collins_project(polys: list, var: str) -> list:
         if q is not None:
             out[q] = True
 
-    unis = []
+    # a polynomial in var alone has constant coefficients, and so do the
+    # psc sets it takes part in with another such polynomial: those add
+    # nothing, and at a level with many of them computing them dominates
+    unis, alone = [], []
     for p in polys:
         coeffs = p.as_univar(var)
         unis.append(coeffs)
+        alone.append(all(c.constant_value() is not None for c in coeffs))
+        if alone[-1]:
+            continue
         for c in coeffs:
             add(c)
         for red in _reducta(coeffs):
@@ -147,6 +153,8 @@ def collins_project(polys: list, var: str) -> list:
                     add(v)
     for i in range(len(unis)):
         for j in range(i + 1, len(unis)):
+            if alone[i] and alone[j]:
+                continue
             for ri in _reducta(unis[i]):
                 for rj in _reducta(unis[j]):
                     for v in psc_set(ri, rj):
