@@ -11,14 +11,14 @@ cell counts.
 Lifting walks the levels outermost-first.  Over each sample point of
 the level below, the level's polynomials are solved exactly
 (roots_at_point), the merged roots cut the line into sectors and
-sections, sectors get rational sample points (the fraction of least
-denominator in each gap, integer points beyond the extremes), and
-sections carry their real algebraic number.  Truths are folded back up
-through the quantifier prefix with short-circuiting.  An atom's
-polynomial is one of its level's, so whether it vanishes at a sample
-point is read off the decomposition: exactly when the point's
-coordinate on that level is one of its roots there.  Exact zero tests
-at algebraic points, the costly part of sign evaluation, are not needed
+sections, sectors get rational sample points (gap midpoints, integer
+points beyond the extremes), and sections carry their real algebraic
+number.  Truths are folded back up through the quantifier prefix with
+short-circuiting.  An atom's polynomial is one of its level's, so
+whether it vanishes at a sample point with two or more irrational
+coordinates is read off the decomposition: exactly when the point's
+coordinate on that level is one of its roots there.  The exact zero
+test at such points, the costly part of sign evaluation, is not needed
 for atoms.
 
 Trial evaluation (partial CAD's; Collins & Hong, JSC 1991): on entry to
@@ -170,22 +170,7 @@ def _rational_above(x: RealAlgebraicNumber) -> Fraction:
     return Fraction(ceil(x.hi) + 1)
 
 
-def _simplest_between(x: Fraction, y: Fraction) -> Fraction:
-    """The fraction of least denominator in the open interval (x, y)."""
-    n = floor(x) + 1
-    if n < y:
-        return Fraction(n)
-    whole = n - 1  # x and y lie in [whole, whole + 1]
-    if x == whole:
-        return whole + Fraction(1, floor(1 / (y - whole)) + 1)
-    return whole + 1 / _simplest_between(1 / (y - whole), 1 / (x - whole))
-
-
 def _rational_between(a: RealAlgebraicNumber, b: RealAlgebraicNumber) -> Fraction:
-    """A sector sample between two separated roots.  The endpoints of
-    narrow isolating intervals can carry huge denominators; the simplest
-    fraction between them keeps the polynomials lifted over the sample
-    small."""
     while not a.hi < b.lo:
         progressed = False
         if not a.is_rational:
@@ -196,7 +181,7 @@ def _rational_between(a: RealAlgebraicNumber, b: RealAlgebraicNumber) -> Fractio
             progressed = True
         if not progressed:
             raise AssertionError("distinct rationals must already be separated")
-    return _simplest_between(a.hi, b.lo)
+    return (a.hi + b.lo) / 2
 
 
 def _same_number(root: RealAlgebraicNumber, sample) -> bool:
@@ -366,8 +351,8 @@ class _Decider:
         polynomial is one of its level's, and the point's coordinate on
         that level is a sample lifted over the rest of the point, so the
         polynomial vanishes exactly where that sample is one of its roots
-        there (everywhere, if it vanishes identically).  Only a nonzero
-        sign is left to sign_at_point, which then needs no zero test."""
+        there (everywhere, if it vanishes identically).  Only the sign of
+        a nonzero value is left to sign_at_point."""
         _, used = self._atom_keys[id(atom)]
         irrational = [v for v in used if isinstance(point[v], RealAlgebraicNumber)
                       and not point[v].is_rational]
@@ -378,7 +363,7 @@ class _Decider:
         sample = point[self.order[level - 1]]
         if roots is None or any(r is sample or _same_number(r, sample) for r in roots):
             return 0
-        return sign_at_point(atom.poly, point, nonzero=True)
+        return sign_at_point(atom.poly, point)
 
     def _trial_truth(self, level: int, point: dict):
         """The matrix in three-valued logic over the atoms whose variables

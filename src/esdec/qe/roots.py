@@ -27,10 +27,11 @@ refinement; exact zero recognition goes through a resultant cascade
 that produces an integer "characteristic" polynomial of the queried
 value, whose nonzero roots are bounded away from zero by a computable
 gap.  This keeps every decision exact without any numeric fallback.
-The cascade is built only when a few bisections leave zero inside the
-enclosure, and root finding at such points accepts a candidate root
-without it when the polynomial changes sign across the candidate's
-isolating interval.  A cascade step whose resultant vanishes identically
+The cascade is built only when an enclosure of the value holds zero,
+and root finding accepts a candidate root without a zero test at it
+when the polynomial changes sign across the candidate's isolating
+interval.
+A cascade step whose resultant vanishes identically
 (a reducible defining polynomial, or coordinates that depend on each
 other) is repaired by splitting the defining polynomial and dividing the
 shared factor out; see _eliminate_algebraics.
@@ -39,7 +40,6 @@ shared factor out; see _eliminate_algebraics.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
 from math import gcd as int_gcd
 
 from ..errors import ResourceLimitError
@@ -117,13 +117,10 @@ def udivmod(a: Coeffs, b: Coeffs):
 
 
 def ugcd(a: Coeffs, b: Coeffs) -> Coeffs:
-    """Primitive gcd by Euclid's algorithm; each remainder is scaled to
-    its primitive integer form, which keeps the coefficients from
-    growing with the number of steps."""
     a, b = utrim(a), utrim(b)
     while not uis_zero(b):
         _, r = udivmod(a, b)
-        a, b = b, _positive_primitive(r)
+        a, b = b, r
     return uprimitive(a) if not uis_zero(a) else [Fraction(0)]
 
 
@@ -574,29 +571,9 @@ def _split_point(point: dict):
     return rats, algs
 
 
-# bisections of every live coordinate before sign_at_point builds the
-# characteristic polynomial: a nonzero value is usually told apart from
-# zero by then, and only zero needs the polynomial
-_PLAIN_REFINEMENTS = 16
-
-
-def _characteristic(q: MultiPoly, live: dict):
-    """(zero_possible, gap) from the characteristic polynomial N of q's
-    value: N(0) == 0 unless the value is nonzero, and gap lies below
-    every nonzero root of N."""
-    tvar = _fresh_var(q.vars)
-    M = MultiPoly.var(tvar, (tvar,) + q.vars) - q.with_vars((tvar,) + q.vars)
-    N_poly = _eliminate_algebraics(M, live)
-    ncoeffs = [c.constant_value() for c in N_poly.as_univar(tvar)]
-    if any(c is None for c in ncoeffs) or uis_zero(ncoeffs):
-        raise ResourceLimitError("degenerate characteristic polynomial")
-    return ncoeffs[0] == 0, _nonzero_root_gap(ncoeffs)
-
-
-def sign_at_point(p: MultiPoly, point: dict, *, nonzero: bool = False) -> int:
+def sign_at_point(p: MultiPoly, point: dict) -> int:
     """Exact sign of p at a sample point whose coordinates are Fractions
-    or RealAlgebraicNumbers.  A caller that knows the value is not zero
-    says ``nonzero``: refinement alone then settles the sign."""
+    or RealAlgebraicNumbers."""
     rats, algs = _split_point(point)
     q = p.partial_eval(rats).drop_unused()
     live = {v: algs[v] for v in q.used_vars()}
@@ -608,26 +585,34 @@ def sign_at_point(p: MultiPoly, point: dict, *, nonzero: bool = False) -> int:
         coeffs = [c.constant_value() for c in q.as_univar(v)]
         return a.sign_of_poly(coeffs)
 
-    zero_test = None
-    for rounds in count():
+    gap = None
+    while True:
         box = interval_eval(q, {v: a.interval() for v, a in live.items()})
         if box[0] > 0:
             return 1
         if box[1] < 0:
             return -1
-        if rounds == _PLAIN_REFINEMENTS and not nonzero:
-            zero_test = _characteristic(q, live)
-        if zero_test is not None:
-            zero_possible, gap = zero_test
-            # else the value is a nonzero root of N; keep refining
-            if zero_possible and -gap < box[0] and box[1] < gap:
-                return 0
+        if gap is None:
+            # built only once an enclosure holds zero: most signs are
+            # read off the first enclosure
+            tvar = _fresh_var(q.vars)
+            M = MultiPoly.var(tvar, (tvar,) + q.vars) - q.with_vars((tvar,) + q.vars)
+            N_poly = _eliminate_algebraics(M, live)
+            ncoeffs = [c.constant_value() for c in N_poly.as_univar(tvar)]
+            if any(c is None for c in ncoeffs) or uis_zero(ncoeffs):
+                raise ResourceLimitError("degenerate characteristic polynomial")
+            zero_possible = ncoeffs[0] == 0
+            gap = _nonzero_root_gap(ncoeffs)
+        if not zero_possible:
+            pass  # the value is a nonzero root of N; keep refining
+        elif -gap < box[0] and box[1] < gap:
+            return 0
         collapsed = False
         for a in live.values():
             a.refine()
             collapsed = collapsed or a.is_rational
         if collapsed:
-            return sign_at_point(p, point, nonzero=nonzero)
+            return sign_at_point(p, point)
 
 
 def _changes_sign_around(p: MultiPoly, point: dict, var: str, root) -> bool:
@@ -635,13 +620,13 @@ def _changes_sign_around(p: MultiPoly, point: dict, var: str, root) -> bool:
     irrational root's isolating interval.  The interval isolates the root
     among those of the elimination polynomial, which has every root of
     p(sample, var), so a sign change puts a root of p at the root, and
-    p is not zero at either end.  This spares the characteristic
-    polynomial that recognizing a zero takes."""
+    p is not zero at either end.  The ends are rational, so this spares
+    the zero test at the root itself, whose characteristic polynomial
+    carries the root's defining polynomial."""
     if root.is_rational:
         return False
     lo, hi = root.interval()
-    return sign_at_point(p, {**point, var: lo}, nonzero=True) * \
-        sign_at_point(p, {**point, var: hi}, nonzero=True) < 0
+    return sign_at_point(p, {**point, var: lo}) * sign_at_point(p, {**point, var: hi}) < 0
 
 
 def roots_at_point(p: MultiPoly, point: dict, var: str):

@@ -257,9 +257,9 @@ def test_lifting_memo_reuses_results_across_unused_coordinates(monkeypatch):
     calls = {"roots": 0, "signs": 0}
 
     def counted(kind, fn):
-        def wrapper(*args, **kwargs):
+        def wrapper(*args):
             calls[kind] += 1
-            return fn(*args, **kwargs)
+            return fn(*args)
         return wrapper
 
     monkeypatch.setattr(cad, "roots_at_point", counted("roots", roots_at_point))
