@@ -284,13 +284,11 @@ class _Decider:
         slots: dict = {}
         self._atom_keys = {}
         self._atom_level = {}
-        self._atom_index = {}  # an atom's place in its level's polynomials
+        self._atom_index = {}  # an atom's place in its level's polynomials, found on first use
         for atom in atoms_of(sentence.matrix):
             used = atom.poly.used_vars()
             self._atom_keys[id(atom)] = (slots.setdefault(atom.poly, len(slots)), used)
-            lvl = self._atom_level[id(atom)] = max((self.order.index(v) + 1 for v in used), default=0)
-            if lvl:
-                self._atom_index[id(atom)] = self.levels[lvl].index(_canonical(atom.poly))
+            self._atom_level[id(atom)] = max((self.order.index(v) + 1 for v in used), default=0)
         # trial evaluation can only change its answer where atoms become known
         self._trial_levels = {lvl + 1 for lvl in self._atom_level.values()}
         self._roots_memo: dict = {}
@@ -359,7 +357,10 @@ class _Decider:
         if len(irrational) < 2:
             return sign_at_point(atom.poly, point)
         level = self._atom_level[id(atom)]
-        roots = self._roots(level, self._atom_index[id(atom)], point)
+        index = self._atom_index.get(id(atom))
+        if index is None:
+            index = self._atom_index[id(atom)] = self.levels[level].index(_canonical(atom.poly))
+        roots = self._roots(level, index, point)
         sample = point[self.order[level - 1]]
         if roots is None or any(r is sample or _same_number(r, sample) for r in roots):
             return 0
