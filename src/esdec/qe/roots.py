@@ -30,11 +30,10 @@ gap.  This keeps every decision exact without any numeric fallback.
 The cascade is built only when an enclosure of the value holds zero,
 and root finding accepts a candidate root without a zero test at it
 when the polynomial changes sign across the candidate's isolating
-interval.
-A cascade step whose resultant vanishes identically
-(a reducible defining polynomial, or coordinates that depend on each
-other) is repaired by splitting the defining polynomial and dividing the
-shared factor out; see _eliminate_algebraics.
+interval.  A cascade step whose resultant vanishes identically (a
+reducible defining polynomial, or coordinates that depend on each
+other) is repaired by splitting the defining polynomial and dividing
+the shared factor out; see _eliminate_algebraics.
 """
 
 from __future__ import annotations
