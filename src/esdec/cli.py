@@ -108,7 +108,7 @@ def cmd_feasible(args) -> int:
     rows = []
     feasible = infeasible = undecided = 0
     try:
-        types = list(enumerate_types(Q, cap=args.type_cap))
+        types = enumerate_types(Q, cap=args.type_cap)
     except ResourceLimitError as exc:
         print(f"type enumeration over cap: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED

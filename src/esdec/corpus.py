@@ -24,7 +24,8 @@ from typing import Sequence
 
 from .errors import DegenerateCrossRatioError
 from .poly import MultiPoly
-from .predicates import And, Atom, Predicate, PredicateSet
+from .predicates import And, Atom, Predicate, PredicateSet, _rename_x, eval_at
+from .ramsey import canonical_growing
 
 
 def cross_ratio(z1, z2, z3, z4) -> Fraction:
@@ -68,7 +69,6 @@ def crossratio_family() -> PredicateSet:
     grow2 = Atom((n5 ** 2 * d4 ** 4 - n4 ** 4 * d5 ** 2).drop_unused(), ">=")
     member2 = Predicate(And(tuple(distinct) + (grow1, grow2)), 5)
     flip = {f"x{i}": f"x{6 - i}" for i in range(1, 6)}
-    from .predicates import _rename_x
     member3 = Predicate(_rename_x(member2.root, flip), 5)
     member1 = Predicate(Atom(_x(1, ("x1", "x2")) - _x(2, ("x1", "x2")), "="), 2)
     return PredicateSet((member1, member2, member3))
@@ -165,7 +165,6 @@ def longest_homogeneous_bruteforce(seq: Sequence[Fraction], pred: Predicate,
             return True
         for rest in combinations(range(m), k - 1):
             tup = [values[prefix[r]] for r in rest] + [values[new]]
-            from .predicates import eval_at
             if not eval_at(pred, tup):
                 return False
         return True
@@ -222,6 +221,5 @@ def generate(spec: CorpusSpec) -> list:
     if spec.family == "shifted_reciprocal":
         return [spec.A + spec.B / i for i in range(1, N + 1)]
     if spec.family == "growing":
-        from .ramsey import canonical_growing
         return canonical_growing(spec.R, N)
     raise ValueError(f"unknown sequence family {spec.family!r}")

@@ -153,7 +153,7 @@ def decide_es(pset: PredicateSet, budget: QeBudget | None = None,
         Q = build_Q(pset, kind)
         screen_cache: dict = {}
         try:
-            types = list(enumerate_types(Q, cap=type_cap))
+            types = enumerate_types(Q, cap=type_cap)
         except ResourceLimitError as exc:
             stats.undecided_events.append(f"{kind.value}: {exc}")
             continue

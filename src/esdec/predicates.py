@@ -61,17 +61,26 @@ def rel_holds(sign: int, rel: str) -> bool:
     raise ValueError(f"unknown relation {rel!r}")
 
 
-def eval_with(node: Node, atom_truth: Callable[[Atom], bool]) -> bool:
-    """Evaluate a predicate tree given a truth assignment for atoms."""
+def eval_with(node: Node, atom_truth: Callable[[Atom], bool | None]) -> bool | None:
+    """Evaluate a predicate tree given a truth assignment for atoms, in
+    three-valued (Kleene) logic: ``atom_truth`` may read None for an atom
+    it cannot decide, and the value is None when the known atoms leave it
+    open.  With a total assignment it is the two-valued one."""
     if isinstance(node, Atom):
         return atom_truth(node)
     if isinstance(node, Not):
-        return not eval_with(node.child, atom_truth)
-    if isinstance(node, And):
-        return all(eval_with(c, atom_truth) for c in node.children)
-    if isinstance(node, Or):
-        return any(eval_with(c, atom_truth) for c in node.children)
-    raise TypeError(f"not a predicate node: {node!r}")
+        sub = eval_with(node.child, atom_truth)
+        return None if sub is None else not sub
+    if not isinstance(node, (And, Or)):
+        raise TypeError(f"not a predicate node: {node!r}")
+    settling = isinstance(node, Or)  # a true disjunct, a false conjunct
+    unknown = False
+    for child in node.children:
+        sub = eval_with(child, atom_truth)
+        if sub is settling:
+            return settling
+        unknown = unknown or sub is None
+    return None if unknown else not settling
 
 
 def atoms_of(node: Node) -> list:

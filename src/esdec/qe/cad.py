@@ -85,7 +85,7 @@ from math import ceil, floor
 
 from ..errors import ResourceLimitError
 from ..poly import MultiPoly
-from ..predicates import And, Atom, Not, Or, atoms_of, rel_holds
+from ..predicates import Atom, atoms_of, eval_with, rel_holds
 from .resultants import psc_set
 from .roots import RealAlgebraicNumber, roots_at_point, sign_at_point
 from .sentences import EVENTUALLY, EXISTS, FORALL, Sentence
@@ -214,26 +214,6 @@ def _settles(quant: str, sub: bool) -> bool:
     for exists, a counterexample for forall, and always for eventually,
     which lifts a single cell."""
     return quant == EVENTUALLY or sub == (quant == EXISTS)
-
-
-def _kleene(node, atom_truth):
-    """Three-valued value of a matrix: True, False, or None (unknown)
-    where ``atom_truth`` reads None for the atoms it cannot decide yet."""
-    if isinstance(node, Atom):
-        return atom_truth(node)
-    if isinstance(node, Not):
-        sub = _kleene(node.child, atom_truth)
-        return None if sub is None else not sub
-    if not isinstance(node, (And, Or)):
-        raise TypeError(f"not a predicate node: {node!r}")
-    settling = isinstance(node, Or)  # a true disjunct, a false conjunct
-    unknown = False
-    for child in node.children:
-        sub = _kleene(child, atom_truth)
-        if sub is settling:
-            return settling
-        unknown = unknown or sub is None
-    return None if unknown else not settling
 
 
 @dataclass(frozen=True)
@@ -373,7 +353,7 @@ class _Decider:
             if self._atom_level[id(atom)] >= level:
                 return None
             return rel_holds(self._atom_sign(atom, point), atom.rel)
-        return _kleene(self.sentence.matrix, atom_truth)
+        return eval_with(self.sentence.matrix, atom_truth)
 
     def _top_sample(self, level: int, point: dict) -> Fraction:
         """A rational above every root of the level's polynomials; each

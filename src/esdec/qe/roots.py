@@ -311,6 +311,11 @@ class RealAlgebraicNumber:
     def compare_rational(self, r: Fraction) -> int:
         if self.value is not None:
             return 0 if self.value == r else (1 if self.value > r else -1)
+        # the number lies strictly inside its isolating interval
+        if r <= self.lo:
+            return 1
+        if r >= self.hi:
+            return -1
         return self.sign_of_poly([-Fraction(r), Fraction(1)])
 
     def compare(self, other: "RealAlgebraicNumber") -> int:

@@ -30,6 +30,7 @@ failures are reported, never fabricated.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,8 +38,9 @@ from itertools import combinations
 from math import lcm
 from typing import Sequence
 
-from .algebra import TransformKind
+from .algebra import TransformKind, sufficient_R
 from .errors import ExtractionFailure
+from .predicates import atoms_of, member_verdicts
 
 
 @dataclass(frozen=True)
@@ -452,10 +454,25 @@ def _finish(a, c_vals, positions, kind, A, B) -> GrowingEmbedding:
     return emb
 
 
+def _chain(ext: Extraction, positions, scale) -> tuple:
+    """The increasing chain ``ext`` stands for (``ext.normalized``), with
+    the host positions of its terms in the same order."""
+    order = ext.indices if ext.direction == "forward" else ext.indices[::-1]
+    return ext.normalized(scale), [positions[i] for i in order]
+
+
 def extract_growing_embedding(a: Sequence[Fraction], params: GrowthParams) -> GrowingEmbedding:
     """An R-growing sequence b with an exactly verified two-parameter
     embedding (x -> A + B*x or x -> A + B/x, possibly of rev(b)) into
     the host sequence.
+
+    Each R-fold pass reads its chain u through ``Extraction.normalized``,
+    host positions in the same order, so one rule covers both
+    directions.  Pass 1 runs on nu*host (nu = -1 for a decreasing
+    monotone stage), and u = +-nu*host, so with s = +-nu the host is
+    A + s*t, where A = s*u[0] and t = u[1:] - u[0].  Pass 2 runs on t,
+    and c = u[1:]/u[0]: a forward chain u is t, so t = u[0]*c (F1,
+    B = s*u[0]); a reverse one is 1/t, so t = 1/(u[0]*c) (F2, B = s/u[0]).
 
     Raises ExtractionFailure with the losing stage when the host is too
     short or too unstructured for every branch; guarantees exist only
@@ -472,23 +489,11 @@ def extract_growing_embedding(a: Sequence[Fraction], params: GrowthParams) -> Gr
         counts.setdefault(v, []).append(i)
     value, positions = max(counts.items(), key=lambda kv: (len(kv[1]), -kv[1][0]))
     if len(positions) >= n:
-        b = canonical_growing(R, n)
-        witness = EmbeddingWitness(TransformKind.F1, value, Fraction(0), "forward",
-                                   tuple(positions[:n]))
-        emb = GrowingEmbedding(tuple(b), witness)
-        if not verify_embedding(host, b, witness):
-            raise ExtractionFailure("internal: constant witness failed", stage="repeat")
-        return emb
-    if n < 2:
-        raise ExtractionFailure("internal: n=1 should use the repeat branch", stage="input")
+        return _finish(host, canonical_growing(R, n), positions[:n], TransformKind.F1, value, 0)
 
     inc, dec = _strictly_monotone(host)
-    if len(inc) >= len(dec):
-        nu, mono = 1, inc
-    else:
-        nu, mono = -1, dec
+    nu, mono = (1, inc) if len(inc) >= len(dec) else (-1, dec)
     s_vals = [nu * host[i] for i in mono]  # strictly increasing
-    s_pos = list(mono)
     if len(s_vals) < n + 1:
         raise ExtractionFailure(
             f"monotone stage found only {len(s_vals)} terms, need >= {n + 1}",
@@ -505,26 +510,17 @@ def extract_growing_embedding(a: Sequence[Fraction], params: GrowthParams) -> Gr
             raise ExtractionFailure(
                 f"additive pass found no chain of length {n + 1}", stage="pass1"
             ) from exc
-
-    w = [s_vals[i] for i in pass1.indices]
-    wpos = [s_pos[i] for i in pass1.indices]
-    m = len(w)
-    if pass1.direction == "forward":
-        t = [w[j + 1] - w[0] for j in range(m - 1)]
-        t_pos = [wpos[j + 1] for j in range(m - 1)]
-        A2, eps2 = nu * w[0], nu
-    else:
-        t = [w[m - 1] - w[m - 2 - j] for j in range(m - 1)]
-        t_pos = [wpos[m - 2 - j] for j in range(m - 1)]
-        A2, eps2 = nu * w[m - 1], -nu
+    u, u_pos = _chain(pass1, mono, ADDITIVE)
+    s = nu if pass1.direction == "forward" else -nu
+    A, t, t_pos = s * u[0], [x - u[0] for x in u[1:]], u_pos[1:]
     if not (t[0] > 0 and all(t[j + 1] >= R * t[j] for j in range(len(t) - 1))):
         raise ExtractionFailure("internal: shifted chain has a ratio below R", stage="pass1")
 
     # rescale shortcut: t / (t1/R) starts exactly at R and often already grows fast
     lam = t[0] / R
     b_try = [x / lam for x in t[:n]]
-    if len(b_try) == n and is_R_growing(b_try, R):
-        return _finish(host, b_try, t_pos[:n], TransformKind.F1, A2, eps2 * lam)
+    if is_R_growing(b_try, R):
+        return _finish(host, b_try, t_pos[:n], TransformKind.F1, A, s * lam)
 
     # multiplicative pass
     if len(t) < n + 1:
@@ -533,24 +529,13 @@ def extract_growing_embedding(a: Sequence[Fraction], params: GrowthParams) -> Gr
             stage="pass2",
         )
     pass2 = extract_rfold(t, n + 1, R, MULTIPLICATIVE)
-    v = [t[i] for i in pass2.indices]
-    vpos = [t_pos[i] for i in pass2.indices]
-    M = len(v)
-    if pass2.direction == "forward":
-        c = [v[i + 1] / v[0] for i in range(M - 1)]
-        c_pos = [vpos[i + 1] for i in range(M - 1)]
-        kind, B = TransformKind.F1, eps2 * v[0]
-    else:
-        c = [v[M - 1] / v[M - 2 - i] for i in range(M - 1)]
-        c_pos = [vpos[M - 2 - i] for i in range(M - 1)]
-        kind, B = TransformKind.F2, eps2 * v[M - 1]
-    c, c_pos = c[:n], c_pos[:n]
+    u, u_pos = _chain(pass2, t_pos, MULTIPLICATIVE)
+    c = [x / u[0] for x in u[1:]]
     if not is_R_growing(c, R):
         raise ExtractionFailure("ratio-normalized chain is not R-growing", stage="pass2")
-    if kind is TransformKind.F2:
-        # host = A2 + eps2 * v_max / c  ==  A2 + B / c
-        return _finish(host, c, c_pos, TransformKind.F2, A2, B)
-    return _finish(host, c, c_pos, TransformKind.F1, A2, B)
+    if pass2.direction == "forward":
+        return _finish(host, c, u_pos[1:], TransformKind.F1, A, s * u[0])
+    return _finish(host, c, u_pos[1:], TransformKind.F2, A, s / u[0])
 
 
 # -- well-placed refinement and homogeneous extraction ------------------
@@ -591,13 +576,7 @@ def refine_well_placed(b: Sequence[Fraction], Q, A: Fraction, B: Fraction,
         return RefineResult(tuple(vals), 0, len(vals))
 
     def cell(x: Fraction) -> int:
-        lo, hi = 0, len(ratios)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if ratios[mid] < x:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect_left(ratios, x)
         # 2*lo for the open interval below ratios[lo], 2*lo+1 for an exact hit
         if lo < len(ratios) and ratios[lo] == x:
             return 2 * lo + 1
@@ -639,8 +618,6 @@ class HomogeneousResult:
 
 def _homogeneous_verdicts(pset, vals) -> dict | None:
     """The members' verdicts on vals when each is everywhere or nowhere."""
-    from .predicates import member_verdicts
-
     v = member_verdicts(pset, vals)
     if all(s in ("everywhere", "nowhere") for s in v.values()):
         return v
@@ -687,9 +664,7 @@ def extract_homogeneous(a: Sequence[Fraction], pset, n: int,
     """An n-term subsequence on which every member of the set holds
     everywhere or nowhere; constructive pipeline first, brute force as
     the desk-scale fallback.  Output is re-verified by definition."""
-    from . import typesys
-    from .algebra import sufficient_R
-    from .predicates import atoms_of, member_verdicts
+    from . import typesys  # local: typesys imports this module
 
     host = [Fraction(x) for x in a]
     if n < 1:
@@ -713,11 +688,9 @@ def extract_homogeneous(a: Sequence[Fraction], pset, n: int,
         else:
             hostpos = w.index_map[n_all - stop:n_all - start]
         vals = [host[i] for i in hostpos]
-        if len(vals) == n:
-            verdicts = member_verdicts(pset, vals)
-            if all(s in ("everywhere", "nowhere") for s in verdicts.values()):
-                return HomogeneousResult(tuple(hostpos), tuple(vals), verdicts,
-                                         "constructive")
+        verdicts = _homogeneous_verdicts(pset, vals) if len(vals) == n else None
+        if verdicts is not None:
+            return HomogeneousResult(tuple(hostpos), tuple(vals), verdicts, "constructive")
     except ExtractionFailure:
         pass
     return _homogeneous_bruteforce(host, pset, n, node_budget)

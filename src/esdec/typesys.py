@@ -197,7 +197,9 @@ def _entry_assignments(entry: QEntry, cap: int = 1_000_000) -> list:
 def enumerate_types(Q: CoefficientSystem,
                     cap: int = 1_000_000) -> Iterator[CandidateType]:
     """All candidate types satisfying the validity constraints, in a
-    deterministic order.  Raises ResourceLimitError beyond ``cap``."""
+    deterministic order, as a lazy iterator.  Both caps are checked on
+    the call, before any type is built: ResourceLimitError when an
+    entry's unpruned assignments or the type count exceed ``cap``."""
     per_entry = [_entry_assignments(entry, cap) for entry in Q.entries]
     total = 1
     for lst in per_entry:
@@ -207,11 +209,11 @@ def enumerate_types(Q: CoefficientSystem,
             f"candidate type count {total} exceeds cap {cap}",
             types=total, cap=cap,
         )
-    for combo in product(*per_entry):
-        yield CandidateType(
-            sigmas=tuple(sig for sig, _ in combo),
-            taus=tuple(tau for _, tau in combo),
-        )
+    return (
+        CandidateType(sigmas=tuple(sig for sig, _ in combo),
+                      taus=tuple(tau for _, tau in combo))
+        for combo in product(*per_entry)
+    )
 
 
 @dataclass(frozen=True)

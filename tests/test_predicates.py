@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from esdec.errors import ParseError
 from esdec.predicates import (
     And, Atom, Not, Or,
-    PredicateSet, eval_at, holds_everywhere, member_verdicts,
+    PredicateSet, eval_at, eval_with, holds_everywhere, member_verdicts,
     negate, parse, parse_predicate, symmetrize_single,
 )
 
@@ -68,6 +68,25 @@ def test_eval_examples():
     assert not eval_at(sq.padded(2), (Fraction(3, 2), Fraction(0)))
     with pytest.raises(ValueError):
         eval_at(lt, (Fraction(1),))
+
+
+def test_eval_with_three_valued():
+    """An atom read as None (unknown) leaves the value open unless the
+    known atoms settle it."""
+    p, q = parse_predicate("x1 > 0").root, parse_predicate("x1 < 5").root
+    for unknown, known in ((p, q), (q, p)):
+        def truth(value):
+            return lambda atom: None if atom is unknown else value
+        assert eval_with(Not(unknown), truth(True)) is None
+        assert eval_with(Or((unknown, known)), truth(True)) is True
+        assert eval_with(Or((unknown, known)), truth(False)) is None
+        assert eval_with(And((unknown, known)), truth(False)) is False
+        assert eval_with(And((unknown, known)), truth(True)) is None
+        assert eval_with(Not(And((unknown, known))), truth(False)) is True
+    # a total assignment gives the two-valued answer
+    assert eval_with(And(()), lambda atom: None) is True
+    assert eval_with(Or(()), lambda atom: None) is False
+    assert eval_with(Not(Or((p, q))), lambda atom: atom is p) is False
 
 
 def test_holds_everywhere():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
@@ -113,6 +114,40 @@ def test_isolate_matches_sympy(factors):
             lo, hi = ran.interval()
             assert sympy.Rational(lo.numerator, lo.denominator) < root
             assert root < sympy.Rational(hi.numerator, hi.denominator)
+
+
+# a*x^2 + b*x + c with two irrational real roots
+_real_quadratic = _irreducible_quadratic.filter(lambda c: c[1] ** 2 - 4 * c[2] * c[0] > 0)
+
+
+@st.composite
+def _number_and_rational(draw):
+    """An irrational root, refined a few times, and a rational inside its
+    isolating interval, outside it or on either endpoint."""
+    coeffs = draw(_real_quadratic)
+    index = draw(st.integers(0, 1))
+    ran = isolate_real_roots(coeffs)[index]
+    for _ in range(draw(st.integers(0, 6))):
+        ran.refine()
+    lo, hi = ran.interval()
+    step = F(draw(st.integers(1, 99)), 100)
+    r = draw(st.sampled_from([lo, hi, lo + step * (hi - lo), lo - step, hi + step]))
+    return coeffs, index, ran, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(_number_and_rational())
+def test_compare_rational_matches_exact_comparison(case):
+    coeffs, index, ran, r = case
+    x = sympy.Symbol("x")
+    root = sorted(sympy.Poly(list(reversed(coeffs)), x).real_roots())[index]
+    want = 1 if root > sympy.Rational(r.numerator, r.denominator) else -1
+    lo, hi = ran.interval()
+    if lo < r < hi:
+        assert ran.compare_rational(r) == want
+    else:  # answered from the interval, with no sign computation
+        with mock.patch.object(RealAlgebraicNumber, "sign_of_poly", side_effect=AssertionError):
+            assert ran.compare_rational(r) == want
 
 
 def test_alg_sign_at():

@@ -477,3 +477,146 @@ def test_extract_growing_embedding_matches_fraction_run(case):
     if not isinstance(got, tuple):
         assert is_R_growing(got.sequence, params.R)
         assert verify_embedding(host, got.sequence, got.witness)
+
+
+# -- the embedding pipeline against its two-branch form ------------------
+
+
+def _two_branch_growing_embedding(a, params):
+    """extract_growing_embedding as it was before each pass read its chain
+    through Extraction.normalized: separate index arithmetic for the
+    forward and the reverse chain, and a repeated-value witness built
+    beside _finish."""
+    R, n = params.R, params.n
+    host = [F(x) for x in a]
+    if not host:
+        raise ExtractionFailure("empty host sequence", stage="input")
+    counts: dict = {}
+    for i, v in enumerate(host):
+        counts.setdefault(v, []).append(i)
+    value, positions = max(counts.items(), key=lambda kv: (len(kv[1]), -kv[1][0]))
+    if len(positions) >= n:
+        b = canonical_growing(R, n)
+        witness = EmbeddingWitness(TransformKind.F1, value, F(0), "forward",
+                                   tuple(positions[:n]))
+        emb = ramsey.GrowingEmbedding(tuple(b), witness)
+        if not verify_embedding(host, b, witness):
+            raise ExtractionFailure("internal: constant witness failed", stage="repeat")
+        return emb
+    if n < 2:
+        raise ExtractionFailure("internal: n=1 should use the repeat branch", stage="input")
+
+    inc, dec = _strictly_monotone(host)
+    if len(inc) >= len(dec):
+        nu, mono = 1, inc
+    else:
+        nu, mono = -1, dec
+    s_vals = [nu * host[i] for i in mono]
+    s_pos = list(mono)
+    if len(s_vals) < n + 1:
+        raise ExtractionFailure(
+            f"monotone stage found only {len(s_vals)} terms, need >= {n + 1}",
+            stage="monotone",
+        )
+    try:
+        pass1 = extract_rfold(s_vals, min(n + 2, len(s_vals)), R, ADDITIVE)
+    except ExtractionFailure:
+        try:
+            pass1 = extract_rfold(s_vals, n + 1, R, ADDITIVE)
+        except ExtractionFailure as exc:
+            raise ExtractionFailure(
+                f"additive pass found no chain of length {n + 1}", stage="pass1"
+            ) from exc
+    w = [s_vals[i] for i in pass1.indices]
+    wpos = [s_pos[i] for i in pass1.indices]
+    m = len(w)
+    if pass1.direction == "forward":
+        t = [w[j + 1] - w[0] for j in range(m - 1)]
+        t_pos = [wpos[j + 1] for j in range(m - 1)]
+        A2, eps2 = nu * w[0], nu
+    else:
+        t = [w[m - 1] - w[m - 2 - j] for j in range(m - 1)]
+        t_pos = [wpos[m - 2 - j] for j in range(m - 1)]
+        A2, eps2 = nu * w[m - 1], -nu
+    if not (t[0] > 0 and all(t[j + 1] >= R * t[j] for j in range(len(t) - 1))):
+        raise ExtractionFailure("internal: shifted chain has a ratio below R", stage="pass1")
+    lam = t[0] / R
+    b_try = [x / lam for x in t[:n]]
+    if len(b_try) == n and is_R_growing(b_try, R):
+        return ramsey._finish(host, b_try, t_pos[:n], TransformKind.F1, A2, eps2 * lam)
+    if len(t) < n + 1:
+        raise ExtractionFailure(
+            f"shifted chain has {len(t)} terms, need {n + 1} for the ratio pass",
+            stage="pass2",
+        )
+    pass2 = extract_rfold(t, n + 1, R, MULTIPLICATIVE)
+    v = [t[i] for i in pass2.indices]
+    vpos = [t_pos[i] for i in pass2.indices]
+    M = len(v)
+    if pass2.direction == "forward":
+        c = [v[i + 1] / v[0] for i in range(M - 1)]
+        c_pos = [vpos[i + 1] for i in range(M - 1)]
+        kind, B = TransformKind.F1, eps2 * v[0]
+    else:
+        c = [v[M - 1] / v[M - 2 - i] for i in range(M - 1)]
+        c_pos = [vpos[M - 2 - i] for i in range(M - 1)]
+        kind, B = TransformKind.F2, eps2 * v[M - 1]
+    c, c_pos = c[:n], c_pos[:n]
+    if not is_R_growing(c, R):
+        raise ExtractionFailure("ratio-normalized chain is not R-growing", stage="pass2")
+    return ramsey._finish(host, c, c_pos, kind, A2, B)
+
+
+def _retry_shape(R):
+    """0, R, R+1, R^R, R^(R^2): no 5-term additive R-fold chain, so at
+    n = 3 only pass 1's retry with n + 1 terms embeds it."""
+    return [F(0), F(R), F(R + 1), F(R) ** R, F(R) ** (R * R)]
+
+
+@st.composite
+def _embedding_cases(draw):
+    """Planted F1 and F2 hosts in either orientation and noise hosts
+    (``_hosts``), hosts with a repeated value, and affine images of the
+    retry shape, alone or planted in noise, forward or reversed."""
+    case = draw(st.sampled_from(["hosts", "repeat", "retry"]))
+    if case == "hosts":
+        return draw(_hosts())
+    R, n = draw(st.integers(3, 4)), draw(st.integers(1, 4))
+    host = draw(st.lists(st.builds(F, st.integers(-60, 60), st.integers(1, 9)),
+                         min_size=5, max_size=16))
+    if case == "repeat":
+        value = draw(st.builds(F, st.integers(-9, 9), st.integers(1, 3)))
+        for pos in draw(st.permutations(range(len(host))))[:draw(st.integers(1, n + 1))]:
+            host[pos] = value
+        return host, GrowthParams(R, n)
+    A = draw(st.builds(F, st.integers(-20, 20), st.integers(1, 5)))
+    B = draw(st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 5)))
+    vals = [A + B * x for x in _retry_shape(R)]
+    if draw(st.booleans()):
+        vals.reverse()
+    if draw(st.booleans()):
+        return vals, GrowthParams(R, 3)
+    positions = sorted(draw(st.permutations(range(len(host))))[:5])
+    for pos, v in zip(positions, vals):
+        host[pos] = v
+    return host, GrowthParams(R, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_embedding_cases())
+@example(([F(0), F(4), F(5), F(256), F(4) ** 16], GrowthParams(4, 3)))
+@example(([F(3) - F(2, 5) * x for x in _retry_shape(4)][::-1], GrowthParams(4, 3)))
+def test_extract_growing_embedding_matches_two_branch_form(case):
+    host, params = case
+    got = _outcome(extract_growing_embedding, host, params)
+    assert repr(got) == repr(_outcome(_two_branch_growing_embedding, host, params))
+
+
+def test_retry_shape_needs_the_retry():
+    """The retry shape embeds, and only through the n + 1 attempt."""
+    host = _retry_shape(4)
+    with pytest.raises(ExtractionFailure):
+        extract_rfold(host, 5, 4, ADDITIVE)
+    emb = extract_growing_embedding(host, GrowthParams(4, 3))
+    assert emb.sequence == (4, 256, 4 ** 16)
+    assert verify_embedding(host, emb.sequence, emb.witness)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from esdec.algebra import TransformKind
-from esdec.errors import InconsistentTypeError
+from esdec.errors import InconsistentTypeError, ResourceLimitError
 from esdec.predicates import holds_everywhere, negate, parse
 from esdec.ramsey import apply_transform, canonical_growing
 from esdec.typesys import (
@@ -61,6 +61,18 @@ def test_enumerate_counts():
 
     Qf2 = build_Q(MONOTONE, TransformKind.F2)
     assert len(list(enumerate_types(Qf2))) == 17  # denominator entry contributes factor 1
+
+
+def test_enumerate_checks_both_caps_before_iterating():
+    """An over-cap call raises on the call itself, not on the first next()."""
+    Q = build_Q(parse("x1 > 0 ; x1 > 1"), TransformKind.F1)  # entry bounds 36, 289 types
+    with pytest.raises(ResourceLimitError, match="entry"):
+        enumerate_types(Q, cap=35)  # an entry's unpruned bound
+    with pytest.raises(ResourceLimitError, match="type count"):
+        enumerate_types(Q, cap=288)  # the type count
+    types = enumerate_types(Q, cap=289)
+    assert next(types) == next(enumerate_types(Q))
+    assert len(list(types)) == 288
 
 
 def test_enumerate_unpruned_count():
