@@ -60,10 +60,11 @@ sound because:
   the coordinates of the variables p uses, so siblings that differ
   only in other coordinates get the same answer;
 * those coordinates are exact and keyed exactly: a rational, or a real
-  algebraic number collapsed to one, keys as its Fraction value (as in
-  roots._split_point); an irrational real algebraic number keys as the
-  object itself, by identity, since refinement narrows its interval in
-  place but never changes its value;
+  algebraic number collapsed to one, keys as the int pair (numerator,
+  denominator) of its value in lowest terms, which equal rationals
+  share and distinct ones do not; an irrational real algebraic number
+  keys as the object itself, by identity, since refinement narrows its
+  interval in place but never changes its value;
 * real algebraic numbers may be shared freely (see roots.py).
 
 The memo lives on one decision call and is dropped when it returns.
@@ -234,11 +235,14 @@ class LiftStats:
 
 
 def _coord_key(x):
-    """Exact memo key of one coordinate: its Fraction value, or an
-    irrational RealAlgebraicNumber itself, which hashes by identity."""
+    """Exact memo key of one coordinate: a rational's (numerator,
+    denominator) in lowest terms, or an irrational RealAlgebraicNumber
+    itself, which hashes by identity."""
     if isinstance(x, RealAlgebraicNumber):
-        return x if x.value is None else x.value
-    return x
+        if x.value is None:
+            return x
+        x = x.value
+    return (x.numerator, x.denominator)
 
 
 class _Decider:

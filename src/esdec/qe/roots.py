@@ -1,9 +1,11 @@
 """Exact univariate real root isolation and real algebraic numbers.
 
 Univariate polynomials appear here as dense Fraction coefficient lists
-(index = degree).  Root isolation is Sturm-chain bisection of the
-squarefree integer primitive part sf; every interval returned has
-rational non-root endpoints and exactly one root inside.
+(index = degree); isolate_real_roots also takes int lists, which is how
+a polynomial evaluated at a rational point arrives (see below).  Root
+isolation is Sturm-chain bisection of the squarefree integer primitive
+part sf; every interval returned has rational non-root endpoints and
+exactly one root inside.
 
 Every rational root comes back as an exact point, by the rational root
 theorem: a root p/q in lowest terms has q | lead(sf), and two distinct
@@ -21,6 +23,10 @@ polynomial plus an isolating interval (or an exact rational).  Signs of
 arbitrary polynomials at such numbers are decided exactly: a gcd test
 recognizes zero, interval refinement settles everything else.
 
+At a sample point whose coordinates on the variables a polynomial uses
+are all rational, its sign and its coefficients in the main variable
+are computed in ints, scaled by one positive common denominator
+(_int_coeffs); a positive factor changes neither a sign nor a root.
 Multivariate sign evaluation at sample points mixing rationals and
 algebraic numbers works by interval arithmetic with adaptive
 refinement; exact zero recognition goes through a resultant cascade
@@ -373,9 +379,11 @@ def _settle(sf: Coeffs, lo: Fraction, hi: Fraction):
 def isolate_real_roots(p) -> list:
     """All distinct real roots of a nonzero univariate polynomial, as
     RealAlgebraicNumber, ascending.  Accepts a MultiPoly in one variable
-    or a coefficient list.  Rational roots come back as exact values;
-    irrational ones are defined by the squarefree part with its rational
-    roots divided out."""
+    or a coefficient list of ints or Fractions; a positive multiple of a
+    list has the same roots, in the same form.  A linear polynomial's
+    root is -c0/c1.  Rational roots come back as exact values; irrational
+    ones are defined by the squarefree part with its rational roots
+    divided out."""
     if isinstance(p, MultiPoly):
         used = p.used_vars()
         if len(used) > 1:
@@ -386,10 +394,12 @@ def isolate_real_roots(p) -> list:
             return []
         coeffs = [c.constant_value() for c in p.as_univar(used[0])]
     else:
-        coeffs = [Fraction(x) for x in p]
+        coeffs = utrim(p)
     if uis_zero(coeffs):
         raise ValueError("cannot isolate roots of the zero polynomial")
-    sf = usquarefree(coeffs)
+    if len(coeffs) == 2:
+        return [RealAlgebraicNumber.from_rational(Fraction(-coeffs[0], coeffs[1]))]
+    sf = usquarefree([Fraction(x) for x in coeffs])
     if udeg(sf) == 1:
         return [RealAlgebraicNumber.from_rational(-sf[0] / sf[1])]
     settled = [lo if lo == hi else _settle(sf, lo, hi) for lo, hi in isolate_squarefree(sf)]
@@ -562,6 +572,52 @@ def _nonzero_root_gap(N: Coeffs) -> Fraction:
     return c0 / (c0 + rest) if rest else Fraction(1)
 
 
+def _int_coeffs(p: MultiPoly, point: dict, var: str | None = None) -> list | None:
+    """p at the rational coordinates of ``point``, times a positive int,
+    as a list of int coefficients in ``var`` (index = degree; the value
+    alone, in a list of one, when var is None).  None when a variable p
+    uses, other than var, has an irrational coordinate.  Only the
+    variables with a nonzero exponent in p are looked up in ``point``.
+
+    Write each coordinate as n_i/d_i and let deg_i be p's degree in it,
+    and L the lcm of p's coefficient denominators.  The term c*x^e then
+    becomes the int c*L * prod n_i^e_i * d_i^(deg_i - e_i), which is the
+    term's value times L * prod d_i^deg_i.  That factor is positive and
+    the same for every term, so the value keeps its sign and the
+    coefficient list its roots."""
+    names = p.vars
+    main = names.index(var) if var in names else None
+    degs = [0] * len(names)
+    den = 1
+    for mono, c in p.terms.items():
+        for i, e in enumerate(mono):
+            if e > degs[i]:
+                degs[i] = e
+        d = c.denominator
+        if den % d:
+            den = den * d // int_gcd(den, d)
+    coords = []
+    for i, deg in enumerate(degs):
+        if deg and i != main:
+            x = point[names[i]]
+            if isinstance(x, RealAlgebraicNumber):
+                if x.value is None:
+                    return None
+                x = x.value
+            coords.append((i, x.numerator, x.denominator, deg))
+    out = [0] * (1 if main is None else degs[main] + 1)
+    for mono, c in p.terms.items():
+        t = c.numerator if den == 1 else c.numerator * (den // c.denominator)
+        for i, n, d, deg in coords:
+            e = mono[i]
+            if e:
+                t *= n ** e
+            if d != 1 and e != deg:
+                t *= d ** (deg - e)
+        out[0 if main is None else mono[main]] += t
+    return out
+
+
 def _split_point(point: dict):
     rats, algs = {}, {}
     for v, x in point.items():
@@ -577,7 +633,11 @@ def _split_point(point: dict):
 
 def sign_at_point(p: MultiPoly, point: dict) -> int:
     """Exact sign of p at a sample point whose coordinates are Fractions
-    or RealAlgebraicNumbers."""
+    or RealAlgebraicNumbers.  When every coordinate p uses is rational,
+    the sign is that of _int_coeffs' value."""
+    ints = _int_coeffs(p, point)
+    if ints is not None:
+        return (ints[0] > 0) - (ints[0] < 0)
     rats, algs = _split_point(point)
     q = p.partial_eval(rats).drop_unused()
     live = {v: algs[v] for v in q.used_vars()}
@@ -635,12 +695,21 @@ def _changes_sign_around(p: MultiPoly, point: dict, var: str, root) -> bool:
 
 def roots_at_point(p: MultiPoly, point: dict, var: str):
     """Real roots (ascending RealAlgebraicNumbers) of p(sample, var), or
-    None when p vanishes identically at the sample.  The coefficients are
-    evaluated at the rational coordinates once; a constant one gives its
-    sign directly, and only one with a live algebraic variable goes to
-    sign_at_point, at the algebraic coordinates.  When no algebraic
-    coordinate is left in the coefficients, their rational values go
-    straight to isolate_real_roots."""
+    None when p vanishes identically at the sample.  When every
+    coordinate p uses is rational, the int coefficients of _int_coeffs,
+    trimmed, go straight to isolate_real_roots.  Otherwise the
+    coefficients are evaluated at the rational coordinates once; a
+    constant one gives its sign directly, and only one with a live
+    algebraic variable goes to sign_at_point, at the algebraic
+    coordinates.  When no algebraic coordinate is left in the
+    coefficients, their rational values go to isolate_real_roots."""
+    ints = _int_coeffs(p, point, var)
+    if ints is not None:
+        while ints and ints[-1] == 0:
+            ints.pop()
+        if not ints:
+            return None
+        return isolate_real_roots(ints) if len(ints) > 1 else []
     rats, algs = _split_point(point)
     coeffs = p.partial_eval(rats).as_univar(var)
     deg = -1

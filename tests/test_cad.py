@@ -2,6 +2,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -233,6 +234,7 @@ def _small_sentences(draw):
 @example("forall x. exists y. x^2 - 2 != 0 or (y - x > 0 and y - 1 < 0)")  # ... told apart
 @example("exists x. exists y. x^2 - 2 = 0 and y^2 - x*y - 1 < 0")
 @example("forall z. forall x. exists y. z^2 - 1 != 0 or y^2 - x >= 0 or y - x < 0")  # z unused inside
+@example("forall x. forall y. (0)*x < 0")  # x declared by the atom, not used
 @settings(max_examples=40, deadline=None)
 def test_lifting_memo_matches_plain_lifting(text):
     sentence = parse_sentence(text)
@@ -247,7 +249,24 @@ def test_lifting_memo_keys_irrational_samples_by_identity():
     assert truth is False
     keys = [k for (_, _, coords) in dec._roots_memo for k in coords]
     assert any(isinstance(k, RealAlgebraicNumber) and not k.is_rational for k in keys)
-    assert all(isinstance(k, (Fraction, RealAlgebraicNumber)) for k in keys)
+    assert all(isinstance(k, (tuple, RealAlgebraicNumber)) for k in keys)
+
+
+def test_lifting_memo_keys_rationals_by_int_pairs():
+    """A rational keys as its value's (numerator, denominator) in lowest
+    terms, whether it is a Fraction or a RealAlgebraicNumber."""
+    assert cad._coord_key(F(2, 4)) == cad._coord_key(RealAlgebraicNumber.from_rational(F(1, 2))) == (1, 2)
+    assert cad._coord_key(F(-3)) == (-3, 1)
+    sqrt2 = RealAlgebraicNumber([F(-2), F(0), F(1)], F(1), F(2))
+    assert cad._coord_key(sqrt2) is sqrt2
+    s = parse_sentence("forall x. exists y. y^2 - x >= 0 or y - x < 0")
+    truth, _, dec = _run(_Decider, s, QeBudget())
+    keys = [k for (_, _, coords) in dec._roots_memo for k in coords]
+    keys += [k for (_, coords) in dec._sign_memo for k in coords]
+    assert truth is True and keys
+    for k in keys:
+        assert type(k) is tuple and all(type(c) is int for c in k)
+        assert k[1] > 0 and gcd(*k) == 1
 
 
 def test_lifting_memo_reuses_results_across_unused_coordinates(monkeypatch):

@@ -11,8 +11,8 @@ from sympy.polys.subresultants_qq_zz import sylvester
 from esdec.poly import MultiPoly
 from esdec.qe.resultants import det_bareiss, psc_set, resultant
 from esdec.qe.roots import (
-    RealAlgebraicNumber, interval_eval, isolate_real_roots,
-    roots_at_point, sign_at_point, ueval, usquarefree,
+    RealAlgebraicNumber, _int_coeffs, interval_eval, isolate_real_roots,
+    roots_at_point, sign_at_point, ueval, usquarefree, utrim,
 )
 
 F = Fraction
@@ -114,6 +114,101 @@ def test_isolate_matches_sympy(factors):
             lo, hi = ran.interval()
             assert sympy.Rational(lo.numerator, lo.denominator) < root
             assert root < sympy.Rational(hi.numerator, hi.denominator)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.one_of(_linear, _irreducible_quadratic), st.integers(1, 2)),
+                min_size=1, max_size=3),
+       st.integers(1, 10 ** 6), st.fractions(min_value=F(1, 1000), max_value=1000),
+       st.integers(0, 2))
+def test_isolate_is_the_same_for_ints_fractions_and_multiples(factors, k, q, pad):
+    """An int list, the same list as Fractions, a positive multiple of
+    either (trailing zeros included) and the MultiPoly give roots with
+    identical reprs."""
+    coeffs = _poly_product([f for f, mult in factors for _ in range(mult)])
+    ints = [int(c) for c in coeffs]
+    want = repr(isolate_real_roots(ints))
+    assert repr(isolate_real_roots(coeffs)) == want
+    assert repr(isolate_real_roots([k * c for c in ints] + [0] * pad)) == want
+    assert repr(isolate_real_roots([q * c for c in coeffs] + [F(0)] * pad)) == want
+    x = X()
+    poly = sum((c * x ** i for i, c in enumerate(ints)), MultiPoly.zero(("x1",)))
+    assert repr(isolate_real_roots(poly)) == want
+
+
+_NAMES = ("a", "b", "x", "y")
+
+
+@st.composite
+def _rational_point_case(draw):
+    """A polynomial with Fraction coefficients over declared variables,
+    some of which it does not use (their exponents are all 0, or no term
+    is left), a main variable, and a rational point: each coordinate a
+    Fraction or a rational RealAlgebraicNumber, and an unused variable's
+    coordinate sometimes missing, except the main variable's."""
+    declared = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4, unique=True))
+    dead = draw(st.sets(st.sampled_from(declared)))
+    mono = st.tuples(*[st.just(0) if v in dead else st.integers(0, 3) for v in declared])
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    p = MultiPoly(declared, draw(st.dictionaries(mono, coeff, max_size=6)))
+    var = draw(st.sampled_from(declared))
+    point = {}
+    for v in declared:
+        if v != var and v not in p.used_vars() and draw(st.booleans()):
+            continue
+        r = draw(st.fractions(min_value=-4, max_value=4, max_denominator=6))
+        point[v] = RealAlgebraicNumber.from_rational(r) if draw(st.booleans()) else r
+    return p, point, var
+
+
+def _positive_multiple(ints, fracs):
+    """Whether the int list is k * the Fraction list for one k > 0, both
+    read with trailing zeros trimmed."""
+    ints, fracs = utrim(ints), utrim(fracs)
+    if len(ints) != len(fracs) or not all(type(c) is int for c in ints):
+        return False
+    k = next((F(c) / f for c, f in zip(ints, fracs) if f), None)
+    if k is None:
+        return not any(ints)
+    return k > 0 and all(c == k * f for c, f in zip(ints, fracs))
+
+
+def _roots_by_partial_eval(p, point, var):
+    """roots_at_point at a rational point by the route without integer
+    evaluation: substitute the Fractions, read the constant coefficients."""
+    rats = {v: x.value if isinstance(x, RealAlgebraicNumber) else x for v, x in point.items()}
+    coeffs = utrim([c.constant_value() for c in p.partial_eval(rats).as_univar(var)])
+    if not any(coeffs):
+        return None
+    return isolate_real_roots(coeffs) if len(coeffs) > 1 else []
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_point_case())
+@example((MultiPoly(("a", "x"), {}), {"x": F(1)}, "x"))  # declared a, no terms, no coordinate
+@example((MultiPoly(("a", "x"), {(2, 1): F(1, 2), (1, 0): F(-3)}), {"a": F(2, 3), "x": F(9)}, "x"))
+def test_integer_evaluation_matches_partial_eval(case):
+    p, point, var = case
+    rats = {v: x.value if isinstance(x, RealAlgebraicNumber) else x for v, x in point.items()}
+    value = p.evaluate({v: rats.get(v, F(0)) for v in p.vars})
+    assert sign_at_point(p, point) == (value > 0) - (value < 0)
+    assert _positive_multiple(_int_coeffs(p, point), [value])
+    without_var = {v: x for v, x in point.items() if v != var}
+    wanted = [c.constant_value() for c in p.partial_eval(
+        {v: rats[v] for v in without_var}).as_univar(var)]
+    assert _positive_multiple(_int_coeffs(p, without_var, var), wanted)
+    assert repr(roots_at_point(p, without_var, var)) == repr(
+        _roots_by_partial_eval(p, without_var, var))
+
+
+def test_integer_evaluation_needs_every_used_coordinate_rational():
+    a, x = MultiPoly.var("a"), MultiPoly.var("x")
+    sqrt2 = isolate_real_roots([F(-2), F(0), F(1)])[1]
+    assert _int_coeffs(a * x - 1, {"a": sqrt2}, "x") is None
+    assert _int_coeffs(a * x - 1, {"a": F(1, 2), "b": sqrt2}, "x") == [-2, 1]
+    # 1/sqrt2, found on the algebraic path
+    root, = roots_at_point(a * x - 1, {"a": sqrt2}, "x")
+    assert not root.is_rational and sign_at_point(2 * x ** 2 - 1, {"x": root}) == 0
 
 
 # a*x^2 + b*x + c with two irrational real roots
