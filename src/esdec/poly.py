@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -32,7 +33,11 @@ Monomial = tuple  # exponent vector, one entry per variable
 _VAR_RE = re.compile(r"([A-Za-z]+)(\d*)\Z")
 
 
+@lru_cache(maxsize=1024)
 def var_sort_key(name: str) -> tuple:
+    """Sort key of a variable name (see the module docstring); raises
+    ValueError unless the name is letters then digits.  Memoized, bounded:
+    every sort of variables calls it, and a program meets few names."""
     m = _VAR_RE.match(name)
     if not m:
         raise ValueError(f"bad variable name: {name!r}")

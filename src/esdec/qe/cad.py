@@ -34,6 +34,27 @@ nothing below is lifted.  This is sound because:
   over a nonempty ray (c, oo)), so Q v. c equals c for a c that does
   not depend on v, and the whole inner prefix folds to c.
 
+Each trial level reads only the atoms that became known on entry to it
+(those of the level just assigned): it folds their truth values into
+the residual matrix the trial level before it left, by the Kleene
+identities (a true conjunct and a false disjunct drop out, a false
+conjunct or a true disjunct settles the connective, "not" of a value is
+its negation), and keeps the open result for the levels below.  This
+is sound because:
+
+* the residual equals the matrix at every extension of the point: each
+  fold replaces an atom by its truth at the point, which is its truth
+  at every extension (all its variables are assigned), and each
+  identity holds in two-valued logic;
+* a node folds to a value exactly when Kleene logic over the known
+  atoms gives it that value (by induction on the formula), so the same
+  cells settle, with the same truth, as when the whole matrix is
+  evaluated;
+* the recursion is depth-first, so the residual a trial level reads was
+  kept by the trial level before it over this point's own coordinates:
+  a residual is replaced only when its level is entered again, over a
+  new sample, and every level below is reached through it.
+
 At the full sample point every atom is known, so the last level's check
 is the full evaluation: there is one evaluator.
 
@@ -65,13 +86,27 @@ sound because:
   share and distinct ones do not; an irrational real algebraic number
   keys as the object itself, by identity, since refinement narrows its
   interval in place but never changes its value;
+* a sample's key is computed once, when the sample is lifted, and stays
+  exact while it is in use: a rational's value never changes, and an
+  irrational number that later collapses to a rational is still the
+  same number, so the object still keys only itself (it may miss an
+  entry that its rational key would hit, which costs a recomputation,
+  never a wrong answer);
+* memo keys are read from the keys of the current path by position:
+  depth-first recursion overwrites a level's key only when the next
+  sample there is lifted, after the previous sample's cylinder is
+  decided;
 * real algebraic numbers may be shared freely (see roots.py).
 
-The memo lives on one decision call and is dropped when it returns.
-It holds at most one entry per polynomial or atom per charged cell (and
-the empty point at the root), so the cell budget bounds it too.  Every
-sample is still charged as a cell, so cell counts, budgets and answers
-are those of the unmemoized lifting.
+What evaluating a polynomial at rational coordinates in ints reads of
+the polynomial itself, its int form (roots._int_form), is built once
+for each level polynomial and each atom when the decision starts.
+
+The memo and the int forms live on one decision call and are dropped
+when it returns.  The memo holds at most one entry per polynomial or
+atom per charged cell (and the empty point at the root), so the cell
+budget bounds it too.  Every sample is still charged as a cell, so
+cell counts, budgets and answers are those of the unmemoized lifting.
 
 Budgets make partiality honest: exceeding the cell budget raises
 ResourceLimitError, which callers surface as "undecided", never as an
@@ -86,9 +121,9 @@ from math import ceil, floor
 
 from ..errors import ResourceLimitError
 from ..poly import MultiPoly
-from ..predicates import Atom, atoms_of, eval_with, rel_holds
+from ..predicates import Atom, Not, Or, atoms_of, rel_holds
 from .resultants import psc_set
-from .roots import RealAlgebraicNumber, roots_at_point, sign_at_point
+from .roots import RealAlgebraicNumber, _int_form, roots_at_point, sign_at_point
 from .sentences import EVENTUALLY, EXISTS, FORALL, Sentence
 
 
@@ -256,25 +291,43 @@ class _Decider:
         self.levels: dict = {i: [] for i in range(1, self.nvars + 1)}
         self.cells_by_level = [0] * self.nvars
         self._build_levels()
-        # memo keys: the variables each level polynomial uses besides the
-        # level's own, and each matrix atom's (by identity) polynomial
-        # slot and used variables; see the module docstring.  An atom's
-        # level is that of its innermost variable (0 for a constant): its
-        # sign is known on entry to the next level
-        self._root_vars = {
-            lvl: [tuple(v for v in p.used_vars() if v != self.order[lvl - 1]) for p in polys]
+        # memo keys: the positions in ``order`` of the variables each level
+        # polynomial uses besides the level's own, and each matrix atom's
+        # (by identity) polynomial slot and used positions; see the module
+        # docstring.  An atom's level is that of its innermost variable (0
+        # for a constant): its sign is known on entry to the next level
+        pos = {v: i for i, v in enumerate(self.order)}
+        self._root_pos = {
+            lvl: [tuple(pos[v] for v in p.used_vars() if v != self.order[lvl - 1]) for p in polys]
+            for lvl, polys in self.levels.items()
+        }
+        self._root_forms = {
+            lvl: [_int_form(p, self.order[lvl - 1]) for p in polys]
             for lvl, polys in self.levels.items()
         }
         slots: dict = {}
         self._atom_keys = {}
+        self._atom_vars = {}
         self._atom_level = {}
+        self._atom_forms = {}
         self._atom_index = {}  # an atom's place in its level's polynomials, found on first use
         for atom in atoms_of(sentence.matrix):
             used = atom.poly.used_vars()
-            self._atom_keys[id(atom)] = (slots.setdefault(atom.poly, len(slots)), used)
-            self._atom_level[id(atom)] = max((self.order.index(v) + 1 for v in used), default=0)
-        # trial evaluation can only change its answer where atoms become known
-        self._trial_levels = {lvl + 1 for lvl in self._atom_level.values()}
+            positions = tuple(pos[v] for v in used)
+            self._atom_keys[id(atom)] = (slots.setdefault(atom.poly, len(slots)), positions)
+            self._atom_vars[id(atom)] = used
+            self._atom_level[id(atom)] = max(positions, default=-1) + 1
+            self._atom_forms[id(atom)] = _int_form(atom.poly)
+        # the memo key of each coordinate of the current sample point, set
+        # when its sample is lifted (_lift)
+        self._keys = [None] * self.nvars
+        # trial evaluation can only change its answer where atoms become
+        # known; each trial level folds those atoms into the residual of
+        # the trial level before it (level 0: the matrix itself)
+        trial = sorted({lvl + 1 for lvl in self._atom_level.values()})
+        self._trial_levels = set(trial)
+        self._prev_trial = dict(zip(trial, [0] + trial))
+        self._residuals = {0: sentence.matrix}
         self._roots_memo: dict = {}
         self._sign_memo: dict = {}
 
@@ -309,18 +362,21 @@ class _Decider:
 
     def _roots(self, level: int, index: int, point: dict):
         """roots_at_point for the index-th polynomial of the level, memoized."""
-        key = (level, index, tuple(_coord_key(point[v]) for v in self._root_vars[level][index]))
+        keys = self._keys
+        key = (level, index, tuple([keys[i] for i in self._root_pos[level][index]]))
         try:
             return self._roots_memo[key]
         except KeyError:
-            roots = roots_at_point(self.levels[level][index], point, self.order[level - 1])
+            roots = roots_at_point(self.levels[level][index], point, self.order[level - 1],
+                                   self._root_forms[level][index])
             self._roots_memo[key] = roots
             return roots
 
     def _atom_sign(self, atom: Atom, point: dict) -> int:
         """sign_at_point of the atom's polynomial, memoized."""
-        slot, used = self._atom_keys[id(atom)]
-        key = (slot, tuple(_coord_key(point[v]) for v in used))
+        slot, positions = self._atom_keys[id(atom)]
+        keys = self._keys
+        key = (slot, tuple([keys[i] for i in positions]))
         sign = self._sign_memo.get(key)
         if sign is None:
             sign = self._sign_memo[key] = self._sign_on_cell(atom, point)
@@ -335,11 +391,11 @@ class _Decider:
         polynomial vanishes exactly where that sample is one of its roots
         there (everywhere, if it vanishes identically).  Only the sign of
         a nonzero value is left to sign_at_point."""
-        _, used = self._atom_keys[id(atom)]
-        irrational = [v for v in used if isinstance(point[v], RealAlgebraicNumber)
-                      and not point[v].is_rational]
+        form = self._atom_forms[id(atom)]
+        irrational = [v for v in self._atom_vars[id(atom)]
+                      if isinstance(point[v], RealAlgebraicNumber) and not point[v].is_rational]
         if len(irrational) < 2:
-            return sign_at_point(atom.poly, point)
+            return sign_at_point(atom.poly, point, form)
         level = self._atom_level[id(atom)]
         index = self._atom_index.get(id(atom))
         if index is None:
@@ -348,16 +404,46 @@ class _Decider:
         sample = point[self.order[level - 1]]
         if roots is None or any(r is sample or _same_number(r, sample) for r in roots):
             return 0
-        return sign_at_point(atom.poly, point)
+        return sign_at_point(atom.poly, point, form)
+
+    def _fold(self, node, known: int, point: dict):
+        """``node`` with the atoms of level ``known`` replaced by their
+        truth at the point and folded away by the Kleene identities: True
+        or False when that settles it, else the node left open."""
+        if isinstance(node, Atom):
+            if self._atom_level[id(node)] != known:
+                return node
+            return rel_holds(self._atom_sign(node, point), node.rel)
+        if isinstance(node, Not):
+            sub = self._fold(node.child, known, point)
+            if sub is node.child:
+                return node
+            return (not sub) if isinstance(sub, bool) else Not(sub)
+        settling = isinstance(node, Or)  # a true disjunct, a false conjunct
+        kept = []
+        for child in node.children:
+            sub = self._fold(child, known, point)
+            if sub is settling:
+                return settling
+            if sub is not (not settling):
+                kept.append(sub)
+        if not kept:
+            return not settling
+        if len(kept) == 1:
+            return kept[0]
+        return type(node)(tuple(kept))
 
     def _trial_truth(self, level: int, point: dict):
         """The matrix in three-valued logic over the atoms whose variables
-        are all assigned on entry to ``level``; None while unsettled."""
-        def atom_truth(atom):
-            if self._atom_level[id(atom)] >= level:
-                return None
-            return rel_holds(self._atom_sign(atom, point), atom.rel)
-        return eval_with(self.sentence.matrix, atom_truth)
+        are all assigned on entry to ``level``; None while unsettled.  The
+        residual of the trial level before this one on the current path
+        has every earlier atom folded in, so only the atoms of level - 1
+        are read; an open result is kept as this level's residual."""
+        residual = self._fold(self._residuals[self._prev_trial[level]], level - 1, point)
+        if isinstance(residual, bool):
+            return residual
+        self._residuals[level] = residual
+        return None
 
     def _top_sample(self, level: int, point: dict) -> Fraction:
         """A rational above every root of the level's polynomials; each
@@ -391,6 +477,17 @@ class _Decider:
                 yield "sector", _rational_between(r, roots[i + 1])
         yield "sector", _rational_above(roots[-1])
 
+    def _lift(self, level: int, point: dict):
+        """(kind, child point) for each cell of _samples, charged, with
+        its sample's memo key recorded for the levels below."""
+        var = self.order[level - 1]
+        for kind, sample in self._samples(level, point):
+            self._charge_cell(level)
+            self._keys[level - 1] = _coord_key(sample)
+            child_point = dict(point)
+            child_point[var] = sample
+            yield kind, child_point
+
     def decide(self, level: int, point: dict, cell) -> bool:
         """Truth of the prefix from ``level`` inward, with the outer
         variables fixed to ``point``.  The matrix is tried first; at
@@ -404,11 +501,8 @@ class _Decider:
                 if 1 < level <= self.nvars:
                     self.settled_early += 1
                 return truth
-        quant, var = self.sentence.prefix[level - 1]
-        for _kind, sample in self._samples(level, point):
-            self._charge_cell(level)
-            child_point = dict(point)
-            child_point[var] = sample
+        quant = self.sentence.prefix[level - 1][0]
+        for _kind, child_point in self._lift(level, point):
             sub = self.decide(level + 1, child_point, None)
             if _settles(quant, sub):
                 return sub

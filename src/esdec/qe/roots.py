@@ -27,6 +27,10 @@ At a sample point whose coordinates on the variables a polynomial uses
 are all rational, its sign and its coefficients in the main variable
 are computed in ints, scaled by one positive common denominator
 (_int_coeffs); a positive factor changes neither a sign nor a root.
+What this reads of the polynomial itself (the variables it uses, its
+degrees in them, and its terms scaled by the lcm of their denominators)
+is its int form (_int_form); a caller that evaluates one polynomial at
+many points builds the form once and passes it in.
 Multivariate sign evaluation at sample points mixing rationals and
 algebraic numbers works by interval arithmetic with adaptive
 refinement; exact zero recognition goes through a resultant cascade
@@ -232,7 +236,7 @@ class RealAlgebraicNumber:
     def __init__(self, poly: Coeffs | None, lo: Fraction, hi: Fraction,
                  value: Fraction | None = None):
         if value is not None:
-            self.value = Fraction(value)
+            self.value = value if isinstance(value, Fraction) else Fraction(value)
             self.poly = None
             self.lo = self.hi = self.value
             return
@@ -247,7 +251,7 @@ class RealAlgebraicNumber:
 
     @staticmethod
     def from_rational(q) -> "RealAlgebraicNumber":
-        return RealAlgebraicNumber(None, 0, 0, value=Fraction(q))
+        return RealAlgebraicNumber(None, 0, 0, value=q)
 
     @property
     def is_rational(self) -> bool:
@@ -572,6 +576,52 @@ def _nonzero_root_gap(N: Coeffs) -> Fraction:
     return c0 / (c0 + rest) if rest else Fraction(1)
 
 
+def _int_form(p: MultiPoly, var: str | None = None) -> tuple:
+    """What _int_coeffs reads of p, built once so that a caller evaluating
+    p at many points can keep it: the variables p uses other than var,
+    each with p's degree in it; the length of the output list; and each
+    term as (c*L, its index in the output, its exponents in those
+    variables), with L the lcm of p's coefficient denominators."""
+    names = p.vars
+    main = names.index(var) if var in names else None
+    degs = [0] * len(names)
+    den = 1
+    for mono, c in p.terms.items():
+        for i, e in enumerate(mono):
+            if e > degs[i]:
+                degs[i] = e
+        d = c.denominator
+        if den % d:
+            den = den * d // int_gcd(den, d)
+    looked = [i for i, deg in enumerate(degs) if deg and i != main]
+    terms = tuple(
+        (c.numerator * (den // c.denominator), 0 if main is None else mono[main],
+         tuple(mono[i] for i in looked))
+        for mono, c in p.terms.items())
+    size = 1 if main is None else degs[main] + 1
+    return tuple((names[i], degs[i]) for i in looked), size, terms
+
+
+def _eval_int_form(form: tuple, point: dict) -> list | None:
+    """_int_coeffs of the polynomial whose _int_form is ``form``."""
+    looked, size, terms = form
+    powers = []
+    for name, deg in looked:
+        x = point[name]
+        if isinstance(x, RealAlgebraicNumber):
+            if x.value is None:
+                return None
+            x = x.value
+        n, d = x.numerator, x.denominator
+        powers.append([n ** e * d ** (deg - e) for e in range(deg + 1)])
+    out = [0] * size
+    for t, k, exps in terms:
+        for pw, e in zip(powers, exps):
+            t *= pw[e]
+        out[k] += t
+    return out
+
+
 def _int_coeffs(p: MultiPoly, point: dict, var: str | None = None) -> list | None:
     """p at the rational coordinates of ``point``, times a positive int,
     as a list of int coefficients in ``var`` (index = degree; the value
@@ -584,38 +634,9 @@ def _int_coeffs(p: MultiPoly, point: dict, var: str | None = None) -> list | Non
     becomes the int c*L * prod n_i^e_i * d_i^(deg_i - e_i), which is the
     term's value times L * prod d_i^deg_i.  That factor is positive and
     the same for every term, so the value keeps its sign and the
-    coefficient list its roots."""
-    names = p.vars
-    main = names.index(var) if var in names else None
-    degs = [0] * len(names)
-    den = 1
-    for mono, c in p.terms.items():
-        for i, e in enumerate(mono):
-            if e > degs[i]:
-                degs[i] = e
-        d = c.denominator
-        if den % d:
-            den = den * d // int_gcd(den, d)
-    coords = []
-    for i, deg in enumerate(degs):
-        if deg and i != main:
-            x = point[names[i]]
-            if isinstance(x, RealAlgebraicNumber):
-                if x.value is None:
-                    return None
-                x = x.value
-            coords.append((i, x.numerator, x.denominator, deg))
-    out = [0] * (1 if main is None else degs[main] + 1)
-    for mono, c in p.terms.items():
-        t = c.numerator if den == 1 else c.numerator * (den // c.denominator)
-        for i, n, d, deg in coords:
-            e = mono[i]
-            if e:
-                t *= n ** e
-            if d != 1 and e != deg:
-                t *= d ** (deg - e)
-        out[0 if main is None else mono[main]] += t
-    return out
+    coefficient list its roots.  Everything but the coordinates is read
+    off p once, by _int_form; _eval_int_form does the rest."""
+    return _eval_int_form(_int_form(p, var), point)
 
 
 def _split_point(point: dict):
@@ -631,11 +652,12 @@ def _split_point(point: dict):
     return rats, algs
 
 
-def sign_at_point(p: MultiPoly, point: dict) -> int:
+def sign_at_point(p: MultiPoly, point: dict, form: tuple | None = None) -> int:
     """Exact sign of p at a sample point whose coordinates are Fractions
     or RealAlgebraicNumbers.  When every coordinate p uses is rational,
-    the sign is that of _int_coeffs' value."""
-    ints = _int_coeffs(p, point)
+    the sign is that of _int_coeffs' value.  A caller that evaluates p at
+    many points may pass ``form``, p's _int_form, built once."""
+    ints = _int_coeffs(p, point) if form is None else _eval_int_form(form, point)
     if ints is not None:
         return (ints[0] > 0) - (ints[0] < 0)
     rats, algs = _split_point(point)
@@ -693,17 +715,19 @@ def _changes_sign_around(p: MultiPoly, point: dict, var: str, root) -> bool:
     return sign_at_point(p, {**point, var: lo}) * sign_at_point(p, {**point, var: hi}) < 0
 
 
-def roots_at_point(p: MultiPoly, point: dict, var: str):
+def roots_at_point(p: MultiPoly, point: dict, var: str, form: tuple | None = None):
     """Real roots (ascending RealAlgebraicNumbers) of p(sample, var), or
     None when p vanishes identically at the sample.  When every
     coordinate p uses is rational, the int coefficients of _int_coeffs,
-    trimmed, go straight to isolate_real_roots.  Otherwise the
+    trimmed, go straight to isolate_real_roots; ``form``, when given, is
+    _int_form(p, var), kept by a caller that solves p over many points.
+    Otherwise the
     coefficients are evaluated at the rational coordinates once; a
     constant one gives its sign directly, and only one with a live
     algebraic variable goes to sign_at_point, at the algebraic
     coordinates.  When no algebraic coordinate is left in the
     coefficients, their rational values go to isolate_real_roots."""
-    ints = _int_coeffs(p, point, var)
+    ints = _int_coeffs(p, point, var) if form is None else _eval_int_form(form, point)
     if ints is not None:
         while ints and ints[-1] == 0:
             ints.pop()

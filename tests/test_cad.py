@@ -45,11 +45,10 @@ class _TreeDecider(_Decider):
             if truth is not None:
                 return truth
         quant, var = self.sentence.prefix[level - 1]
-        for kind, sample in self._samples(level, point):
-            self._charge_cell(level)
-            child = CadCell(level, var, kind, sample)
+        for kind, child_point in self._lift(level, point):
+            child = CadCell(level, var, kind, child_point[var])
             cell.children.append(child)
-            child.truth = self.decide(level + 1, {**point, var: sample}, child)
+            child.truth = self.decide(level + 1, child_point, child)
             if _settles(quant, child.truth):
                 return child.truth
         return quant == FORALL
@@ -83,13 +82,24 @@ class _NoTrialDecider(_Decider):
                 self.sentence.matrix,
                 lambda atom: rel_holds(self._atom_sign(atom, point), atom.rel),
             )
-        quant, var = self.sentence.prefix[level - 1]
-        for _kind, sample in self._samples(level, point):
-            self._charge_cell(level)
-            sub = self.decide(level + 1, {**point, var: sample}, None)
+        quant = self.sentence.prefix[level - 1][0]
+        for _kind, child_point in self._lift(level, point):
+            sub = self.decide(level + 1, child_point, None)
             if _settles(quant, sub):
                 return sub
         return quant == FORALL
+
+
+class _FullTrialDecider(_Decider):
+    """Trial evaluation without the residual: each trial level evaluates
+    the whole matrix, re-reading every atom assigned so far."""
+
+    def _trial_truth(self, level, point):
+        def atom_truth(atom):
+            if self._atom_level[id(atom)] >= level:
+                return None
+            return rel_holds(self._atom_sign(atom, point), atom.rel)
+        return eval_with(self.sentence.matrix, atom_truth)
 
 
 def test_parse_sentence_shapes():
@@ -338,13 +348,20 @@ def _examples(texts):
 @example("forall x. exists y. 1 > 0 or x*y > 0")  # settled before x is assigned
 @example("exists x. forall y. 2 < 1 and x - y > 0")
 @example("exists x. forall y. not (y > 0) and x > 0")  # an unknown under not
+@example("forall x. exists y. forall z. not (x > 0 and y - z > 0) or (x*y < 1 and z > x)")
 @settings(max_examples=30, deadline=None)
 def test_trial_evaluation_matches_lifting_to_full_points(text):
     """Stopping at a cell whose assigned atoms settle the matrix gives the
-    truth of lifting it to full sample points, with no more cells."""
+    truth of lifting it to full sample points, with no more cells.  Folding
+    only the newly known atoms into the residual passed down the recursion
+    settles the same cells, with the same truth, as evaluating the whole
+    matrix at each trial level."""
     sentence = parse_sentence(text)
     budget = QeBudget(max_cells=300)
-    truth, cells, _ = _run(_Decider, sentence, budget)
+    truth, cells, dec = _run(_Decider, sentence, budget)
+    whole_truth, _, whole = _run(_FullTrialDecider, sentence, budget)
+    assert (truth, dec.cells_by_level, dec.settled_early) == \
+        (whole_truth, whole.cells_by_level, whole.settled_early), text
     full_truth, full_cells, _ = _run(_NoTrialDecider, sentence, budget)
     if full_truth == "exhausted":  # trial evaluation may finish within it
         return

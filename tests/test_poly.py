@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from esdec.poly import MultiPoly, merge_vars, var_sort_key
 
@@ -14,6 +14,23 @@ def test_var_order_canonical():
     assert merge_vars(("Y", "x2"), ("X", "x1", "y1")) == ("x1", "x2", "y1", "X", "Y")
     assert var_sort_key("y2") < var_sort_key("y10")
     assert var_sort_key("y3") < var_sort_key("X")
+
+
+@given(st.lists(st.from_regex(r"[A-Za-z]{1,3}[0-9]{0,3}", fullmatch=True), max_size=8))
+@example(["Y", "y10", "x2", "X", "y2", "x1", "b3", "B"])
+def test_var_sort_key_memo_keeps_the_order(names):
+    """The memoized key sorts names as the key computed afresh does."""
+    fresh = var_sort_key.__wrapped__
+    assert sorted(names, key=var_sort_key) == sorted(names, key=fresh)
+    assert [var_sort_key(n) for n in names] == [fresh(n) for n in names]
+
+
+def test_var_sort_key_rejects_bad_names_every_time():
+    for _ in range(2):  # a raised error is not memoized
+        for bad in ("x_1", "1x", "", "x1y"):
+            with pytest.raises(ValueError):
+                var_sort_key(bad)
+    assert var_sort_key("y10") == (False, "y", 10)
 
 
 def test_difference_of_squares():

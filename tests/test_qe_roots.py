@@ -11,8 +11,8 @@ from sympy.polys.subresultants_qq_zz import sylvester
 from esdec.poly import MultiPoly
 from esdec.qe.resultants import det_bareiss, psc_set, resultant
 from esdec.qe.roots import (
-    RealAlgebraicNumber, _int_coeffs, interval_eval, isolate_real_roots,
-    roots_at_point, sign_at_point, ueval, usquarefree, utrim,
+    RealAlgebraicNumber, _eval_int_form, _int_coeffs, _int_form, interval_eval,
+    isolate_real_roots, roots_at_point, sign_at_point, ueval, usquarefree, utrim,
 )
 
 F = Fraction
@@ -143,22 +143,25 @@ _NAMES = ("a", "b", "x", "y")
 def _rational_point_case(draw):
     """A polynomial with Fraction coefficients over declared variables,
     some of which it does not use (their exponents are all 0, or no term
-    is left), a main variable, and a rational point: each coordinate a
-    Fraction or a rational RealAlgebraicNumber, and an unused variable's
-    coordinate sometimes missing, except the main variable's."""
+    is left), a main variable, and one to four rational points: each
+    coordinate a Fraction or a rational RealAlgebraicNumber, and an unused
+    variable's coordinate sometimes missing, except the main variable's."""
     declared = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4, unique=True))
     dead = draw(st.sets(st.sampled_from(declared)))
     mono = st.tuples(*[st.just(0) if v in dead else st.integers(0, 3) for v in declared])
     coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
     p = MultiPoly(declared, draw(st.dictionaries(mono, coeff, max_size=6)))
     var = draw(st.sampled_from(declared))
-    point = {}
-    for v in declared:
-        if v != var and v not in p.used_vars() and draw(st.booleans()):
-            continue
-        r = draw(st.fractions(min_value=-4, max_value=4, max_denominator=6))
-        point[v] = RealAlgebraicNumber.from_rational(r) if draw(st.booleans()) else r
-    return p, point, var
+    points = []
+    for _ in range(draw(st.integers(1, 4))):
+        point = {}
+        for v in declared:
+            if v != var and v not in p.used_vars() and draw(st.booleans()):
+                continue
+            r = draw(st.fractions(min_value=-4, max_value=4, max_denominator=6))
+            point[v] = RealAlgebraicNumber.from_rational(r) if draw(st.booleans()) else r
+        points.append(point)
+    return p, points, var
 
 
 def _positive_multiple(ints, fracs):
@@ -185,20 +188,27 @@ def _roots_by_partial_eval(p, point, var):
 
 @settings(max_examples=300, deadline=None)
 @given(_rational_point_case())
-@example((MultiPoly(("a", "x"), {}), {"x": F(1)}, "x"))  # declared a, no terms, no coordinate
-@example((MultiPoly(("a", "x"), {(2, 1): F(1, 2), (1, 0): F(-3)}), {"a": F(2, 3), "x": F(9)}, "x"))
+@example((MultiPoly(("a", "x"), {}), [{"x": F(1)}], "x"))  # declared a, no terms, no coordinate
+@example((MultiPoly(("a", "x"), {(2, 1): F(1, 2), (1, 0): F(-3)}), [{"a": F(2, 3), "x": F(9)}], "x"))
 def test_integer_evaluation_matches_partial_eval(case):
-    p, point, var = case
-    rats = {v: x.value if isinstance(x, RealAlgebraicNumber) else x for v, x in point.items()}
-    value = p.evaluate({v: rats.get(v, F(0)) for v in p.vars})
-    assert sign_at_point(p, point) == (value > 0) - (value < 0)
-    assert _positive_multiple(_int_coeffs(p, point), [value])
-    without_var = {v: x for v, x in point.items() if v != var}
-    wanted = [c.constant_value() for c in p.partial_eval(
-        {v: rats[v] for v in without_var}).as_univar(var)]
-    assert _positive_multiple(_int_coeffs(p, without_var, var), wanted)
-    assert repr(roots_at_point(p, without_var, var)) == repr(
-        _roots_by_partial_eval(p, without_var, var))
+    """At each point, p's int forms, built once and reused, give what a
+    fresh _int_coeffs gives, and that agrees with the partial_eval route."""
+    p, points, var = case
+    form, form_var = _int_form(p), _int_form(p, var)
+    for point in points:
+        rats = {v: x.value if isinstance(x, RealAlgebraicNumber) else x for v, x in point.items()}
+        value = p.evaluate({v: rats.get(v, F(0)) for v in p.vars})
+        ints = _eval_int_form(form, point)
+        assert ints == _int_coeffs(p, point) and _positive_multiple(ints, [value])
+        assert sign_at_point(p, point) == sign_at_point(p, point, form) == (value > 0) - (value < 0)
+        without_var = {v: x for v, x in point.items() if v != var}
+        wanted = [c.constant_value() for c in p.partial_eval(
+            {v: rats[v] for v in without_var}).as_univar(var)]
+        ints = _eval_int_form(form_var, without_var)
+        assert ints == _int_coeffs(p, without_var, var) and _positive_multiple(ints, wanted)
+        want_roots = repr(_roots_by_partial_eval(p, without_var, var))
+        assert repr(roots_at_point(p, without_var, var)) == want_roots
+        assert repr(roots_at_point(p, without_var, var, form_var)) == want_roots
 
 
 def test_integer_evaluation_needs_every_used_coordinate_rational():
