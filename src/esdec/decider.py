@@ -329,19 +329,20 @@ def es_bruteforce(pset: PredicateSet, n: int, n_max: int) -> EsValue:
     members = list(enumerate(pset.members))
     truth: dict = {}
 
-    def holds(i: int, member, levels: tuple) -> bool:
-        key = (i, levels)
-        if key not in truth:
-            truth[key] = eval_at(member, [Fraction(level) for level in levels])
-        return truth[key]
-
     def keep(prefix: tuple) -> bool:
         last = prefix[-1]
         for rest in combinations(prefix[:-1], n - 1):
-            sub = rest + (last,)
-            if any(all(holds(i, m, tup) for tup in combinations(sub, k))
-                   for i, m in members):
-                return False
+            tuples = list(combinations(rest + (last,), k))
+            for i, member in members:
+                for levels in tuples:
+                    key = (i, levels)
+                    holds = truth.get(key)
+                    if holds is None:
+                        holds = truth[key] = eval_at(member, [Fraction(v) for v in levels])
+                    if not holds:
+                        break
+                else:
+                    return False  # member holds on every k-subset
         return True
 
     last_counterexample = None

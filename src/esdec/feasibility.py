@@ -58,7 +58,7 @@ from .poly import MultiPoly
 from .predicates import And, Atom
 from .qe import QeBudget, Sentence, decide_sentence
 from .qe.sentences import EVENTUALLY, EXISTS, FORALL
-from .ramsey import canonical_growing
+from .ramsey import at_least_power, canonical_growing
 from .typesys import (
     DWARFED, GIGANTIC, CandidateType, CoefficientSystem, compute_type,
 )
@@ -264,7 +264,7 @@ def _try_witness(Q: CoefficientSystem, typ: CandidateType, A: Fraction,
                 gmin = rho if gmin is None else min(gmin, rho)
     start = max(Fraction(R), R * dmax)
     b_seq = canonical_growing(R, n, start=start)
-    if gmin is not None and b_seq[-1] ** R > gmin:
+    if gmin is not None and not at_least_power(gmin, b_seq[-1], R):
         return None
     if compute_type(Q, A, B, b_seq, R) != typ:
         return None

@@ -19,10 +19,12 @@ embedding witness:
      X + Y/x witness;
   6. a final ratio normalization folded into the scale parameter.
 
-The monotone search (step 2) and the R-fold chain searches (steps 3
-and 5) run on integers: each sequence is multiplied once by the common
-denominator of its values (``_scaled_ints``, which states why no
-comparison changes), and the searches return indices.  Everything that
+The monotone search (step 2, O(n log n)) and the R-fold chain searches
+(steps 3 and 5, O(n^2 log n)) run on integers: each sequence is
+multiplied once by the common denominator of its values
+(``_scaled_ints``, which states why no comparison changes), and the
+searches return indices.  R-growth tests (b_{i+1} >= b_i^R) compare bit
+lengths first (``at_least_power``).  Everything that
 is verified or returned is computed from the original rational values.
 Every extraction re-verifies its defining inequality before returning;
 failures are reported, never fabricated.
@@ -30,7 +32,7 @@ failures are reported, never fabricated.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -82,8 +84,35 @@ def canonical_growing(R: int, n: int, start: Fraction | None = None) -> list:
     return seq
 
 
+def at_least_power(y, x, R: int) -> bool:
+    """Exact test of y >= x^R, for a rational x > 0, a rational y and an
+    integer R >= 1; x^R is built only when bit lengths cannot decide.
+
+    For a rational p/q with p, q > 0 let e = bl(p) - bl(q), bl the bit
+    length.  From 2^(bl(p)-1) <= p < 2^bl(p) and the same for q,
+    2^(e-1) < p/q < 2^(e+1): log2 of it lies in the open interval
+    (e - 1, e + 1).  So log2 x^R lies in (R(e_x - 1), R(e_x + 1)) and
+    log2 y in (e_y - 1, e_y + 1).  If e_y - 1 >= R(e_x + 1), then
+    y > 2^(e_y - 1) >= 2^(R(e_x + 1)) > x^R; if e_y + 1 <= R(e_x - 1),
+    then y < 2^(e_y + 1) <= 2^(R(e_x - 1)) < x^R.  Only when the two
+    intervals overlap is x^R computed and compared.  A y <= 0 is below
+    x^R > 0.
+    """
+    if y.numerator <= 0:
+        return False
+    ex = x.numerator.bit_length() - x.denominator.bit_length()
+    ey = y.numerator.bit_length() - y.denominator.bit_length()
+    if ey - 1 >= R * (ex + 1):
+        return True
+    if ey + 1 <= R * (ex - 1):
+        return False
+    return y >= x ** R
+
+
 def is_R_growing(b: Sequence[Fraction], R: int) -> bool:
-    """Exact check: b1 >= R and b_{i+1} >= b_i^R."""
+    """Exact check: b1 >= R and b_{i+1} >= b_i^R (``at_least_power``;
+    each b_i it raises is positive, since b1 >= R and the terms before
+    it passed)."""
     if not isinstance(R, int) or R < 3:
         raise ValueError("R must be an integer >= 3")
     b = [Fraction(x) for x in b]
@@ -91,7 +120,7 @@ def is_R_growing(b: Sequence[Fraction], R: int) -> bool:
         return False
     if b[0] < R:
         return False
-    return all(b[i + 1] >= b[i] ** R for i in range(len(b) - 1))
+    return all(at_least_power(y, x, R) for x, y in zip(b, b[1:]))
 
 
 def apply_transform(kind: TransformKind, x: Fraction, A: Fraction, B: Fraction) -> Fraction:
@@ -121,6 +150,12 @@ def verify_embedding(a: Sequence[Fraction], b: Sequence[Fraction], witness: Embe
 
 
 # -- comparison scales -------------------------------------------------
+#
+# Each scale states its R-fold condition twice: as a predicate on
+# (first, last, new), and as a form (target, split) for the chain search,
+# where split(first) = (w, c) with w > 0 and the condition reads
+# new*w + c >= target(last).  target increases with last on the values
+# the scale serves (any for additive, positive for multiplicative).
 
 
 class _Additive:
@@ -135,6 +170,10 @@ class _Additive:
     @staticmethod
     def rfold_append(first, last, z, R):  # z - first >= R*(last - first)
         return z - first >= R * (last - first)
+
+    @staticmethod
+    def rfold_form(R):  # z + (R-1)*first >= R*last
+        return (lambda last: R * last), (lambda first: (1, (R - 1) * first))
 
     @staticmethod
     def invert(v):
@@ -155,6 +194,10 @@ class _Multiplicative:
     @staticmethod
     def rfold_append(first, last, z, R):  # z/first >= (last/first)^R
         return z * first ** (R - 1) >= last ** R
+
+    @staticmethod
+    def rfold_form(R):  # z*first^(R-1) >= last^R
+        return (lambda last: last ** R), (lambda first: (first ** (R - 1), 0))
 
     @staticmethod
     def invert(v):
@@ -263,38 +306,70 @@ def _scaled_ints(values) -> list:
     return [v.numerator * (L // v.denominator) for v in values]
 
 
-def _longest_chain(values, append_ok, want=None):
-    """Longest subsequence whose every append step satisfies
-    ``append_ok(first, last, new)``.
+def _longest_chain(values, form, want=None):
+    """Longest subsequence of the strictly increasing ``values`` whose
+    every append step satisfies the scale ``form`` (target, split):
+    new*w + c >= target(last), with (w, c) = split(first) and w > 0.
 
-    The triple conditions it serves (R-fold and DDC, in either scale)
-    are tightest at (first, last, new), so a chain's extendability
-    depends only on its first and last elements and the O(n^3) dynamic
-    program below is exact.  Returns the index list of a longest chain
-    (earliest start wins ties); stops early once ``want`` is reached.
-    Callers pass ``_scaled_ints`` values, on which the homogeneous
-    conditions keep their truth and run on ints.
+    The triple conditions of this form (R-fold and the doubling step, in
+    either scale) are tightest at (first, last, new), so a chain's extendability
+    depends only on its first and last elements, and for each first f a
+    dynamic program over the last element is exact.  Returns the index
+    list of a longest chain (earliest start wins ties; within a start,
+    the earliest end, and each term's parent the smallest index of the
+    longest chains it extends); stops early once ``want`` is reached.
+
+    For a fixed f, j > f is a valid predecessor of t > j exactly when
+    values[t] >= (target(values[j]) - c)/w.  The values increase, so
+    these t form a suffix of the positions after j, starting at pos(j),
+    found by bisection: bisect at the floor of the quotient, then step
+    past values still below the quotient (on ints at most one: a value
+    equal to an inexact floor; the next int is above it).  target
+    increases with last, so pos(j) does not decrease with j, and the
+    predecessors valid at t are f and a prefix of f+1, f+2, ..., whose
+    end a pointer advances.  A running maximum over that prefix gives
+    t its length and its parent; ties keep the first-activated, the
+    smallest, index.  Lengths so do not decrease with t, and a start f
+    cannot beat the best unless n - f terms remain.  That is O(n log n)
+    per start and O(n^2 log n) in all, against the triple loop's O(n^3),
+    with the same chains.  Callers pass ``_scaled_ints`` values, on which
+    the homogeneous conditions keep their truth and run on ints.
     """
     n = len(values)
     if n == 0:
         return []
+    target, split = form
+    targets = [target(v) for v in values]
     best = [0]
     for f in range(n):
+        if n - f <= len(best):
+            break
+        w, c = split(values[f])
         length = [0] * n
         parent: list = [None] * n
         length[f] = 1
-        for j in range(f, n):
-            if not length[j]:
-                continue
-            for t in range(j + 1, n):
-                if length[j] == 1 or append_ok(values[f], values[j], values[t]):
-                    if length[t] < length[j] + 1:
-                        length[t] = length[j] + 1
-                        parent[t] = j
-        jbest = max(range(f, n), key=lambda t: (length[t], -t))
-        if length[jbest] > len(best):
+        top, top_j = 1, f  # longest activated predecessor, smallest index
+        k, k_pos = f + 1, None  # next predecessor to activate, its pos
+        end = f  # earliest position of the longest length so far
+        for t in range(f + 1, n):
+            while k < t:
+                if k_pos is None:
+                    need = targets[k] - c
+                    k_pos = bisect_left(values, need // w, k + 1)
+                    while k_pos < n and values[k_pos] * w < need:
+                        k_pos += 1
+                if k_pos > t:
+                    break
+                if length[k] > top:
+                    top, top_j = length[k], k
+                k, k_pos = k + 1, None
+            length[t] = top + 1
+            parent[t] = top_j
+            if length[t] > length[end]:
+                end = t
+        if length[end] > len(best):
             chain = []
-            t = jbest
+            t = end
             while t is not None:
                 chain.append(t)
                 t = parent[t]
@@ -337,7 +412,8 @@ def extract_ddc(seq: Sequence[Fraction], k: int, l: int, scale=ADDITIVE) -> Extr
     return out
 
 
-def extract_rfold(seq: Sequence[Fraction], n: int, R: int, scale=ADDITIVE) -> Extraction:
+def extract_rfold(seq: Sequence[Fraction], n: int, R: int, scale=ADDITIVE,
+                  least: int | None = None) -> Extraction:
     """A subsequence on which "x3 - x1 >= R*(x2 - x1)" (in the given
     scale) holds everywhere, in forward or reverse-negated direction.
 
@@ -346,7 +422,7 @@ def extract_rfold(seq: Sequence[Fraction], n: int, R: int, scale=ADDITIVE) -> Ex
     doubling-differences chain of length m by the midpoint split, of
     which every r-th element is kept, turning each doubling step into
     an R-fold one.  Below it, the exact chain search: ``_longest_chain``
-    under ``rfold_append``, forward and then on the reverse-inverted
+    under ``rfold_form``, forward and then on the reverse-inverted
     values.
 
     The search dominates striding any shorter doubling chain: R-fold is
@@ -360,46 +436,56 @@ def extract_rfold(seq: Sequence[Fraction], n: int, R: int, scale=ADDITIVE) -> Ex
     search (the reciprocals of the multiplicative reverse direction
     bring new denominators); the chosen indices are verified for the
     R-fold property exactly, on the original values, before returning.
+
+    With ``least`` < n, the lengths n, n-1, ..., least are tried in turn,
+    each as a call with that n would, and the first extraction found is
+    returned.  A direction is searched once: a search result shorter
+    than its ``want`` did not stop early, so it is the want-free longest
+    chain (earliest start), and that is also the result for a ``want``
+    one smaller, since its first start reaching that length is the one
+    the chain starts at, or, if the chain is shorter still, none does.
     """
     if not isinstance(R, int) or R < 2:
         raise ValueError("R must be an integer >= 2")
+    least = n if least is None else least
+    if least > n:
+        raise ValueError("least must be <= n")
     vals = _check_increasing(seq, scale)
     if n <= 0:
         return Extraction("forward", (), ())
-    if len(vals) < n:
-        raise ExtractionFailure(
-            f"no {n}-term R-fold chain found in length-{len(vals)} input (R={R})",
-            stage="rfold",
-        )
-    if n <= 2:
-        return Extraction("forward", tuple(range(n)), tuple(vals[:n]))
     r = (R - 1).bit_length()  # ceil(log2 R) for R >= 2
-    m = r * (n - 1) + 1
-
-    if len(vals) >= ddc_guarantee_length(m, m):
-        chain = extract_ddc(vals, m, m, scale)
-        # the chain has exactly m terms, so every r-th index from either
-        # end picks the same n positions
-        picked = chain.indices[::r]
-        ext = Extraction(chain.direction, picked, tuple(vals[i] for i in picked))
-        if _verify_rfold(ext.normalized(scale), R, scale):
-            return ext
-
-    def append_ok(first, last, new):
-        return scale.rfold_append(first, last, new, R)
-
+    form = scale.rfold_form(R)
     top = len(vals) - 1
-    for direction in ("forward", "reverse-negated"):
-        forward = direction == "forward"
-        values = vals if forward else [scale.invert(v) for v in reversed(vals)]
-        chain = _longest_chain(_scaled_ints(values), append_ok, want=n)
-        if len(chain) >= n:
-            idx = sorted(i if forward else top - i for i in chain[:n])
-            ext = Extraction(direction, tuple(idx), tuple(vals[i] for i in idx))
+    unstopped: dict = {}  # direction -> search result shorter than its want
+    for size in range(n, least - 1, -1):
+        if len(vals) < size:
+            continue
+        if size <= 2:
+            return Extraction("forward", tuple(range(size)), tuple(vals[:size]))
+        m = r * (size - 1) + 1
+        if len(vals) >= ddc_guarantee_length(m, m):
+            chain = extract_ddc(vals, m, m, scale)
+            # the chain has exactly m terms, so every r-th index from
+            # either end picks the same size positions
+            picked = chain.indices[::r]
+            ext = Extraction(chain.direction, picked, tuple(vals[i] for i in picked))
             if _verify_rfold(ext.normalized(scale), R, scale):
                 return ext
+        for direction in ("forward", "reverse-negated"):
+            forward = direction == "forward"
+            chain = unstopped.get(direction)
+            if chain is None:
+                values = vals if forward else [scale.invert(v) for v in reversed(vals)]
+                chain = _longest_chain(_scaled_ints(values), form, want=size)
+                if len(chain) < size:
+                    unstopped[direction] = chain
+            if len(chain) >= size:
+                idx = sorted(i if forward else top - i for i in chain[:size])
+                ext = Extraction(direction, tuple(idx), tuple(vals[i] for i in idx))
+                if _verify_rfold(ext.normalized(scale), R, scale):
+                    return ext
     raise ExtractionFailure(
-        f"no {n}-term R-fold chain found in length-{len(vals)} input (R={R})",
+        f"no {least}-term R-fold chain found in length-{len(vals)} input (R={R})",
         stage="rfold",
     )
 
@@ -409,28 +495,47 @@ def extract_rfold(seq: Sequence[Fraction], n: int, R: int, scale=ADDITIVE) -> Ex
 
 def _strictly_monotone(a):
     """Longest strictly increasing and strictly decreasing subsequences,
-    as index lists; classic O(n^2) with parent links.  Runs on
-    ``_scaled_ints(a)``, whose order is that of ``a``; a decreasing
-    subsequence is an increasing one of the negated values."""
+    as index lists, in O(n log n) by patience sorting (Fredman 1975).
+    Runs on ``_scaled_ints(a)``, whose order is that of ``a``; a
+    decreasing subsequence is an increasing one of the negated values.
+
+    The chains are those of the quadratic dynamic program: j's length is
+    1 + the longest length of an earlier smaller value, its parent the
+    earliest such index of that length, and the chain ends at the
+    earliest index of the longest length.  Within one length class (in
+    index order) values do not increase, or the later one would be
+    longer; so a class's last value, its tail, is its smallest, the
+    tails increase strictly with the length, and j's length is 1 + the
+    number of tails below v_j (a bisection).  The members of the class
+    below j smaller than v_j form a suffix of it, and the earliest of
+    them is found by bisecting the class's negated values.  The chain
+    ends at the first member of the top class.
+    """
     ints = _scaled_ints(a)
-    n = len(ints)
     results = []
     for vals in (ints, [-v for v in ints]):
-        length = [1] * n
-        parent: list = [None] * n
-        for j in range(n):
-            vj = vals[j]
-            for i in range(j):
-                if vals[i] < vj and length[i] + 1 > length[j]:
-                    length[j] = length[i] + 1
-                    parent[j] = i
-        jbest = max(range(n), key=lambda j: (length[j], -j)) if n else 0
+        tails: list = []  # per length class: its last (smallest) value
+        members: list = []  # per length class: its indices, ascending
+        negated: list = []  # per length class: its values negated, ascending
+        parent: list = []
+        for j, v in enumerate(vals):
+            below = bisect_left(tails, v)  # classes holding a value < v
+            parent.append(members[below - 1][bisect_right(negated[below - 1], -v)]
+                          if below else None)
+            if below == len(tails):
+                tails.append(v)
+                members.append([j])
+                negated.append([-v])
+            else:
+                tails[below] = v
+                members[below].append(j)
+                negated[below].append(-v)
         chain = []
-        t = jbest if n else None
+        t = members[-1][0] if members else None
         while t is not None:
             chain.append(t)
             t = parent[t]
-        results.append(chain[::-1] if n else [])
+        results.append(chain[::-1])
     return results[0], results[1]
 
 
@@ -502,14 +607,11 @@ def extract_growing_embedding(a: Sequence[Fraction], params: GrowthParams) -> Gr
 
     # additive R-fold pass (prefer the longer outcome, need n+1, ideally n+2)
     try:
-        pass1 = extract_rfold(s_vals, min(n + 2, len(s_vals)), R, ADDITIVE)
-    except ExtractionFailure:
-        try:
-            pass1 = extract_rfold(s_vals, n + 1, R, ADDITIVE)
-        except ExtractionFailure as exc:
-            raise ExtractionFailure(
-                f"additive pass found no chain of length {n + 1}", stage="pass1"
-            ) from exc
+        pass1 = extract_rfold(s_vals, min(n + 2, len(s_vals)), R, ADDITIVE, least=n + 1)
+    except ExtractionFailure as exc:
+        raise ExtractionFailure(
+            f"additive pass found no chain of length {n + 1}", stage="pass1"
+        ) from exc
     u, u_pos = _chain(pass1, mono, ADDITIVE)
     s = nu if pass1.direction == "forward" else -nu
     A, t, t_pos = s * u[0], [x - u[0] for x in u[1:]], u_pos[1:]
@@ -598,9 +700,9 @@ def refine_well_placed(b: Sequence[Fraction], Q, A: Fraction, B: Fraction,
             "no ratio-free run long enough to refine", stage="refine"
         )
     refined = vals[start:stop]
-    low, high = refined[0] / params.R, refined[-1] ** params.R
+    low = refined[0] / params.R
     for rho in ratios:
-        if not (rho <= low or rho >= high):
+        if not (rho <= low or at_least_power(rho, refined[-1], params.R)):
             raise ExtractionFailure(
                 f"ratio {rho} is neither dwarfed nor gigantic after refinement",
                 stage="refine",

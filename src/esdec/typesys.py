@@ -46,7 +46,7 @@ from .algebra import (
 from .errors import InconsistentTypeError, ResourceLimitError
 from .poly import MultiPoly
 from .predicates import Atom, PredicateSet, atoms_of, eval_with, rel_holds
-from .ramsey import is_R_growing
+from .ramsey import at_least_power, is_R_growing
 
 DWARFED = "D"
 GIGANTIC = "G"
@@ -236,7 +236,6 @@ def compute_type(Q: CoefficientSystem, A: Fraction, B: Fraction,
     if not is_R_growing(b, R):
         raise ValueError("compute_type: b must be R-growing")
     low = b[0] / R
-    high = b[-1] ** R
     point = {"X": Fraction(A), "Y": Fraction(B)}
     sigmas = []
     taus = []
@@ -256,7 +255,7 @@ def compute_type(Q: CoefficientSystem, A: Fraction, B: Fraction,
                 rho = abs(va / vb)
                 if rho <= low:
                     tau_vec.append(DWARFED)
-                elif rho >= high:
+                elif at_least_power(rho, b[-1], R):
                     tau_vec.append(GIGANTIC)
                 else:
                     return NotWellPlaced(entry.entry_id, a, bb, rho)

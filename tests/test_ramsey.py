@@ -14,7 +14,7 @@ from esdec.ramsey import (
     EmbeddingWitness, Extraction, GrowthParams, _longest_chain, _scaled_ints,
     _strictly_monotone,
     canonical_growing, check_ddc, check_ddc_triples, ddc_guarantee_length,
-    extract_ddc, extract_growing_embedding, extract_rfold,
+    at_least_power, extract_ddc, extract_growing_embedding, extract_rfold,
     is_R_growing, verify_embedding,
 )
 
@@ -28,6 +28,10 @@ def test_is_r_growing():
     assert not is_R_growing([F(3)], 4)
     with pytest.raises(ValueError):
         is_R_growing([F(4)], 2)
+    b = canonical_growing(8, 5)  # doubly exponential terms
+    assert is_R_growing(b, 8)
+    assert not is_R_growing(b[:-1] + [b[-1] - 1], 8)
+    assert not is_R_growing(b[:2] + [-b[2]], 8)
 
 
 def test_canonical_growing():
@@ -61,9 +65,16 @@ def test_ddc_guarantee_table():
             assert ddc_guarantee_length(k, l) <= comb(k + l, k)
 
 
+def _ddc_form(scale):
+    """The doubling step z - y >= y - x as a chain-search form."""
+    if scale is ADDITIVE:
+        return (lambda y: 2 * y), (lambda x: (1, x))  # z + x >= 2y
+    return (lambda y: y * y), (lambda x: (x, 0))  # z*x >= y^2
+
+
 def test_extract_ddc_optimal():
     vals = [1, 2, 3, 4]
-    chain = _longest_chain(vals, ADDITIVE.ddc_ok)
+    chain = _longest_chain(vals, _ddc_form(ADDITIVE))
     assert len(chain) == 3
     assert check_ddc([vals[i] for i in chain])
 
@@ -164,12 +175,9 @@ _scales = st.sampled_from([ADDITIVE, MULTIPLICATIVE])
 def test_longest_chain_rfold_matches_brute_force(vals, R, scale, want):
     """The chain program is exact for R-fold in both scales: its chains
     hold on all triples and are as long as the longest such subset."""
-    def append_ok(first, last, new):
-        return scale.rfold_append(first, last, new, R)
-
     best = _brute_longest(vals, R, scale)
-    full = _longest_chain(vals, append_ok)
-    early = _longest_chain(vals, append_ok, want=want)
+    full = _longest_chain(vals, scale.rfold_form(R))
+    early = _longest_chain(vals, scale.rfold_form(R), want=want)
     assert len(full) == best
     assert len(early) >= min(want, best)
     for chain in (full, early):
@@ -202,15 +210,14 @@ def _cascade_rfold(vals, n, R, scale):
         if got is not None:
             return got
     rev_vals = [scale.invert(v) for v in reversed(vals)]
-    fwd = _longest_chain(vals, scale.ddc_ok)
-    rev = _longest_chain(rev_vals, scale.ddc_ok)
+    fwd = _longest_chain(vals, _ddc_form(scale))
+    rev = _longest_chain(rev_vals, _ddc_form(scale))
     got = (stride("forward", fwd) if len(fwd) >= len(rev)
            else stride("reverse-negated", sorted(top - i for i in rev)))
     if got is not None:
         return got
     for direction, values in (("forward", vals), ("reverse-negated", rev_vals)):
-        chain = _longest_chain(values, lambda x, y, z: scale.rfold_append(x, y, z, R),
-                               want=n)
+        chain = _longest_chain(values, scale.rfold_form(R), want=n)
         if len(chain) >= n:
             idx = sorted(i if direction == "forward" else top - i for i in chain[:n])
             return Extraction(direction, tuple(idx), tuple(vals[i] for i in idx))
@@ -325,8 +332,8 @@ def test_optimal_at_least_as_long_as_proof():
             vals.append(cur)
             cur += rng.randint(1, 9)
         proof = extract_ddc(vals, k, l)
-        optimal = max(len(_longest_chain(vals, ADDITIVE.ddc_ok)),
-                      len(_longest_chain([-v for v in reversed(vals)], ADDITIVE.ddc_ok)))
+        optimal = max(len(_longest_chain(vals, _ddc_form(ADDITIVE))),
+                      len(_longest_chain([-v for v in reversed(vals)], _ddc_form(ADDITIVE))))
         assert optimal >= len(proof.values)
 
 
@@ -356,7 +363,9 @@ def _fraction_strictly_monotone(a):
 
 
 def _fraction_longest_chain(values, append_ok, want=None):
-    """_longest_chain as it ran on the Fraction values themselves."""
+    """_longest_chain as it ran on the Fraction values themselves: the
+    O(n^3) triple loop under a predicate, which is also the int search
+    as it was before the bisection sweep (run on ints, below)."""
     n = len(values)
     if n == 0:
         return []
@@ -402,6 +411,8 @@ def _fraction_run(fn, *args):
 # small denominators, plus large ones whose lcm overflows any machine word
 _denominators = st.one_of(st.integers(1, 9), st.sampled_from([10 ** 6 + 3, 2 ** 61 - 1, 3 ** 40]))
 _mixed = st.lists(st.builds(F, st.integers(-40, 40), _denominators), max_size=16)
+# up to 120 values from a few, so many subsequences tie
+_tied = st.lists(st.builds(F, st.integers(-6, 6), st.integers(1, 3)), max_size=120)
 
 
 def _increasing_fractions(max_len):
@@ -419,8 +430,10 @@ def test_scaled_ints_example():
 
 
 @settings(max_examples=300, deadline=None)
-@given(_mixed)
+@given(st.one_of(_mixed, _tied))
 @example([F(1, 3), F(1, 2), F(-1, 3), F(1, 2), F(2, 3 ** 40)])
+@example([F(v % 7) for v in range(120)])
+@example([F(-v // 3) for v in range(120)])
 def test_strictly_monotone_matches_fraction_search(vals):
     assert _strictly_monotone(vals) == _fraction_strictly_monotone(vals)
 
@@ -437,7 +450,7 @@ def test_longest_chain_on_scaled_ints_matches_fractions(vals, R, scale, want):
     for values in (vals, [scale.invert(v) for v in reversed(vals)]):
         ints = _scaled_ints(values)
         assert all(type(x) is int for x in ints)
-        assert (_longest_chain(ints, append_ok, want)
+        assert (_longest_chain(ints, scale.rfold_form(R), want)
                 == _fraction_longest_chain(values, append_ok, want))
 
 
@@ -620,3 +633,90 @@ def test_retry_shape_needs_the_retry():
     emb = extract_growing_embedding(host, GrowthParams(4, 3))
     assert emb.sequence == (4, 256, 4 ** 16)
     assert verify_embedding(host, emb.sequence, emb.witness)
+
+
+# -- the growth test by bit length against y >= x**R ---------------------
+
+
+_big = st.one_of(st.integers(1, 9), st.integers(1, 2 ** 64),
+                 st.integers(2 ** 200, 2 ** 200 + 2 ** 64))
+_positive = st.builds(F, _big, _big)
+
+
+@st.composite
+def _power_cases(draw):
+    """(y, x, R): y an exact power x^R, a neighbour x^R +- 1 or
+    x^R +- 1/q, or any rational, zero and negatives included."""
+    R = draw(st.integers(3, 16))
+    x = draw(_positive)
+    kind = draw(st.sampled_from(["power", "near", "any"]))
+    if kind == "any":
+        return draw(st.builds(F, st.integers(-2 ** 70, 2 ** 70), _big)), x, R
+    y = x ** R
+    if kind == "near":
+        q = draw(_big)
+        y += draw(st.sampled_from([1, -1, F(1, q), F(-1, q)]))
+    return y, x, R
+
+
+@settings(max_examples=400, deadline=None)
+@given(_power_cases())
+# e = bl(numerator) - bl(denominator); the bounds touch where
+# e_y - 1 == R*(e_x + 1) (y above x^R) or e_y + 1 == R*(e_x - 1) (below)
+@example((F(128), F(3), 3))
+@example((F(1, 2), F(3), 3))
+@example((F(2), F(1, 3), 3))
+@example((F(1, 128), F(1, 3), 3))
+@example((F(27), F(3), 3))  # exact power, bounds overlap
+@example((F(26), F(3), 3))
+@example((F(0), F(1, 7), 4))
+def test_at_least_power_matches_the_power(case):
+    y, x, R = case
+    assert at_least_power(y, x, R) == (y >= x ** R)
+
+
+# -- the chain search against the cubic program, on ints ----------------
+
+
+@st.composite
+def _chain_cases(draw):
+    """Strictly increasing ints of length up to 120 whose steps repeat
+    (so many chains tie) or double, positive for the multiplicative
+    scale, with the append condition as predicate and as form."""
+    scale = draw(_scales)
+    steps = draw(st.lists(st.sampled_from([1, 1, 2, 3, 8]), max_size=119))
+    if draw(st.booleans()):
+        steps = [2 ** min(i, 12) * s for i, s in enumerate(steps)]
+    vals = list(accumulate([draw(st.integers(1, 4)), *steps]))
+    if draw(st.booleans()):
+        R = draw(st.integers(2, 5))
+        return vals, (lambda f, l, z: scale.rfold_append(f, l, z, R)), scale.rfold_form(R)
+    return vals, scale.ddc_ok, _ddc_form(scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chain_cases(), st.one_of(st.none(), st.integers(1, 12)))
+@example(([1, 2, 4, 8, 16, 32, 64, 128, 256], MULTIPLICATIVE.ddc_ok,
+          _ddc_form(MULTIPLICATIVE)), None)  # every threshold an exact hit
+@example((list(range(1, 121)), ADDITIVE.ddc_ok, _ddc_form(ADDITIVE)), None)
+@example((list(range(1, 121)), ADDITIVE.ddc_ok, _ddc_form(ADDITIVE)), 5)
+def test_longest_chain_matches_cubic_search(case, want):
+    """The bisection sweep returns the triple loop's index lists, in both
+    scales, for R-fold and for the doubling step, with and without
+    want."""
+    vals, append_ok, form = case
+    assert _longest_chain(vals, form, want) == _fraction_longest_chain(vals, append_ok, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_increasing_fractions(14), st.integers(1, 6), st.integers(0, 3), st.integers(2, 5),
+       _scales)
+def test_extract_rfold_least_matches_calls_per_length(vals, n, drop, R, scale):
+    """extract_rfold down to ``least`` returns what calling it at n,
+    n-1, ..., least returns first, failure message included."""
+    least = max(n - drop, 1)
+    for size in range(n, least - 1, -1):
+        want = _outcome(extract_rfold, vals, size, R, scale)
+        if not isinstance(want, tuple):
+            break
+    assert _outcome(extract_rfold, vals, n, R, scale, least) == want
