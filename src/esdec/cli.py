@@ -54,7 +54,6 @@ def cmd_decide(args) -> int:
         budget=_budget(args),
         type_cap=args.type_cap,
         search_witness=not args.no_witness,
-        witness_seed=args.seed,
     )
     payload = verdict.to_json()
     if args.repro:
@@ -119,7 +118,7 @@ def cmd_feasible(args) -> int:
         if verdict == "feasible":
             feasible += 1
             if args.witness:
-                got = witness_search(inst, args.R, args.n, seed=args.seed)
+                got = witness_search(Q, typ, args.R, args.n)
                 if got is not None:
                     A, B, b = got
                     row["witness"] = {"A": str(A), "B": str(B),
@@ -215,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type-cap", type=int, default=200_000)
     p.add_argument("--cell-cap", type=int, default=None)
     p.add_argument("--no-witness", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("homog", parents=[common], help="homogeneous subsequence extraction")
@@ -239,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true")
     p.add_argument("--R", type=int, default=4)
     p.add_argument("--n", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_feasible)
 
     p = sub.add_parser("qe", parents=[common], help="decide a prenex sentence over the reals")

@@ -28,6 +28,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .algebra import TransformKind
@@ -128,8 +129,7 @@ def _within_envelope(pset: PredicateSet) -> bool:
 
 
 def decide_es(pset: PredicateSet, budget: QeBudget | None = None,
-              type_cap: int = 200_000, search_witness: bool = True,
-              witness_seed: int = 0) -> Verdict:
+              type_cap: int = 200_000, search_witness: bool = True) -> Verdict:
     """Decide whether every long enough sequence admits a fixed-length
     subsequence on which some member holds everywhere.
 
@@ -183,7 +183,7 @@ def decide_es(pset: PredicateSet, budget: QeBudget | None = None,
             if verdict != FEASIBLE:
                 continue
             stats.types_feasible += 1
-            witness = (witness_search(inst, WITNESS_R, WITNESS_N, seed=witness_seed)
+            witness = (witness_search(Q, typ, WITNESS_R, WITNESS_N)
                        if search_witness else None)
             stats.elapsed = time.monotonic() - t0
             out = Verdict(NO, kind, typ, typ.to_json(Q), orientation,
@@ -268,10 +268,16 @@ _SCALES = (
 )
 
 
+@lru_cache(maxsize=64)
 def check_order_invariance(pset: PredicateSet):
     """Sampling check that atom truth depends only on the weak ordering
     of the arguments: every weak ordering of an argument tuple is
-    realized at several scales and the atom truths must agree."""
+    realized at several scales and the atom truths must agree.
+
+    Memoized (``__wrapped__`` is the plain check), soundly: the check is
+    a pure function of a frozen PredicateSet, and equal sets have equal
+    atoms.  A raised OrderInvarianceError is not cached, so a
+    non-invariant set raises on every call."""
     k = pset.arity
     atoms = []
     for member in pset.members:

@@ -42,25 +42,23 @@ qe.cad).  The collapse is sound because:
 
 ``build_psi_star`` stays as the uncollapsed reference and export form.
 
-The randomized/grid witness search is a corroboration oracle only: a
-found witness certifies feasibility one-sidedly; absence proves
-nothing.
+The grid witness search is a corroboration oracle only: a found
+witness certifies feasibility one-sidedly; absence proves nothing.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from .errors import ResourceLimitError
 from .poly import MultiPoly
 from .predicates import And, Atom
 from .qe import QeBudget, Sentence, decide_sentence
 from .qe.sentences import EVENTUALLY, EXISTS, FORALL
-from .ramsey import at_least_power, canonical_growing
+from .ramsey import canonical_growing
 from .typesys import (
-    DWARFED, GIGANTIC, CandidateType, CoefficientSystem, compute_type,
+    DWARFED, CandidateType, CoefficientSystem, coefficient_values, type_at,
 )
 
 PSI_VARS = ("R", "L", "H", "X", "Y")
@@ -86,7 +84,6 @@ class FeasibilityInstance:
     dwarfed: tuple
     gigantic: tuple
     constant_conflict: bool = False
-    source: tuple | None = None  # (CoefficientSystem, CandidateType) if built from one
 
     def __post_init__(self):
         if self.constant_conflict:
@@ -128,7 +125,6 @@ class FeasibilityInstance:
             dwarfed=tuple(dwarfed),
             gigantic=tuple(gigantic),
             constant_conflict=conflict,
-            source=(Q, typ),
         )
 
 
@@ -208,30 +204,16 @@ def is_feasible(inst: FeasibilityInstance, budget: QeBudget | None = None) -> st
         return UNDECIDED
 
 
-def witness_search(inst: FeasibilityInstance, R: int, n: int,
-                   budget: int = 150, seed: int = 0):
-    """Grid-plus-random search for (A, B, b) realizing the instance's
-    source type exactly; any hit is a one-sided feasibility certificate.
-
-    Requires the instance to carry its (Q, type) source.  Returns None
-    when nothing is found within budget, which proves nothing.
-    """
-    if inst.source is None:
-        raise ValueError("witness_search needs an instance built from a type")
-    if inst.constant_conflict:
-        return None
-    Q, typ = inst.source
-    rng = random.Random(seed)
+def witness_search(Q: CoefficientSystem, typ: CandidateType, R: int, n: int):
+    """The first (A, B, b) on a fixed grid of points that realizes the
+    type exactly, with b an n-term R-growing sequence; a hit is a
+    one-sided feasibility certificate.  None, when no grid point
+    realizes it, proves nothing."""
     big = Fraction(R) ** (R ** (n + 1))
     base = [Fraction(v) for v in (0, 1, -1, 2, -2, 3, -3, 5, -5)]
     base += [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(2, 3)]
     base += [big, -big, 1 / big, -1 / big]
-    draws = (
-        (Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-         Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-        for _ in range(budget)
-    )
-    for A, B in chain(product(base, repeat=2), draws):
+    for A, B in product(base, repeat=2):
         got = _try_witness(Q, typ, A, B, R, n)
         if got is not None:
             return got
@@ -240,32 +222,16 @@ def witness_search(inst: FeasibilityInstance, R: int, n: int,
 
 def _try_witness(Q: CoefficientSystem, typ: CandidateType, A: Fraction,
                  B: Fraction, R: int, n: int):
-    point = {"X": A, "Y": B}
-    dmax = Fraction(0)
-    gmin = None
-    for entry in Q.entries:
-        sigma = typ.sigma(entry)
-        tau = typ.tau(entry)
-        vals = {}
-        for alpha in entry.support:
-            v = entry.decomp.coeffs[alpha].evaluate(point)
-            want = sigma[alpha]
-            actual = 0 if v == 0 else (1 if v > 0 else -1)
-            if actual != want:
-                return None
-            vals[alpha] = v
-        for (a, b) in entry.pairs:
-            if sigma[a] == 0 or sigma[b] == 0:
-                continue
-            rho = abs(vals[a] / vals[b])
-            if tau[(a, b)] == DWARFED:
-                dmax = max(dmax, rho)
-            else:
-                gmin = rho if gmin is None else min(gmin, rho)
-    start = max(Fraction(R), R * dmax)
-    b_seq = canonical_growing(R, n, start=start)
-    if gmin is not None and not at_least_power(gmin, b_seq[-1], R):
-        return None
-    if compute_type(Q, A, B, b_seq, R) != typ:
+    """(A, B, b) when the point realizes the type with the tightest
+    R-growing b from R * (its largest dwarfed ratio), at least R."""
+    values = coefficient_values(Q, A, B, typ.sigmas)
+    if values is None:
+        return None  # most grid points fail here, before any division
+    dmax = max((abs(vals[a] / vals[b])
+                for entry, vals, taus in zip(Q.entries, values, typ.taus)
+                for (a, b), t in zip(entry.pairs, taus) if t == DWARFED and vals[b] != 0),
+               default=Fraction(0))
+    b_seq = canonical_growing(R, n, start=max(Fraction(R), R * dmax))
+    if type_at(Q, values, b_seq, R) != typ:
         return None
     return (A, B, b_seq)

@@ -123,6 +123,22 @@ def is_R_growing(b: Sequence[Fraction], R: int) -> bool:
     return all(at_least_power(y, x, R) for x, y in zip(b, b[1:]))
 
 
+DWARFED = "D"
+GIGANTIC = "G"
+
+
+def ratio_class(rho: Fraction, b: Sequence[Fraction], R: int) -> str | None:
+    """The magnitude class of a finite nonzero ratio magnitude rho
+    against an R-growing b: DWARFED when rho <= b_1/R, GIGANTIC when
+    rho >= b_n^R, None when it falls between, so that b is not well
+    placed for it."""
+    if R * rho <= b[0]:
+        return DWARFED
+    if at_least_power(rho, b[-1], R):
+        return GIGANTIC
+    return None
+
+
 def apply_transform(kind: TransformKind, x: Fraction, A: Fraction, B: Fraction) -> Fraction:
     if kind is TransformKind.F1:
         return A + B * x
@@ -645,69 +661,31 @@ def extract_growing_embedding(a: Sequence[Fraction], params: GrowthParams) -> Gr
 
 @dataclass(frozen=True)
 class RefineResult:
-    values: tuple  # the surviving contiguous run of b, first/last dropped
+    values: tuple  # the surviving contiguous run of b
     start: int  # slice bounds into the input b
     stop: int
 
 
-def finite_ratio_magnitudes(Q, A: Fraction, B: Fraction) -> list:
-    """All distinct finite nonzero |q_alpha/q_beta| over the coefficient
-    system's entries, evaluated exactly at (A, B)."""
-    point = {"X": Fraction(A), "Y": Fraction(B)}
-    out = set()
-    for entry in Q.entries:
-        vals = {alpha: c.evaluate(point) for alpha, c in entry.decomp.coeffs.items()}
-        for alpha, va in vals.items():
-            for beta, vb in vals.items():
-                if alpha == beta or vb == 0 or va == 0:
-                    continue  # zero is always dwarfed, infinity always gigantic
-                out.add(abs(va / vb))
-    return sorted(out)
-
-
-def refine_well_placed(b: Sequence[Fraction], Q, A: Fraction, B: Fraction,
+def refine_well_placed(b: Sequence[Fraction], ratios: Sequence[Fraction],
                        params: GrowthParams) -> RefineResult:
-    """Longest contiguous run of b avoiding every finite coefficient
-    ratio, with its first and last terms dropped; verified well-placed
-    (each ratio <= b1/R or >= bn^R) before returning."""
+    """The first longest contiguous run of b that is well placed for the
+    ratio magnitudes ``ratios``: ``ratio_class`` finds each dwarfed or
+    gigantic against it.  Every run is tried, the longest first from
+    each start; an R-growing b is short, as b_k has over 3^(k-1) bits."""
     vals = [Fraction(x) for x in b]
     if not is_R_growing(vals, params.R):
         raise ValueError("refine_well_placed: input must be R-growing")
-    ratios = finite_ratio_magnitudes(Q, A, B)
-    if not ratios:
-        return RefineResult(tuple(vals), 0, len(vals))
-
-    def cell(x: Fraction) -> int:
-        lo = bisect_left(ratios, x)
-        # 2*lo for the open interval below ratios[lo], 2*lo+1 for an exact hit
-        if lo < len(ratios) and ratios[lo] == x:
-            return 2 * lo + 1
-        return 2 * lo
-
-    cells = [cell(x) for x in vals]
-    best_start, best_stop = 0, 0
-    i = 0
-    while i < len(cells):
-        j = i
-        while j < len(cells) and cells[j] == cells[i]:
-            j += 1
-        if j - i > best_stop - best_start:
-            best_start, best_stop = i, j
-        i = j
-    start, stop = best_start + 1, best_stop - 1
-    if stop - start < 1:
-        raise ExtractionFailure(
-            "no ratio-free run long enough to refine", stage="refine"
-        )
-    refined = vals[start:stop]
-    low = refined[0] / params.R
-    for rho in ratios:
-        if not (rho <= low or at_least_power(rho, refined[-1], params.R)):
-            raise ExtractionFailure(
-                f"ratio {rho} is neither dwarfed nor gigantic after refinement",
-                stage="refine",
-            )
-    return RefineResult(tuple(refined), start, stop)
+    start, stop = 0, 0
+    for s in range(len(vals)):
+        for t in range(len(vals), s + stop - start, -1):
+            run = vals[s:t]
+            if all(ratio_class(rho, run, params.R) is not None for rho in ratios):
+                start, stop = s, t
+                break
+    if stop == start:
+        raise ExtractionFailure("no run of b is well placed for the ratios",
+                                stage="refine")
+    return RefineResult(tuple(vals[start:stop]), start, stop)
 
 
 @dataclass(frozen=True)
@@ -779,10 +757,10 @@ def extract_homogeneous(a: Sequence[Fraction], pset, n: int,
     try:
         emb = extract_growing_embedding(host, GrowthParams(R, n + 2))
         w = emb.witness
-        Q = typesys.build_Q(pset, w.kind)
+        ratios = typesys.ratio_magnitudes(typesys.build_Q(pset, w.kind), w.A, w.B)
         # refine_well_placed has checked every finite coefficient ratio
         # against refined[0]/R and refined[-1]**R, so the run is well placed
-        refined = refine_well_placed(emb.sequence, Q, w.A, w.B, GrowthParams(R, n + 2))
+        refined = refine_well_placed(emb.sequence, ratios, GrowthParams(R, n + 2))
         start, stop = refined.start, min(refined.stop, refined.start + n)
         n_all = len(emb.sequence)
         if w.orientation == "forward":

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from typing import Iterator, Sequence
 
 from .algebra import (
@@ -46,10 +46,7 @@ from .algebra import (
 from .errors import InconsistentTypeError, ResourceLimitError
 from .poly import MultiPoly
 from .predicates import Atom, PredicateSet, atoms_of, eval_with, rel_holds
-from .ramsey import at_least_power, is_R_growing
-
-DWARFED = "D"
-GIGANTIC = "G"
+from .ramsey import DWARFED, GIGANTIC, is_R_growing, ratio_class
 
 
 @dataclass(frozen=True)
@@ -228,22 +225,42 @@ class NotWellPlaced:
                 f"{self.ratio} falls between b1/R and bn^R")
 
 
-def compute_type(Q: CoefficientSystem, A: Fraction, B: Fraction,
-                 b: Sequence[Fraction], R: int):
-    """The realized type at (A, B, b), or NotWellPlaced naming the first
-    offending ratio.  b must be R-growing."""
-    b = [Fraction(x) for x in b]
-    if not is_R_growing(b, R):
-        raise ValueError("compute_type: b must be R-growing")
-    low = b[0] / R
+def coefficient_values(Q: CoefficientSystem, A: Fraction, B: Fraction,
+                       signs: tuple | None = None) -> tuple | None:
+    """Q's coefficients at (X, Y) = (A, B), exactly: per entry, a dict
+    from each support element to its value.  Every sign, ratio and type
+    read off a point comes from these.  With ``signs`` (shaped as
+    CandidateType.sigmas), None at the first coefficient whose sign
+    differs, before the rest are evaluated."""
     point = {"X": Fraction(A), "Y": Fraction(B)}
-    sigmas = []
+    out = []
+    for i, entry in enumerate(Q.entries):
+        vals = {}
+        for j, a in enumerate(entry.support):
+            vals[a] = v = entry.decomp.coeffs[a].evaluate(point)
+            if signs is not None and (v > 0) - (v < 0) != signs[i][j]:
+                return None
+        out.append(vals)
+    return tuple(out)
+
+
+def ratio_magnitudes(Q: CoefficientSystem, A: Fraction, B: Fraction) -> list:
+    """The distinct finite nonzero |q_alpha/q_beta| within each entry at
+    (A, B), sorted.  A zero ratio is always dwarfed and an infinite one
+    always gigantic, so only these constrain a well-placed b."""
+    out = set()
+    for vals in coefficient_values(Q, A, B):
+        nonzero = [abs(v) for v in vals.values() if v != 0]
+        out.update(va / vb for va, vb in permutations(nonzero, 2))
+    return sorted(out)
+
+
+def type_at(Q: CoefficientSystem, values: tuple, b: Sequence[Fraction], R: int):
+    """The type that Q's ``coefficient_values`` at a point realize with
+    the R-growing b, or NotWellPlaced naming the first ratio that
+    ``ratio_class`` finds neither dwarfed nor gigantic."""
     taus = []
-    for entry in Q.entries:
-        vals = {a: c.evaluate(point) for a, c in entry.decomp.coeffs.items()}
-        sigma_vec = tuple(
-            0 if vals[a] == 0 else (1 if vals[a] > 0 else -1) for a in entry.support
-        )
+    for entry, vals in zip(Q.entries, values):
         tau_vec = []
         for (a, bb) in entry.pairs:
             va, vb = vals[a], vals[bb]
@@ -253,15 +270,24 @@ def compute_type(Q: CoefficientSystem, A: Fraction, B: Fraction,
                 tau_vec.append(DWARFED)  # ratio is 0
             else:
                 rho = abs(va / vb)
-                if rho <= low:
-                    tau_vec.append(DWARFED)
-                elif at_least_power(rho, b[-1], R):
-                    tau_vec.append(GIGANTIC)
-                else:
+                t = ratio_class(rho, b, R)
+                if t is None:
                     return NotWellPlaced(entry.entry_id, a, bb, rho)
-        sigmas.append(sigma_vec)
+                tau_vec.append(t)
         taus.append(tuple(tau_vec))
-    return CandidateType(sigmas=tuple(sigmas), taus=tuple(taus))
+    sigmas = tuple(tuple((vals[a] > 0) - (vals[a] < 0) for a in entry.support)
+                   for entry, vals in zip(Q.entries, values))
+    return CandidateType(sigmas=sigmas, taus=tuple(taus))
+
+
+def compute_type(Q: CoefficientSystem, A: Fraction, B: Fraction,
+                 b: Sequence[Fraction], R: int):
+    """The realized type at (A, B, b), or NotWellPlaced naming the first
+    offending ratio.  b must be R-growing."""
+    b = [Fraction(x) for x in b]
+    if not is_R_growing(b, R):
+        raise ValueError("compute_type: b must be R-growing")
+    return type_at(Q, coefficient_values(Q, A, B), b, R)
 
 
 def _lex_beats(a, b, orientation: str) -> bool:

@@ -285,7 +285,7 @@ def test_criterion_7_feasibility():
             for typ in enumerate_types(Q):
                 inst = FeasibilityInstance.from_type(Q, typ)
                 verdict = is_feasible(inst)
-                got = witness_search(inst, 4, 3, budget=30)
+                got = witness_search(Q, typ, 4, 3)
                 checked += 1
                 if got is not None:
                     witnesses += 1

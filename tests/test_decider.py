@@ -296,6 +296,50 @@ def test_es_bruteforce_matches_full_enumeration(text, params):
     assert es_bruteforce(pset, n, n_max) == _full_enumeration_es(pset, n, n_max), text
 
 
+def test_order_invariance_failure_is_not_cached():
+    """A non-invariant set raises on every call, memo or not."""
+    pset = parse("x1 + x2 > 1")
+    for _ in range(3):
+        with pytest.raises(OrderInvarianceError):
+            es_bruteforce(pset, 2, 3)
+        with pytest.raises(OrderInvarianceError):
+            check_order_invariance(pset)
+
+
+@st.composite
+def _sets_maybe_invariant(draw):
+    """An order-invariant set, or one with an added atom that depends on
+    scale (a*x1 + c, c != 0) or on more than order (x1 + x2 > c)."""
+    text = draw(_invariant_sets())
+    extra = draw(st.sampled_from(("", "x1 - 1 > 0", "x1 + x2 > 1", "2*x1 + 3 <= 0",
+                                  "x1 - x2 != 0 or x1 > 0")))
+    return f"{text} ; {extra}" if extra else text
+
+
+@given(_sets_maybe_invariant(), st.sampled_from(((2, 3), (2, 4), (3, 4))))
+@settings(max_examples=30, deadline=None)
+def test_es_bruteforce_matches_unmemoized_check(text, params):
+    """es_bruteforce on a fresh parse, twice (a memo hit the second
+    time), raises exactly when the unmemoized check raises, and returns
+    the same value each time."""
+    n, n_max = params
+    try:
+        check_order_invariance.__wrapped__(parse(text))
+        invariant = True
+    except OrderInvarianceError:
+        invariant = False
+    got = []
+    for _ in range(2):
+        try:
+            got.append(es_bruteforce(parse(text), n, n_max))
+        except OrderInvarianceError:
+            got.append(None)
+    if invariant:
+        assert got[0] is not None and got[0] == got[1], text
+    else:
+        assert got == [None, None], text
+
+
 def test_es_bruteforce_evaluates_each_member_once_per_tuple(monkeypatch):
     """Each member is evaluated at most once per tuple of levels, and
     the pruned search needs at most 2 members * 5^2 level pairs here

@@ -1,18 +1,23 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from esdec.algebra import TransformKind
 from esdec.feasibility import (
-    FEASIBLE, INFEASIBLE, FeasibilityInstance, build_psi_eventual, build_psi_star,
-    is_feasible, sign_sentence, witness_search,
+    FEASIBLE, INFEASIBLE, FeasibilityInstance, _try_witness, build_psi_eventual,
+    build_psi_star, is_feasible, sign_sentence, witness_search,
 )
 from esdec.poly import MultiPoly
 from esdec.predicates import parse
 from esdec.qe import decide_sentence, parse_sentence
-from esdec.typesys import build_Q, compute_type, enumerate_types
+from esdec.ramsey import at_least_power, canonical_growing, is_R_growing
+from esdec.typesys import (
+    DWARFED, GIGANTIC, CandidateType, NotWellPlaced, build_Q, compute_type,
+    enumerate_types,
+)
 
 from golden import GROWTH_PATTERNS, LINEAR_PARTS, growth_gap_atoms, growth_gap_truth
 
@@ -102,16 +107,15 @@ def test_witness_search_examples():
     for typ in enumerate_types(Q):
         sigma = typ.sigma(entry)
         tau = typ.tau(entry)
-        inst = FeasibilityInstance.from_type(Q, typ)
         if sigma[(0,)] == 1 and sigma[(1,)] == 1:
             if set(tau.values()) == {"D"}:
-                got = witness_search(inst, 4, 3)
+                got = witness_search(Q, typ, 4, 3)
                 assert got is not None
                 A, B, b = got
                 assert (A, B) == (1, 1)
                 found_dd += 1
             elif tau[((0,), (1,))] == "G" and tau[((1,), (0,))] == "D":
-                got = witness_search(inst, 4, 3)
+                got = witness_search(Q, typ, 4, 3)
                 assert got is not None
                 A, B, b = got
                 assert compute_type(Q, A, B, b, 4) == typ
@@ -127,7 +131,7 @@ def test_one_sided_soundness_monotone():
         for typ in enumerate_types(Q):
             inst = FeasibilityInstance.from_type(Q, typ)
             verdict = is_feasible(inst)
-            got = witness_search(inst, 4, 3, budget=40)
+            got = witness_search(Q, typ, 4, 3)
             if got is not None:
                 assert verdict != INFEASIBLE
                 A, B, b = got
@@ -154,7 +158,7 @@ def test_monotone_census_f1():
         assert pair in ((1, -1), (-1, 1), (0, 0))
         if pair != (0, 0):
             assert set(typ.tau(entry).values()) == {"D"}
-        witness = witness_search(FeasibilityInstance.from_type(Q, typ), 4, 3)
+        witness = witness_search(Q, typ, 4, 3)
         assert witness is not None
 
 
@@ -261,3 +265,148 @@ def test_eventual_growth_gap_sentences_match_analytic_rule():
             signs = {"u": rng.choice((1, -1)), "v": rng.choice((1, -1))}
             text = _eventual_growth_gap(pattern, linear, signs)
             assert decide_sentence(parse_sentence(text)) == growth_gap_truth(pattern), text
+
+
+# -- the pre-change type at a point and witness test, as references -----
+
+
+def _old_compute_type(Q, A, B, b, R):
+    """compute_type before the coefficient values and the ratio rule
+    moved behind one function each."""
+    b = [Fraction(x) for x in b]
+    if not is_R_growing(b, R):
+        raise ValueError("compute_type: b must be R-growing")
+    low = b[0] / R
+    point = {"X": Fraction(A), "Y": Fraction(B)}
+    sigmas = []
+    taus = []
+    for entry in Q.entries:
+        vals = {a: c.evaluate(point) for a, c in entry.decomp.coeffs.items()}
+        sigma_vec = tuple(
+            0 if vals[a] == 0 else (1 if vals[a] > 0 else -1) for a in entry.support
+        )
+        tau_vec = []
+        for (a, bb) in entry.pairs:
+            va, vb = vals[a], vals[bb]
+            if vb == 0:
+                tau_vec.append(GIGANTIC)
+            elif va == 0:
+                tau_vec.append(DWARFED)
+            else:
+                rho = abs(va / vb)
+                if rho <= low:
+                    tau_vec.append(DWARFED)
+                elif at_least_power(rho, b[-1], R):
+                    tau_vec.append(GIGANTIC)
+                else:
+                    return NotWellPlaced(entry.entry_id, a, bb, rho)
+        sigmas.append(sigma_vec)
+        taus.append(tuple(tau_vec))
+    return CandidateType(sigmas=tuple(sigmas), taus=tuple(taus))
+
+
+def _old_try_witness(Q, typ, A, B, R, n):
+    """_try_witness with its own evaluation loop and gigantic bound."""
+    point = {"X": A, "Y": B}
+    dmax = Fraction(0)
+    gmin = None
+    for entry in Q.entries:
+        sigma = typ.sigma(entry)
+        tau = typ.tau(entry)
+        vals = {}
+        for alpha in entry.support:
+            v = entry.decomp.coeffs[alpha].evaluate(point)
+            want = sigma[alpha]
+            actual = 0 if v == 0 else (1 if v > 0 else -1)
+            if actual != want:
+                return None
+            vals[alpha] = v
+        for (a, b) in entry.pairs:
+            if sigma[a] == 0 or sigma[b] == 0:
+                continue
+            rho = abs(vals[a] / vals[b])
+            if tau[(a, b)] == DWARFED:
+                dmax = max(dmax, rho)
+            else:
+                gmin = rho if gmin is None else min(gmin, rho)
+    start = max(Fraction(R), R * dmax)
+    b_seq = canonical_growing(R, n, start=start)
+    if gmin is not None and not at_least_power(gmin, b_seq[-1], R):
+        return None
+    if _old_compute_type(Q, A, B, b_seq, R) != typ:
+        return None
+    return (A, B, b_seq)
+
+
+def _old_grid(R, n):
+    """witness_search's points, in its order (its random draws came after)."""
+    big = Fraction(R) ** (R ** (n + 1))
+    base = [Fraction(v) for v in (0, 1, -1, 2, -2, 3, -3, 5, -5)]
+    base += [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(2, 3)]
+    base += [big, -big, 1 / big, -1 / big]
+    return list(product(base, repeat=2))
+
+
+@st.composite
+def _linear_systems(draw):
+    """Coefficient systems of one atom a*x1 + b*x2 + c > 0, or of two
+    with an order atom k*x1 - k*x2 < 0; relations do not change Q."""
+    a, b = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any))
+    c = draw(st.integers(-1, 1))
+    text = f"{a}*x1 + {b}*x2 + {c} > 0"
+    k = draw(st.sampled_from((0, 1, -2)))
+    if k:
+        text += f" ; {k}*x1 - {k}*x2 < 0"
+    kind = draw(st.sampled_from(list(TransformKind)))
+    return text, build_Q(parse(text), kind)
+
+
+_GRID_POINTS = st.sets(st.integers(0, 288), min_size=1, max_size=32)
+
+
+@given(_linear_systems(), st.integers(0, 288), _GRID_POINTS)
+@example(("x1 > 0", build_Q(parse("x1 > 0"), TransformKind.F1)), 0, set(range(289)))
+@example(("x1 + x2 + 1 > 0 ; x1 - x2 < 0",
+          build_Q(parse("x1 + x2 + 1 > 0 ; x1 - x2 < 0"), TransformKind.F2)),
+         200, {0, 18, 40, 150, 288})
+@settings(max_examples=8, deadline=None)
+def test_type_at_point_matches_pre_change(case, drawn, sample):
+    """compute_type, _try_witness and witness_search against the
+    pre-change code, with R = 4 and n = 3, on the enumerated types and
+    the grid points.  Both _try_witness versions return None at once
+    when the point's coefficient signs differ from the type's, so they
+    run on every type at one drawn point, and on every type whose signs
+    the point realizes at each point of a drawn sample (every point of
+    a two-atom system costs seconds).  compute_type runs at each sampled
+    point on the default b and on each b a witness test built there;
+    witness_search must return the first witness in grid order."""
+    text, Q = case
+    R, n = 4, 3
+    grid = _old_grid(R, n)
+    by_signs: dict = {}
+    for typ in enumerate_types(Q):
+        by_signs.setdefault(typ.sigmas, []).append(typ)
+    A, B = grid[drawn]
+    for types in by_signs.values():
+        for typ in types:
+            assert _try_witness(Q, typ, A, B, R, n) == _old_try_witness(Q, typ, A, B, R, n)
+    hit = set()
+    for A, B in (grid[i] for i in sorted(sample)):
+        point = {"X": A, "Y": B}
+        signs = tuple(
+            tuple(0 if v == 0 else (1 if v > 0 else -1)
+                  for v in (e.decomp.coeffs[al].evaluate(point) for al in e.support))
+            for e in Q.entries)
+        bs = {tuple(canonical_growing(R, n))}
+        for typ in by_signs.get(signs, []):
+            got = _old_try_witness(Q, typ, A, B, R, n)
+            assert _try_witness(Q, typ, A, B, R, n) == got, (text, typ, A, B)
+            if got is not None:
+                hit.add(typ)
+                bs.add(tuple(got[2]))
+        for b in bs:
+            assert compute_type(Q, A, B, b, R) == _old_compute_type(Q, A, B, b, R)
+    for typ in hit:
+        first = next(w for w in (_old_try_witness(Q, typ, A, B, R, n) for A, B in grid)
+                     if w is not None)
+        assert witness_search(Q, typ, R, n) == first, (text, typ)
