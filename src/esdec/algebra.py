@@ -6,9 +6,10 @@ The two rational transformations used throughout the package are
 
 Substituting a transform into a k-variate polynomial p(x1..xk) and
 clearing denominators yields a pair (num, den) of polynomials over
-y1..yk, X, Y.  Only F1 is expanded: the F2 numerator is the F1
-numerator with each y_i exponent j reflected to deg_{x_i} p - j (the
-argument is in ``substitute_transform``).  Grouping num by y-monomials
+y1..yk, X, Y.  Each term of p is expanded in closed form by the
+binomial theorem under F1; the F2 numerator is the F1 numerator with
+each y_i exponent j reflected to deg_{x_i} p - j (the argument is in
+``substitute_transform``).  Grouping num by y-monomials
 gives the coefficient decomposition q = sum_a q_a(X, Y) * y^a whose
 support drives the dominance analysis: on sequences that grow fast
 enough, the sign of a polynomial at any increasing tuple is the sign
@@ -26,6 +27,7 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb
 from typing import Sequence
 
@@ -65,14 +67,19 @@ def substitute_transform(
     cancelled x2, say) are dropped first, so they need not lie within k;
     any other variable outside x1..xk raises ValueError, for both kinds.
 
-    F2 is derived from F1.  A monomial c * prod x_i^(e_i) of p becomes
+    Each term is expanded in closed form.  Under F1 a term
+    c * prod x_i^(e_i) becomes c * prod (X + Y*y_i)^(e_i), which by the
+    binomial theorem is the sum over 0 <= j_i <= e_i of
+    c * prod C(e_i, j_i) * y^j * X^(|e| - |j|) * Y^|j|.
+
+    F2 is derived from F1.  The same term becomes
     c * prod (X + Y/y_i)^(e_i) * y_i^(d_i) = c * prod (X*y_i + Y)^(e_i) *
-    y_i^(d_i - e_i) under F2, while F1 gives c * prod (X + Y*y_i)^(e_i).
-    Expanding, the F1 term X^(e-j) Y^j y_i^j pairs with the F2 term
-    X^(e-j) Y^j y_i^(d_i - j), with the same binomial coefficient.  So
-    the F2 numerator is the F1 numerator with every y_i exponent j
-    replaced by d_i - j.  j <= e_i <= d_i keeps the result a polynomial,
-    and j -> d_i - j is a bijection of 0..d_i, so no two terms merge.
+    y_i^(d_i - e_i) under F2.  Expanding, the F1 term X^(e-j) Y^j y_i^j
+    pairs with the F2 term X^(e-j) Y^j y_i^(d_i - j), with the same
+    binomial coefficient.  So the F2 numerator is the F1 numerator with
+    every y_i exponent j replaced by d_i - j.  j <= e_i <= d_i keeps the
+    result a polynomial, and j -> d_i - j is a bijection of 0..d_i, so no
+    two terms merge.
     """
     if kind not in (TransformKind.F1, TransformKind.F2):
         raise ValueError(f"unknown transform {kind!r}")
@@ -80,21 +87,26 @@ def substitute_transform(
     if k is None:
         k = infer_arity(p)
     allv = y_names(k) + ("X", "Y")
-    X = MultiPoly.var("X", allv)
-    Y = MultiPoly.var("Y", allv)
-    mapping = {
-        x: X + Y * MultiPoly.var(f"y{_XVAR.match(x).group(1)}", allv)
-        for x in p.vars if _XVAR.match(x)
-    }
-    num = p.substitute(mapping).with_vars(allv)
-    if kind is TransformKind.F1:
-        return num, MultiPoly.const(1, allv)
+    slots = []  # y position of each variable of p
+    for v in p.vars:
+        m = _XVAR.match(v)
+        if not m or not 1 <= int(m.group(1)) <= k:
+            raise ValueError(f"{v!r} is not among x1..x{k}")
+        slots.append(int(m.group(1)) - 1)
     degs = tuple(p.degree(f"x{i}") for i in range(1, k + 1))
-    reflected = {
-        tuple(d - j for d, j in zip(degs, mono)) + mono[k:]: coeff
-        for mono, coeff in num.terms.items()
-    }
-    return MultiPoly(allv, reflected), MultiPoly(allv, {degs + (0, 0): 1})
+    reflect = kind is TransformKind.F2
+    num: dict = {}
+    for mono, coeff in p.terms.items():
+        for js in product(*(range(e + 1) for e in mono)):
+            c, ys = coeff, [0] * k
+            for slot, e, j in zip(slots, mono, js):
+                c *= comb(e, j)
+                ys[slot] = degs[slot] - j if reflect else j
+            key = (*ys, sum(mono) - sum(js), sum(js))
+            num[key] = num.get(key, 0) + c
+    if reflect:
+        return MultiPoly(allv, num), MultiPoly(allv, {degs + (0, 0): 1})
+    return MultiPoly(allv, num), MultiPoly.const(1, allv)
 
 
 @dataclass(frozen=True)

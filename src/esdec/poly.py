@@ -262,7 +262,7 @@ class MultiPoly:
     def __repr__(self):
         return f"MultiPoly({self.to_text()!r})"
 
-    # -- evaluation & substitution ------------------------------------
+    # -- evaluation --------------------------------------------------
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         """Exact value at a full rational assignment."""
@@ -306,30 +306,6 @@ class MultiPoly:
                 terms[key] = s
         return MultiPoly._make(keep, terms)
 
-    def substitute(self, mapping: Mapping[str, "MultiPoly"]) -> "MultiPoly":
-        """Compose: replace each mapped variable by a polynomial."""
-        relevant = {v: p for v, p in mapping.items() if v in self.vars}
-        if not relevant:
-            return self
-        target_vars = tuple(v for v in self.vars if v not in relevant)
-        for p in relevant.values():
-            target_vars = merge_vars(target_vars, p.vars)
-        images = [relevant[v].with_vars(target_vars) if v in relevant
-                  else MultiPoly.var(v, target_vars) for v in self.vars]
-        origin = (0,) * len(target_vars)
-        acc = MultiPoly.zero(target_vars)
-        pow_cache: dict = {}
-        for mono, coeff in self.terms.items():
-            piece = MultiPoly._make(target_vars, {origin: coeff})
-            for i, e in enumerate(mono):
-                if e:
-                    power = pow_cache.get((i, e))
-                    if power is None:
-                        power = pow_cache[(i, e)] = images[i] ** e
-                    piece = piece * power
-            acc = acc + piece
-        return acc
-
     def rename_vars(self, mapping: Mapping[str, str]) -> "MultiPoly":
         new_names = [mapping.get(v, v) for v in self.vars]
         if len(set(new_names)) != len(new_names):
@@ -360,18 +336,6 @@ class MultiPoly:
                 continue
             acc = acc + c * x ** k
         return acc
-
-    def derivative(self, name: str) -> "MultiPoly":
-        if name not in self.vars:
-            return MultiPoly._make(self.vars, {})
-        i = self.vars.index(name)
-        terms = {}
-        for mono, coeff in self.terms.items():
-            e = mono[i]
-            if e:
-                m2 = mono[:i] + (e - 1,) + mono[i + 1:]
-                terms[m2] = coeff * e
-        return MultiPoly._make(self.vars, terms)
 
     # -- normalization ------------------------------------------------
 

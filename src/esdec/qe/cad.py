@@ -1,25 +1,31 @@
 """Sentence decision by cylindrical algebraic decomposition.
 
-The projection operator is the original Collins one: all coefficients
-of each polynomial (viewed in the level's main variable), principal
-subresultant coefficient sets of every reductum against its derivative,
-and psc sets of every pair of reducta across distinct polynomials.
-This is larger than later refinements but unconditionally correct; at
-the degrees this package meets, correctness is worth far more than
-cell counts.
+The projection operator is Hong's (H. Hong, ISSAC 1990): the
+coefficients of each polynomial A_i in the level's main variable, the
+principal subresultant coefficients (pscs) of each reductum of A_i
+against its derivative, and, for i < j, the pscs of each reductum of
+A_i against A_j itself.  Collins' operator pairs the reducta of A_i
+with every reductum of A_j, the first of which is A_j, so Hong's set is
+a subset of Collins'.  It is as sound: on a connected region where it
+is sign-invariant, the coefficients fix the reductum F that A_i is
+there, with lc(F) nonzero, and the pscs of F and F' fix its number of
+distinct roots; psc_k(F, A_j) is (up to sign) lc(F)^e * psc_k(F, G), G
+being A_j cut to its degree there, so the pscs against A_j fix
+deg gcd(A_i, A_j) as the pscs against G do.  Delineability of the
+product needs nothing more.
 
 Lifting walks the levels outermost-first.  Over each sample point of
 the level below, the level's polynomials are solved exactly
 (roots_at_point), the merged roots cut the line into sectors and
-sections, sectors get rational sample points (gap midpoints, integer
-points beyond the extremes), and sections carry their real algebraic
-number.  Truths are folded back up through the quantifier prefix with
-short-circuiting.  An atom's polynomial is one of its level's, so
-whether it vanishes at a sample point with two or more irrational
-coordinates is read off the decomposition: exactly when the point's
-coordinate on that level is one of its roots there.  The exact zero
-test at such points, the costly part of sign evaluation, is not needed
-for atoms.
+sections, sectors get rational sample points (the simplest rational in
+each gap, integer points beyond the extremes), and sections carry their
+real algebraic number.  Truths are folded back up through the
+quantifier prefix with short-circuiting.  An atom's polynomial is one
+of its level's, so whether it vanishes at a sample point with two or
+more irrational coordinates is read off the decomposition: exactly
+when the point's coordinate on that level is one of its roots there.
+The exact zero test at such points, the costly part of sign
+evaluation, is not needed for atoms.
 
 Trial evaluation (partial CAD's; Collins & Hong, JSC 1991): on entry to
 each level the matrix is evaluated in three-valued (Kleene) logic over
@@ -161,8 +167,9 @@ def _reducta(coeffs: list) -> list:
 
 
 def collins_project(polys: list, var: str) -> list:
-    """The Collins projection of a level's polynomials w.r.t. its main
-    variable; output polynomials no longer involve ``var``."""
+    """Hong's projection of a level's polynomials w.r.t. its main
+    variable (see the module docstring); output polynomials no longer
+    involve ``var``."""
     out: dict = {}
 
     def add(p: MultiPoly):
@@ -192,9 +199,8 @@ def collins_project(polys: list, var: str) -> list:
             if alone[i] and alone[j]:
                 continue
             for ri in _reducta(unis[i]):
-                for rj in _reducta(unis[j]):
-                    for v in psc_set(ri, rj):
-                        add(v)
+                for v in psc_set(ri, unis[j]):
+                    add(v)
     return list(out)
 
 
@@ -206,7 +212,33 @@ def _rational_above(x: RealAlgebraicNumber) -> Fraction:
     return Fraction(ceil(x.hi) + 1)
 
 
+def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """The simplest rational strictly inside (lo, hi): least denominator,
+    then least absolute numerator (only integers can tie).  For 0 <= lo,
+    by continued-fraction descent on ints: floor(lo) + 1 if it is below
+    hi, else t + 1/x' with t = floor(lo) and x' the simplest rational in
+    (1/(hi - t), 1/(lo - t)), whose end is infinite (denominator 0) when
+    lo is t; (h1*y + h0)/(k1*y + k0) accumulates the partial quotients."""
+    if lo < 0 < hi:
+        return Fraction(0)
+    if hi <= 0:
+        return -_simplest_between(-hi, -lo)
+    p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while True:
+        t = p // q
+        if (t + 1) * s < r:
+            return Fraction(h1 * (t + 1) + h0, k1 * (t + 1) + k0)
+        h0, h1, k0, k1 = h1, h1 * t + h0, k1, k1 * t + k0
+        p, q, r, s = s, r - t * s, q, p - t * q
+
+
 def _rational_between(a: RealAlgebraicNumber, b: RealAlgebraicNumber) -> Fraction:
+    """The simplest rational strictly inside (a.hi, b.lo), once refinement
+    separates the isolating intervals of the adjacent roots a < b.  Any
+    rational in that gap lies in the sector between them and samples it
+    equally well; the simplest stays short, where the midpoint would carry
+    every bisection of the shared roots, which comparisons refine in place."""
     while not a.hi < b.lo:
         progressed = False
         if not a.is_rational:
@@ -217,7 +249,7 @@ def _rational_between(a: RealAlgebraicNumber, b: RealAlgebraicNumber) -> Fractio
             progressed = True
         if not progressed:
             raise AssertionError("distinct rationals must already be separated")
-    return (a.hi + b.lo) / 2
+    return _simplest_between(a.hi, b.lo)
 
 
 def _same_number(root: RealAlgebraicNumber, sample) -> bool:

@@ -8,8 +8,8 @@ embedding witness:
   2. a strictly monotone subsequence (decreasing handled by negating,
      which folds into the witness parameters);
   3. an additive R-fold chain ("x3 - x1 >= R*(x2 - x1)" on all triples),
-     obtained by striding a doubling-differences (DDC) chain at the
-     guaranteed lengths and, below them, by an exact chain search;
+     found by an exact chain search, which finds one wherever the
+     paper's stride of a doubling-differences (DDC) chain would;
   4. a shift by the first term, making values positive with consecutive
      ratios >= R;
   5. a multiplicative R-fold pass.  Logarithms never appear: the
@@ -433,25 +433,22 @@ def extract_rfold(seq: Sequence[Fraction], n: int, R: int, scale=ADDITIVE,
     """A subsequence on which "x3 - x1 >= R*(x2 - x1)" (in the given
     scale) holds everywhere, in forward or reverse-negated direction.
 
-    At or above the recurrence length ddc_guarantee_length(m, m), with
-    m = r*(n-1)+1 and r = ceil(log2 R), the paper's construction: a
-    doubling-differences chain of length m by the midpoint split, of
-    which every r-th element is kept, turning each doubling step into
-    an R-fold one.  Below it, the exact chain search: ``_longest_chain``
-    under ``rfold_form``, forward and then on the reverse-inverted
-    values.
-
-    The search dominates striding any shorter doubling chain: R-fold is
-    tightest at (first, last, new) in both scales, so ``_longest_chain``
-    is exact for it and finds n terms whenever any n-term R-fold chain
-    exists in that direction, a strided one included.  R-fold with
-    R >= 2 implies the doubling step, so from each start it reaches no
-    more positions than a doubling-chain program would, and with
-    ``want=n`` it stops at the first start that reaches n.  Each
-    direction's values are scaled to ints by ``_scaled_ints`` before the
-    search (the reciprocals of the multiplicative reverse direction
-    bring new denominators); the chosen indices are verified for the
-    R-fold property exactly, on the original values, before returning.
+    Found by the exact chain search, ``_longest_chain`` under
+    ``rfold_form``, forward and then on the reverse-inverted values.
+    The search dominates the paper's construction, which keeps every
+    r-th element (r = ceil(log2 R)) of a doubling-differences chain of
+    length r*(n-1)+1, turning each doubling step into an R-fold one:
+    R-fold is tightest at (first, last, new) in both scales, so
+    ``_longest_chain`` is exact for it and finds n terms whenever any
+    n-term R-fold chain exists in that direction, a strided one
+    included.  R-fold with R >= 2 implies the doubling step, so from
+    each start it reaches no more positions than a doubling-chain
+    program would, and with ``want=n`` it stops at the first start that
+    reaches n.  Each direction's values are scaled to ints by
+    ``_scaled_ints`` before the search (the reciprocals of the
+    multiplicative reverse direction bring new denominators); the chosen
+    indices are verified for the R-fold property exactly, on the
+    original values, before returning.
 
     With ``least`` < n, the lengths n, n-1, ..., least are tried in turn,
     each as a call with that n would, and the first extraction found is
@@ -469,7 +466,6 @@ def extract_rfold(seq: Sequence[Fraction], n: int, R: int, scale=ADDITIVE,
     vals = _check_increasing(seq, scale)
     if n <= 0:
         return Extraction("forward", (), ())
-    r = (R - 1).bit_length()  # ceil(log2 R) for R >= 2
     form = scale.rfold_form(R)
     top = len(vals) - 1
     unstopped: dict = {}  # direction -> search result shorter than its want
@@ -478,15 +474,6 @@ def extract_rfold(seq: Sequence[Fraction], n: int, R: int, scale=ADDITIVE,
             continue
         if size <= 2:
             return Extraction("forward", tuple(range(size)), tuple(vals[:size]))
-        m = r * (size - 1) + 1
-        if len(vals) >= ddc_guarantee_length(m, m):
-            chain = extract_ddc(vals, m, m, scale)
-            # the chain has exactly m terms, so every r-th index from
-            # either end picks the same size positions
-            picked = chain.indices[::r]
-            ext = Extraction(chain.direction, picked, tuple(vals[i] for i in picked))
-            if _verify_rfold(ext.normalized(scale), R, scale):
-                return ext
         for direction in ("forward", "reverse-negated"):
             forward = direction == "forward"
             chain = unstopped.get(direction)

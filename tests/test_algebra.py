@@ -81,6 +81,21 @@ def test_substitute_consistency_random():
             assert lhs == rhs
 
 
+def _f1_expansion(p, k):
+    """F1 expanded term by term: each x_i^e becomes (X + Y*y_i)^e."""
+    p = p.drop_unused()
+    allv = y_names(k) + ("X", "Y")
+    X = MultiPoly.var("X", allv)
+    Y = MultiPoly.var("Y", allv)
+    num = MultiPoly.zero(allv)
+    for mono, coeff in p.terms.items():
+        piece = MultiPoly.const(coeff, allv)
+        for v, e in zip(p.vars, mono):
+            piece = piece * (X + Y * MultiPoly.var(f"y{v[1:]}", allv)) ** e
+        num = num + piece
+    return num, MultiPoly.const(1, allv)
+
+
 def _f2_expansion(p, k):
     """F2 expanded term by term: each x_i^e becomes (X*y_i + Y)^e times
     y_i^(d_i - e), with d_i = deg_{x_i} p."""
@@ -132,6 +147,19 @@ def test_substitute_f2_matches_term_expansion(p, extra):
     assert den.vars == ref_den.vars and den.terms == ref_den.terms
 
 
+@settings(max_examples=200, deadline=None)
+@given(_X_POLYS, st.integers(0, 2))
+@example(xv(1) ** 2 + xv(1) * xv(2), 0)  # X*Y*y1 from both terms
+@example(MultiPoly.zero(_XS), 0)
+@example(MultiPoly.const(3, _XS), 1)
+def test_substitute_f1_matches_term_expansion(p, extra):
+    k = max(infer_arity(p), 1) + extra
+    num, den = substitute_transform(p, TransformKind.F1, k)
+    ref_num, ref_den = _f1_expansion(p, k)
+    assert num.vars == ref_num.vars and num.terms == ref_num.terms
+    assert den.vars == ref_den.vars and den.terms == ref_den.terms
+
+
 @settings(max_examples=100, deadline=None)
 @given(_X_POLYS, st.integers(1, 2))
 @example(xv(1) * xv(2) + xv(2), 1)
@@ -141,6 +169,14 @@ def test_substitute_rejects_k_below_used_index(p, k):
     for kind in TransformKind:
         with pytest.raises(ValueError):
             substitute_transform(p, kind, k)
+
+
+def test_substitute_rejects_variables_other_than_x():
+    for name in ("z1", "y1", "x0", "X"):
+        p = xv(1) + MultiPoly.var(name)
+        for kind in TransformKind:
+            with pytest.raises(ValueError):
+                substitute_transform(p, kind, 3)
 
 
 def test_decomposition_examples():

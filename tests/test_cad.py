@@ -2,19 +2,20 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from esdec.errors import ParseError, ResourceLimitError
 from esdec.poly import MultiPoly
-from esdec.predicates import Atom, Or, eval_with, rel_holds
+from esdec.predicates import Atom, Or, atoms_of, eval_with, rel_holds
 from esdec.qe import (
     QeBudget, Sentence, decide_sentence, export_smtlib, parse_sentence, sentence_negate,
 )
 from esdec.qe import cad
 from esdec.qe.cad import EVENTUALLY, EXISTS, FORALL, _Decider, _settles, collins_project
+from esdec.qe.resultants import psc_set
 from esdec.qe.roots import RealAlgebraicNumber, roots_at_point, sign_at_point
 
 from golden import GOLDEN_SENTENCES, GROWTH_PATTERNS, LINEAR_PARTS, growth_gap_atoms, growth_gap_truth
@@ -441,3 +442,132 @@ def test_export_smtlib_eventually():
     object.__setattr__(s, "prefix", (("sometimes", "x"),))  # bypass the AST check
     with pytest.raises(ValueError):
         export_smtlib(s)
+
+
+# -- Hong's projection against Collins', kept here as the reference -------
+
+
+def _collins_reference(polys, var):
+    """Collins' projection: the coefficients and reductum-derivative psc
+    sets of collins_project, and psc sets of every reductum of A_i
+    against every reductum of A_j, i < j."""
+    out = {}
+
+    def add(p):
+        q = cad._canonical(p)
+        if q is not None:
+            out[q] = True
+
+    unis = [p.as_univar(var) for p in polys]
+    alone = [all(c.constant_value() is not None for c in coeffs) for coeffs in unis]
+    for coeffs, lone in zip(unis, alone):
+        if lone:
+            continue
+        for c in coeffs:
+            add(c)
+        for red in cad._reducta(coeffs):
+            if len(red) >= 3:
+                for v in psc_set(red, [red[k] * k for k in range(1, len(red))]):
+                    add(v)
+    for i in range(len(unis)):
+        for j in range(i + 1, len(unis)):
+            if alone[i] and alone[j]:
+                continue
+            for ri in cad._reducta(unis[i]):
+                for rj in cad._reducta(unis[j]):
+                    for v in psc_set(ri, rj):
+                        add(v)
+    return list(out)
+
+
+class _CollinsDecider(_Decider):
+    """The decision with Collins' projection in place of Hong's."""
+
+    def _build_levels(self):
+        for atom in atoms_of(self.sentence.matrix):
+            self._add_poly(atom.poly)
+        for lvl in range(self.nvars, 1, -1):
+            for p in _collins_reference(self.levels[lvl], self.order[lvl - 1]):
+                self._add_poly(p)
+
+
+def _projection_sentences():
+    """The golden sentences, their negations, and growth-gap sentences of
+    every pattern (18 linear parts each, seeded)."""
+    out = []
+    for text, _ in GOLDEN_SENTENCES:
+        s = parse_sentence(text)
+        out += [(text, s), (f"not ({text})", sentence_negate(s))]
+    rng = random.Random(16)
+    for pattern in GROWTH_PATTERNS:
+        for linear in rng.sample(LINEAR_PARTS, 18):
+            signs = {"u": rng.choice((1, -1)), "v": rng.choice((1, -1))}
+            text = _growth_gap_text(pattern, linear, signs)
+            out.append((text, parse_sentence(text)))
+    return out
+
+
+# Hong's set is strictly smaller here: 6 polynomials on level 1 against 8
+HONG_SMALLER = "forall z. forall x. exists y. ((2*y - z*y != 0) or y + z - 2*x^2 <= 0) or -2 - 2*x*y != 0"
+
+
+def _hong_and_collins(sentence):
+    """_run with each projection, after checking that each level of
+    Hong's is within Collins'."""
+    hong = _run(_Decider, sentence, QeBudget())
+    collins = _run(_CollinsDecider, sentence, QeBudget())
+    for lvl, polys in hong[2].levels.items():
+        assert set(polys) <= set(collins[2].levels[lvl]), (sentence, lvl)
+    return hong, collins
+
+
+def test_hong_projection_is_within_collins_with_the_same_truths():
+    for text, s in _projection_sentences():
+        hong, collins = _hong_and_collins(s)
+        assert hong[0] == collins[0], text
+    (truth, cells, hong), (c_truth, c_cells, collins) = _hong_and_collins(parse_sentence(HONG_SMALLER))
+    assert (len(hong.levels[1]), len(collins.levels[1])) == (6, 8)
+    assert (truth, cells, c_truth, c_cells) == (True, 129, True, 167)
+
+
+# -- sector samples ---------------------------------------------------------
+
+
+def _least_denominator_between(lo, hi):
+    """Brute force: the rational strictly inside (lo, hi) of least
+    denominator, and of least absolute numerator among those."""
+    q = 1
+    while True:
+        inside = [p for p in range(floor(lo * q), ceil(hi * q) + 1) if lo < F(p, q) < hi]
+        if inside:
+            return F(min(inside, key=abs), q)
+        q += 1
+
+
+_ENDS = st.builds(F, st.integers(-400, 400), st.integers(1, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ENDS, _ENDS)
+@example(F(0), F(1))
+@example(F(-1), F(0))
+@example(F(-3, 2), F(5, 2))
+@example(F(1, 3), F(1, 2))
+@example(F(7), F(22, 3))
+def test_simplest_between_has_the_least_denominator(a, b):
+    if a == b:
+        return
+    lo, hi = min(a, b), max(a, b)
+    assert cad._simplest_between(lo, hi) == _least_denominator_between(lo, hi)
+
+
+# midpoint samples grow with the refinement history of the shared roots:
+# this ran past 60 s with them
+SHORT_SAMPLES = ("forall y. forall z. exists x. ((-2)*z*z + (-1)*y*x + (1)*1 != 0) "
+                 "or (-1)*y*x + (-2)*y*y + (2)*z != 0")
+
+
+def test_simplest_sector_samples_keep_lifting_short():
+    s = parse_sentence(SHORT_SAMPLES)
+    assert _run(_Decider, s, QeBudget(max_cells=300))[:2] == (True, 137)
+    assert _run(_CollinsDecider, s, QeBudget(max_cells=300))[:2] == (True, 229)
