@@ -100,6 +100,7 @@ def cmd_extract_growing(args) -> int:
 
 
 def cmd_feasible(args) -> int:
+    GrowthParams(args.R, args.n)  # the witness parameters, checked before any work
     pset = parse(_read(args.predicates))
     kind = TransformKind[args.transform]
     Q = build_Q(pset, kind)

@@ -4,7 +4,10 @@ brute-force harness for order-invariant sets.
 Decision: for each of the two transforms and every candidate type of
 the induced coefficient system, evaluate every member's verdict in
 both traversal orientations; only a type that makes every member false
-everywhere in some orientation has its feasibility tested.  If such a
+everywhere in some orientation, and whose signs some point (X, Y)
+realizes, has its feasibility tested.  The realizable sign vectors are
+read off one decomposition of Q's nonconstant coefficients per
+transform (qe.cad.sign_vectors), the sign screen.  If such a
 type is feasible, arbitrarily long counterexample sequences exist and
 the answer is NO, with the (transform, type, orientation) triple as
 the certificate.  If the enumeration completes without such a type,
@@ -33,12 +36,9 @@ from itertools import combinations
 
 from .algebra import TransformKind
 from .errors import InconsistentTypeError, OrderInvarianceError, ResourceLimitError
-from .feasibility import (
-    FEASIBLE, UNDECIDED, FeasibilityInstance, is_feasible, sign_sentence,
-    witness_search,
-)
+from .feasibility import FEASIBLE, UNDECIDED, FeasibilityInstance, is_feasible, witness_search
 from .predicates import PredicateSet, atom_sign, atoms_of, eval_at, rel_holds
-from .qe import QeBudget, decide_sentence
+from .qe import QeBudget, sign_vectors
 from .typesys import (
     CandidateType, CoefficientSystem, build_Q, enumerate_types,
     eval_predicates_from_type,
@@ -64,16 +64,15 @@ class DecisionStats:
     verdicts evaluated (``types_inconsistent``: no dominant coefficient).
     Only types with an all-nowhere orientation are screened and tested,
     so ``types_feasible`` is at most 1: the first is the NO certificate.
-    ``qe_calls`` counts decide_sentence calls by purpose: the sign
-    screen, and the feasibility test; ``screen_cache_hits`` counts
-    types whose screen answer was already known from their signs."""
+    ``qe_calls`` counts QE work by purpose: under "screen" the sign
+    decompositions built (at most one per transform), under
+    "feasibility" the decide_sentence calls of feasibility tests."""
 
     types_total: int = 0
     types_feasible: int = 0
     types_skipped_by_screen: int = 0
     types_inconsistent: int = 0
     qe_calls: dict = field(default_factory=lambda: {"screen": 0, "feasibility": 0})
-    screen_cache_hits: int = 0
     undecided_events: list = field(default_factory=list)
     elapsed: float = 0.0
     notes: list = field(default_factory=list)
@@ -85,7 +84,6 @@ class DecisionStats:
             "typesSkippedByScreen": self.types_skipped_by_screen,
             "typesInconsistent": self.types_inconsistent,
             "qeCalls": dict(self.qe_calls),
-            "screenCacheHits": self.screen_cache_hits,
             "undecidedEvents": list(self.undecided_events),
             "elapsed": self.elapsed,
             "notes": list(self.notes),
@@ -138,10 +136,11 @@ def decide_es(pset: PredicateSet, budget: QeBudget | None = None,
     orientation cannot certify NO, whether it is feasible or not, and
     its feasibility is never tested.  Feasibility does not depend on the
     orientation, so one test settles both.  The sign screen checks a
-    necessary condition for feasibility that depends only on the signs
-    (cached on ``typ.sigmas``); its 'no' skips the type, and when it
-    runs out of budget the full test decides.  Resource limits surface
-    as UNDECIDED, never as a wrong answer.
+    necessary condition for feasibility, that some point (X, Y)
+    realizes the type's signs, on one decomposition per transform,
+    built when the first type reaches it (_sign_screen); its 'no' skips
+    the type, and when it runs out of budget the full test decides.
+    Resource limits surface as UNDECIDED, never as a wrong answer.
     """
     stats = DecisionStats()
     if not _within_envelope(pset):
@@ -151,7 +150,7 @@ def decide_es(pset: PredicateSet, budget: QeBudget | None = None,
     budget = budget or QeBudget()
     for kind in (TransformKind.F1, TransformKind.F2):
         Q = build_Q(pset, kind)
-        screen_cache: dict = {}
+        screen = None
         try:
             types = enumerate_types(Q, cap=type_cap)
         except ResourceLimitError as exc:
@@ -165,15 +164,10 @@ def decide_es(pset: PredicateSet, budget: QeBudget | None = None,
             inst = FeasibilityInstance.from_type(Q, typ)
             if inst.constant_conflict:
                 continue  # infeasible without any QE
-            if typ.sigmas in screen_cache:
-                stats.screen_cache_hits += 1
-            else:
+            if screen is None:
                 stats.qe_calls["screen"] += 1
-                try:
-                    screen_cache[typ.sigmas] = decide_sentence(sign_sentence(inst), budget)
-                except ResourceLimitError:
-                    screen_cache[typ.sigmas] = None
-            if screen_cache[typ.sigmas] is False:
+                screen = _sign_screen(Q, budget)
+            if not screen(inst):
                 stats.types_skipped_by_screen += 1
                 continue
             stats.qe_calls["feasibility"] += 1
@@ -194,6 +188,25 @@ def decide_es(pset: PredicateSet, budget: QeBudget | None = None,
     if stats.undecided_events:
         return Verdict(UNDEC, stats=stats)
     return Verdict(YES, stats=stats)
+
+
+def _sign_screen(Q: CoefficientSystem, budget: QeBudget):
+    """Whether some point (X, Y) realizes an instance's sign constraints,
+    as a test of FeasibilityInstances of Q: some sign vector that Q's
+    nonconstant coefficients take on the plane gives each constraint its
+    prescribed sign.  When the cell budget runs out, every instance
+    passes, to be decided by is_feasible."""
+    index: dict = {}
+    for entry in Q.entries:
+        for c in entry.decomp.coeffs.values():
+            if c.constant_value() is None:
+                index.setdefault(c, len(index))
+    try:
+        vectors = sign_vectors(list(index), ("X", "Y"), budget)
+    except ResourceLimitError:
+        return lambda inst: True
+    return lambda inst: any(all(v[index[p]] == s for p, s in inst.sign_constraints)
+                            for v in vectors)
 
 
 def _nowhere_orientation(pset: PredicateSet, Q: CoefficientSystem,

@@ -42,6 +42,10 @@ qe.cad).  The collapse is sound because:
 
 ``build_psi_star`` stays as the uncollapsed reference and export form.
 
+The decider's sign screen, whether a type's signs are realized at all,
+reads the cells of one decomposition per transform instead of a
+sentence built here (see decider and qe.cad.sign_vectors).
+
 The grid witness search is a corroboration oracle only: a found
 witness certifies feasibility one-sidedly; absence proves nothing.
 """
@@ -179,13 +183,6 @@ def build_psi_eventual(inst: FeasibilityInstance) -> Sentence:
     "eventually" (see the module docstring); R is gone."""
     allv = tuple(v for _, v in EVENTUAL_PREFIX)
     return Sentence(EVENTUAL_PREFIX, _conjunction(_growth_atoms(inst, allv)))
-
-
-def sign_sentence(inst: FeasibilityInstance) -> Sentence:
-    """The cheap existential screen: can the signs be realized at all?"""
-    atoms = [Atom(poly.drop_unused(), _REL_OF_SIGN[sign])
-             for poly, sign in inst.sign_constraints]
-    return Sentence((("exists", "X"), ("exists", "Y")), _conjunction(atoms))
 
 
 FEASIBLE = "feasible"

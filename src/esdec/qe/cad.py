@@ -114,6 +114,19 @@ atom per charged cell (and the empty point at the root), so the cell
 budget bounds it too.  Every sample is still charged as a cell, so
 cell counts, budgets and answers are those of the unmemoized lifting.
 
+sign_vectors hands out the decomposition itself: it lifts every cell of
+the sentence "exists v_1 ... exists v_n. p_1 = 0 or ... or p_m = 0",
+whose matrix only carries the polynomials, through the same _lift, and
+reads the atoms' signs at each full sample point.  The decider's sign
+screen asks, for one type, whether "exists X. exists Y." of its sign
+constraints holds; that sentence's atoms are exactly Q's nonconstant
+coefficients with their prescribed signs, so one set of vectors per
+transform answers every type.  This is sound because the cells are
+sign-invariant for the polynomials (every cell's sign vector is the one
+at its sample) and the samples are exact, so the vectors are exactly
+the sign vectors taken on the whole space, and a screen sentence holds
+exactly when some vector gives each of its atoms the prescribed sign.
+
 Budgets make partiality honest: exceeding the cell budget raises
 ResourceLimitError, which callers surface as "undecided", never as an
 answer.
@@ -123,6 +136,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import ceil, floor
 
 from ..errors import ResourceLimitError
@@ -259,20 +273,12 @@ def _same_number(root: RealAlgebraicNumber, sample) -> bool:
 
 
 def _merge_roots(groups: list) -> list:
-    """Sort and deduplicate RealAlgebraicNumbers from several polynomials."""
+    """Sort and deduplicate RealAlgebraicNumbers from several polynomials.
+    The sort is stable, so of equal roots the first in input order stays."""
     merged: list = []
-    for root in (r for grp in groups for r in grp):
-        placed = False
-        for i, existing in enumerate(merged):
-            c = root.compare(existing)
-            if c == 0:
-                placed = True
-                break
-            if c < 0:
-                merged.insert(i, root)
-                placed = True
-                break
-        if not placed:
+    key = cmp_to_key(RealAlgebraicNumber.compare)
+    for root in sorted((r for grp in groups for r in grp), key=key):
+        if not merged or root.compare(merged[-1]) != 0:
             merged.append(root)
     return merged
 
@@ -314,6 +320,11 @@ def _coord_key(x):
 
 class _Decider:
     def __init__(self, sentence: Sentence, budget: QeBudget):
+        if len(sentence.prefix) > budget.max_vars:
+            raise ResourceLimitError(
+                f"{len(sentence.prefix)} variables exceeds the limit {budget.max_vars}",
+                variables=len(sentence.prefix),
+            )
         self.sentence = sentence
         self.budget = budget
         self.cells_used = 0
@@ -549,13 +560,7 @@ def decide_sentence_stats(
 
     Raises ResourceLimitError when a budget is exhausted; never guesses.
     """
-    budget = budget or QeBudget()
-    if len(sentence.prefix) > budget.max_vars:
-        raise ResourceLimitError(
-            f"{len(sentence.prefix)} variables exceeds the limit {budget.max_vars}",
-            variables=len(sentence.prefix),
-        )
-    dec = _Decider(sentence, budget)
+    dec = _Decider(sentence, budget or QeBudget())
     truth = dec.decide(1, {}, None)
     return truth, LiftStats(tuple(dec.cells_by_level), dec.settled_early)
 
@@ -564,3 +569,29 @@ def decide_sentence(sentence: Sentence, budget: QeBudget | None = None) -> bool:
     """Exact truth of a prenex sentence over the reals (see
     decide_sentence_stats)."""
     return decide_sentence_stats(sentence, budget)[0]
+
+
+def sign_vectors(polys: list, variables: tuple, budget: QeBudget | None = None) -> set:
+    """The sign vectors (sign of polys[0], ..., of polys[-1]) taken on
+    the real space of ``variables``: one per full sample point of a
+    decomposition sign-invariant for the polynomials (see the module
+    docstring).
+
+    Raises ResourceLimitError when a budget is exhausted; never guesses.
+    """
+    atoms = tuple(Atom(p, "=") for p in polys)
+    sentence = Sentence(tuple((EXISTS, v) for v in variables), Or(atoms))
+    dec = _Decider(sentence, budget or QeBudget())
+    return {tuple(dec._atom_sign(atom, point) for atom in atoms)
+            for point in _full_points(dec, 1, {})}
+
+
+def _full_points(dec: _Decider, level: int, point: dict):
+    """The full sample point of every cell lifted over ``point``,
+    depth-first; each is read before the next is lifted, while the
+    decider's memo keys are those of its path."""
+    if level > dec.nvars:
+        yield point
+        return
+    for _kind, child_point in dec._lift(level, point):
+        yield from _full_points(dec, level + 1, child_point)

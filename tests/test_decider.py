@@ -12,8 +12,11 @@ from esdec.decider import (
     weak_orderings,
 )
 from esdec.errors import InconsistentTypeError, OrderInvarianceError, ResourceLimitError
-from esdec.feasibility import FEASIBLE, UNDECIDED, FeasibilityInstance, is_feasible
-from esdec.predicates import eval_at, holds_everywhere, parse
+from esdec.feasibility import (
+    _REL_OF_SIGN, FEASIBLE, UNDECIDED, FeasibilityInstance, _conjunction, is_feasible,
+)
+from esdec.predicates import Atom, eval_at, holds_everywhere, parse
+from esdec.qe import QeBudget, Sentence, decide_sentence
 from esdec.ramsey import canonical_growing, extract_homogeneous
 from esdec.typesys import build_Q, enumerate_types, eval_predicates_from_type
 
@@ -48,6 +51,7 @@ def test_searches_leave_no_reference_cycles():
         lambda: es_bruteforce(mono, 3, 6),
         lambda: extract_homogeneous(noise, mono, 3),  # brute force
         lambda: extract_homogeneous(growing, mono, 4),  # constructive
+        lambda: decide_es(parse("x1 - x2 >= 0"), search_witness=False),  # the screen's cell walk
     )
     for call in calls:
         gc.collect()
@@ -158,8 +162,8 @@ def test_screen_exhaustion_falls_through(monkeypatch):
     and records no undecided event."""
     calls = []
 
-    def exhausted(sentence, budget=None):
-        calls.append(sentence)
+    def exhausted(polys, variables, budget=None):
+        calls.append(polys)
         raise ResourceLimitError("screen budget")
 
     yes_text, no_text = "x1 - x2 <= 0 ; x1 != 0", "-2*x1 + 2*x2 >= 0"
@@ -167,7 +171,7 @@ def test_screen_exhaustion_falls_through(monkeypatch):
     no = decide_es(parse(no_text), search_witness=False)
     assert yes.answer == YES and yes.stats.types_skipped_by_screen > 0
     assert no.answer == NO and no.stats.types_skipped_by_screen > 0
-    monkeypatch.setattr(decider, "decide_sentence", exhausted)
+    monkeypatch.setattr(decider, "sign_vectors", exhausted)
     for text, want in ((yes_text, yes), (no_text, no)):
         calls.clear()
         v = decide_es(parse(text), search_witness=False)
@@ -179,25 +183,65 @@ def test_screen_exhaustion_falls_through(monkeypatch):
             (want.transform, want.certificate_type, want.orientation), text
 
 
+@st.composite
+def _linear_atom_sets(draw):
+    """1-2 members, each one atom a*x1 + b*x2 + c rel 0."""
+    def atom():
+        a, b = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any))
+        return f"{a}*x1 + {b}*x2 + {draw(st.integers(-1, 1))} {draw(st.sampled_from(_RELS))} 0"
+
+    return " ; ".join(atom() for _ in range(draw(st.integers(1, 2))))
+
+
+def _sign_sentence(inst: FeasibilityInstance) -> Sentence:
+    """The screen's sentence for one type, as the decider decided it
+    before one decomposition per transform answered it."""
+    atoms = [Atom(poly.drop_unused(), _REL_OF_SIGN[sign]) for poly, sign in inst.sign_constraints]
+    return Sentence((("exists", "X"), ("exists", "Y")), _conjunction(atoms))
+
+
+@given(_linear_atom_sets())
+@example("x1 + -1*x2 + 0 >= 0 ; 0*x1 + 2*x2 + 1 != 0")  # 81 signatures, 72 rejected
+@settings(max_examples=60, deadline=None)
+def test_sign_screen_matches_sign_sentences(text):
+    """Under both transforms, for every distinct sign signature of a
+    system with at most 3,000 types, the screen's answer is the truth of
+    that signature's existential sentence."""
+    for kind in TransformKind:
+        Q = build_Q(parse(text), kind)
+        try:
+            types = enumerate_types(Q, cap=3000)
+        except ResourceLimitError:
+            continue
+        screen = decider._sign_screen(Q, QeBudget())
+        seen = set()
+        for typ in types:
+            if typ.sigmas in seen:
+                continue
+            seen.add(typ.sigmas)
+            inst = FeasibilityInstance.from_type(Q, typ)
+            assert screen(inst) == decide_sentence(_sign_sentence(inst)), (text, kind, typ.sigmas)
+
+
 def test_decide_counts_qe_calls():
-    """QE calls by purpose and screen-cache hits, in the stats and their
-    JSON.  In x1 - x2 >= 0 two all-nowhere types share their signs with
-    a screened one, and the screen rejects four types before the fifth
-    is tested and certifies NO; a YES pair with no all-nowhere type
-    makes no QE call at all."""
-    cases = (  # text, answer, QE calls, screen-cache hits, types skipped by the screen
-        ("x1 < x2", NO, {"screen": 1, "feasibility": 1}, 0, 0),
-        ("x1 - x2 >= 0", NO, {"screen": 3, "feasibility": 1}, 2, 4),
-        ("x1 < x2 ; x1 >= x2", YES, {"screen": 0, "feasibility": 0}, 0, 0),
+    """QE work by purpose, in the stats and their JSON: one screen
+    decomposition per transform that a type reaches the screen in.  In
+    x1 - x2 >= 0 the one decomposition rejects four types before the
+    fifth is tested and certifies NO; a YES pair with no all-nowhere
+    type builds no decomposition and makes no QE call at all."""
+    cases = (  # text, answer, QE calls, types skipped by the screen
+        ("x1 < x2", NO, {"screen": 1, "feasibility": 1}, 0),
+        ("x1 - x2 >= 0", NO, {"screen": 1, "feasibility": 1}, 4),
+        ("x1 < x2 ; x1 >= x2", YES, {"screen": 0, "feasibility": 0}, 0),
     )
-    for text, answer, qe_calls, hits, skipped in cases:
+    for text, answer, qe_calls, skipped in cases:
         v = decide_es(parse(text), search_witness=False)
         assert v.answer == answer, text
         assert v.stats.qe_calls == qe_calls, text
-        assert v.stats.screen_cache_hits == hits, text
         assert v.stats.types_skipped_by_screen == skipped, text
         got = v.to_json()["stats"]
-        assert (got["qeCalls"], got["screenCacheHits"]) == (qe_calls, hits), text
+        assert got["qeCalls"] == qe_calls, text
+        assert "screenCacheHits" not in got, text
 
 
 def test_envelope_note_emitted():

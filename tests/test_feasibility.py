@@ -6,13 +6,14 @@ import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
 from esdec.algebra import TransformKind
+from esdec.decider import _sign_screen
 from esdec.feasibility import (
     FEASIBLE, INFEASIBLE, FeasibilityInstance, _try_witness, build_psi_eventual,
-    build_psi_star, is_feasible, sign_sentence, witness_search,
+    build_psi_star, is_feasible, witness_search,
 )
 from esdec.poly import MultiPoly
 from esdec.predicates import parse
-from esdec.qe import decide_sentence, parse_sentence
+from esdec.qe import QeBudget, decide_sentence, parse_sentence
 from esdec.ramsey import at_least_power, canonical_growing, is_R_growing
 from esdec.typesys import (
     DWARFED, GIGANTIC, CandidateType, NotWellPlaced, build_Q, compute_type,
@@ -163,12 +164,15 @@ def test_monotone_census_f1():
 
 
 def test_sign_sentence_screen():
+    """The sign screen, one decomposition's sign vectors, admits some
+    types' signs and rejects others'."""
     ps = parse("x1 < x2 ; x1 >= x2")
     Q = build_Q(ps, TransformKind.F1)
+    screen = _sign_screen(Q, QeBudget())
     sat = unsat = 0
     for typ in enumerate_types(Q):
         inst = FeasibilityInstance.from_type(Q, typ)
-        if decide_sentence(sign_sentence(inst)):
+        if screen(inst):
             sat += 1
         else:
             unsat += 1
