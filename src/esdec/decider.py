@@ -1,19 +1,48 @@
 """The main decision procedure for predicate sets, plus an exact
 brute-force harness for order-invariant sets.
 
-Decision: for each of the two transforms and every candidate type of
-the induced coefficient system, evaluate every member's verdict in
-both traversal orientations; only a type that makes every member false
-everywhere in some orientation, and whose signs some point (X, Y)
-realizes, has its feasibility tested.  The realizable sign vectors are
-read off one decomposition of Q's nonconstant coefficients per
-transform (qe.cad.sign_vectors), the sign screen.  If such a
-type is feasible, arbitrarily long counterexample sequences exist and
-the answer is NO, with the (transform, type, orientation) triple as
-the certificate.  If the enumeration completes without such a type,
-the answer is YES.  Budget exhaustion inside a feasibility test makes
-the overall answer UNDECIDED (unless a NO was already found, which is
-conclusive on its own).
+Decision.  A set is Erdos-Szekeres unless, under one of the two
+transforms, some feasible type makes every member false everywhere
+('nowhere') in some traversal orientation; that type, with its
+transform and orientation, is a NO certificate.  decide_es settles this
+in three exact stages.
+
+1. Sign vectors (YES).  A type fixes the sign of each entry of Q on
+   transformed increasing tuples, and a member's verdict reads only
+   those entry signs: an atom's sign is its numerator entry's times its
+   denominator entry's (typesys.verdicts_from_entry_signs).  So every
+   type's verdicts are those of one of the 3^entries entry-sign
+   vectors, forced-positive denominator entries at +1.  A transform
+   none of whose vectors makes every member 'nowhere' has no type that
+   does and can certify nothing; when neither transform has one, the
+   answer is YES, with no type enumerated.
+2. Point types (NO).  At a point (A, B), for any R and n, an R-growing
+   b from b1 >= R * max|q_a/q_b| over the finite nonzero ratios makes
+   every nonzero ratio dwarfed (|ratio| <= b1/R); a zero numerator's
+   ratio is 0 and a zero denominator's infinite.  So (A, B, b) realizes
+   the point type (typesys.point_type): the signs of the q_a(A, B),
+   every pair of nonzero coefficients dwarfed, a zero denominator's
+   pair gigantic and a zero numerator's dwarfed.  That holds for every
+   R and n, so the point type is feasible with no QE, and it depends on
+   the coefficients' signs alone.  One decomposition of Q's nonconstant
+   coefficients over (X, Y) per transform (qe.cad.sign_vectors) has
+   sign-invariant cells and exact sample points, so the sign vectors its
+   walk reads are exactly those the coefficients take on the plane, and
+   its point types are all the point types there are.  The walk is lazy
+   and stops at the first point type that makes every member 'nowhere':
+   NO, with the witness (A, B, b) when the cell's sample is rational.
+3. Types (the rest).  The transforms kept by stage 1 and not answered
+   by stage 2 go to the candidate-type enumeration: every member's
+   verdict in both orientations, for every type; only a type that makes
+   every member 'nowhere' in some orientation, and whose signs some
+   point (X, Y) realizes, has its feasibility tested by QE.  The
+   realizable signs are the vectors stage 2's walk read (the sign
+   screen), so each transform still gets one decomposition.  A feasible
+   such type is a NO certificate; if the enumeration completes without
+   one, the answer is YES.  Budget exhaustion inside a feasibility test
+   makes the answer UNDECIDED (unless a NO was already found, which is
+   conclusive on its own); a walk that runs out of cells leaves every
+   type to its feasibility test.
 
 The brute-force harness computes the exact Ramsey value of an
 order-invariant set by searching canonical weak orderings, which are
@@ -32,16 +61,19 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .algebra import TransformKind
 from .errors import InconsistentTypeError, OrderInvarianceError, ResourceLimitError
-from .feasibility import FEASIBLE, UNDECIDED, FeasibilityInstance, is_feasible, witness_search
+from .feasibility import (
+    FEASIBLE, UNDECIDED, FeasibilityInstance, _constant_sign, _try_witness, is_feasible,
+    witness_search,
+)
 from .predicates import PredicateSet, atom_sign, atoms_of, eval_at, rel_holds
-from .qe import QeBudget, sign_vectors
+from .qe import QeBudget, RealAlgebraicNumber, sign_vectors
 from .typesys import (
     CandidateType, CoefficientSystem, build_Q, enumerate_types,
-    eval_predicates_from_type,
+    eval_predicates_from_type, point_type, verdicts_from_entry_signs,
 )
 
 YES = "YES"
@@ -60,18 +92,25 @@ WITNESS_N = 4
 
 @dataclass
 class DecisionStats:
-    """Every enumerated type counts in ``types_total`` and has its
-    verdicts evaluated (``types_inconsistent``: no dominant coefficient).
-    Only types with an all-nowhere orientation are screened and tested,
-    so ``types_feasible`` is at most 1: the first is the NO certificate.
-    ``qe_calls`` counts QE work by purpose: under "screen" the sign
-    decompositions built (at most one per transform), under
-    "feasibility" the decide_sentence calls of feasibility tests."""
+    """How decide_es reached its answer.  ``decided_by`` names the stage
+    that answered: "signs" (no entry-sign vector makes every member
+    'nowhere'), "points" (a point type of the walk is the NO
+    certificate) or "types" (the type enumeration, UNDECIDED included).
+    The type counts cover the enumeration alone: every enumerated type
+    counts in ``types_total`` and has its verdicts evaluated
+    (``types_inconsistent``: no dominant coefficient); only types with an
+    all-nowhere orientation are screened and tested, so
+    ``types_feasible`` is at most 1: the first is the NO certificate.
+    ``qe_calls`` counts QE work by purpose: under "screen" the (X, Y)
+    decompositions built, at most one per transform, which the point
+    types and the sign screen share; under "feasibility" the
+    decide_sentence calls of feasibility tests."""
 
     types_total: int = 0
     types_feasible: int = 0
     types_skipped_by_screen: int = 0
     types_inconsistent: int = 0
+    decided_by: str | None = None
     qe_calls: dict = field(default_factory=lambda: {"screen": 0, "feasibility": 0})
     undecided_events: list = field(default_factory=list)
     elapsed: float = 0.0
@@ -83,6 +122,7 @@ class DecisionStats:
             "typesFeasible": self.types_feasible,
             "typesSkippedByScreen": self.types_skipped_by_screen,
             "typesInconsistent": self.types_inconsistent,
+            "decidedBy": self.decided_by,
             "qeCalls": dict(self.qe_calls),
             "undecidedEvents": list(self.undecided_events),
             "elapsed": self.elapsed,
@@ -131,16 +171,17 @@ def decide_es(pset: PredicateSet, budget: QeBudget | None = None,
     """Decide whether every long enough sequence admits a fixed-length
     subsequence on which some member holds everywhere.
 
-    Verdicts come first: NO needs a realizable type that makes every
-    member 'nowhere' in some orientation, so a type with no such
-    orientation cannot certify NO, whether it is feasible or not, and
-    its feasibility is never tested.  Feasibility does not depend on the
-    orientation, so one test settles both.  The sign screen checks a
-    necessary condition for feasibility, that some point (X, Y)
-    realizes the type's signs, on one decomposition per transform,
-    built when the first type reaches it (_sign_screen); its 'no' skips
-    the type, and when it runs out of budget the full test decides.
-    Resource limits surface as UNDECIDED, never as a wrong answer.
+    Three exact stages (see the module docstring), the first two per
+    transform: a transform none of whose entry-sign vectors makes every
+    member 'nowhere' can certify nothing and is dropped
+    (_nowhere_sign_vector), so when both are dropped the answer is YES;
+    the point types of one decomposition of a kept transform answer NO
+    when one makes every member 'nowhere' (_point_type_no); the type
+    enumeration (_decide_by_types) decides the rest on the kept
+    transforms, with the sign screens the walks collected.  Each
+    transform's Q is built once, F2's only when F1 does not answer NO.
+    ``stats.decided_by`` names the stage.  Resource limits surface as
+    UNDECIDED, never as a wrong answer.
     """
     stats = DecisionStats()
     if not _within_envelope(pset):
@@ -148,9 +189,103 @@ def decide_es(pset: PredicateSet, budget: QeBudget | None = None,
         stats.notes.append(ENVELOPE_NOTE)
     t0 = time.monotonic()
     budget = budget or QeBudget()
+    kept: list = []
+    screens: dict = {}
     for kind in (TransformKind.F1, TransformKind.F2):
         Q = build_Q(pset, kind)
-        screen = None
+        if not _nowhere_sign_vector(pset, Q, type_cap):
+            continue
+        kept.append((kind, Q))
+        out = _point_type_no(pset, kind, Q, budget, search_witness, stats, screens)
+        if out is not None:
+            break
+    else:
+        if kept:
+            out = _decide_by_types(pset, kept, budget, type_cap, search_witness, stats, screens)
+        else:
+            stats.decided_by = "signs"
+            out = Verdict(YES, stats=stats)
+    stats.elapsed = time.monotonic() - t0
+    return out
+
+
+def _nowhere_sign_vector(pset: PredicateSet, Q: CoefficientSystem, cap: int) -> bool:
+    """Whether some vector of entry signs, forced-positive entries at +1,
+    makes every member 'nowhere'; also when there are more than ``cap``
+    vectors, which are left to the later stages."""
+    choices = [(1,) if e.forced_positive else (-1, 0, 1) for e in Q.entries]
+    if 3 ** sum(len(c) > 1 for c in choices) > cap:
+        return True
+    return any(all(v == "nowhere" for v in verdicts_from_entry_signs(pset, Q, signs).values())
+               for signs in product(*choices))
+
+
+def _point_type_no(pset: PredicateSet, kind: TransformKind, Q: CoefficientSystem,
+                   budget: QeBudget, search_witness: bool, stats: DecisionStats,
+                   screens: dict) -> Verdict | None:
+    """NO with the first point type, in the walk of one decomposition of
+    Q's nonconstant coefficients over (X, Y), that makes every member
+    'nowhere', witnessed at its sample when that is rational; else None,
+    with the sign screen of the vectors walked in ``screens[kind]``
+    (every instance passes when the cell budget runs out)."""
+    stats.qe_calls["screen"] += 1
+    index = _coefficient_index(Q)
+    # per support element: its place in a sign vector, or its constant sign
+    slots = tuple(tuple((index.get(c), _constant_sign(c)) for c in
+                        (entry.decomp.coeffs[a] for a in entry.support))
+                  for entry in Q.entries)
+    seen: set = set()
+    try:
+        for vector, point in sign_vectors(list(index), ("X", "Y"), budget):
+            if vector in seen:
+                continue
+            seen.add(vector)
+            typ = point_type(Q, tuple(tuple(s if i is None else vector[i] for i, s in entry)
+                                      for entry in slots))
+            orientation = _nowhere_orientation(pset, Q, typ, stats)
+            if orientation is None:
+                continue
+            stats.decided_by = "points"
+            witness = _point_witness(Q, typ, point) if search_witness else None
+            out = Verdict(NO, kind, typ, typ.to_json(Q), orientation, witness, stats)
+            _reverify_no(pset, Q, out)
+            return out
+    except ResourceLimitError:
+        screens[kind] = lambda inst: True
+        return None
+    screens[kind] = _screen(index, seen)
+    return None
+
+
+def _point_witness(Q: CoefficientSystem, typ: CandidateType, point: dict):
+    """(A, B, b) at a rational sample point of a cell with the point
+    type's signs; None at an irrational one."""
+    A, B = (x.value if isinstance(x, RealAlgebraicNumber) else x
+            for x in (point["X"], point["Y"]))
+    if A is None or B is None:
+        return None
+    witness = _try_witness(Q, typ, A, B, WITNESS_R, WITNESS_N)
+    if witness is None:
+        raise AssertionError("internal: a rational sample does not realize its point type")
+    return witness
+
+
+def _decide_by_types(pset: PredicateSet, systems: list, budget: QeBudget, type_cap: int,
+                     search_witness: bool, stats: DecisionStats, screens: dict) -> Verdict:
+    """The type enumeration over ``systems``, (kind, Q) pairs: verdicts
+    come first, since NO needs a realizable type that makes every member
+    'nowhere' in some orientation, so a type with no such orientation
+    cannot certify NO, whether it is feasible or not, and its
+    feasibility is never tested.  Feasibility does not depend on the
+    orientation, so one test settles both.  The sign screen checks a
+    necessary condition for feasibility, that some point (X, Y) realizes
+    the type's signs: ``screens[kind]`` when given, else one
+    decomposition per transform, built when the first type reaches it
+    (_sign_screen).  Its 'no' skips the type, and when it ran out of
+    budget the full test decides."""
+    stats.decided_by = "types"
+    for kind, Q in systems:
+        screen = screens.get(kind)
         try:
             types = enumerate_types(Q, cap=type_cap)
         except ResourceLimitError as exc:
@@ -179,34 +314,43 @@ def decide_es(pset: PredicateSet, budget: QeBudget | None = None,
             stats.types_feasible += 1
             witness = (witness_search(Q, typ, WITNESS_R, WITNESS_N)
                        if search_witness else None)
-            stats.elapsed = time.monotonic() - t0
-            out = Verdict(NO, kind, typ, typ.to_json(Q), orientation,
-                          witness, stats)
+            out = Verdict(NO, kind, typ, typ.to_json(Q), orientation, witness, stats)
             _reverify_no(pset, Q, out)
             return out
-    stats.elapsed = time.monotonic() - t0
     if stats.undecided_events:
         return Verdict(UNDEC, stats=stats)
     return Verdict(YES, stats=stats)
 
 
-def _sign_screen(Q: CoefficientSystem, budget: QeBudget):
-    """Whether some point (X, Y) realizes an instance's sign constraints,
-    as a test of FeasibilityInstances of Q: some sign vector that Q's
-    nonconstant coefficients take on the plane gives each constraint its
-    prescribed sign.  When the cell budget runs out, every instance
-    passes, to be decided by is_feasible."""
+def _coefficient_index(Q: CoefficientSystem) -> dict:
+    """Q's distinct nonconstant coefficients, each to its place in a sign
+    vector."""
     index: dict = {}
     for entry in Q.entries:
         for c in entry.decomp.coeffs.values():
             if c.constant_value() is None:
                 index.setdefault(c, len(index))
-    try:
-        vectors = sign_vectors(list(index), ("X", "Y"), budget)
-    except ResourceLimitError:
-        return lambda inst: True
+    return index
+
+
+def _screen(index: dict, vectors: set):
+    """Whether some sign vector gives each of an instance's sign
+    constraints its prescribed sign."""
     return lambda inst: any(all(v[index[p]] == s for p, s in inst.sign_constraints)
                             for v in vectors)
+
+
+def _sign_screen(Q: CoefficientSystem, budget: QeBudget):
+    """Whether some point (X, Y) realizes an instance's sign constraints,
+    as a test of FeasibilityInstances of Q, from every cell of one
+    decomposition of Q's nonconstant coefficients.  When the cell budget
+    runs out, every instance passes, to be decided by is_feasible."""
+    index = _coefficient_index(Q)
+    try:
+        vectors = {v for v, _point in sign_vectors(list(index), ("X", "Y"), budget)}
+    except ResourceLimitError:
+        return lambda inst: True
+    return _screen(index, vectors)
 
 
 def _nowhere_orientation(pset: PredicateSet, Q: CoefficientSystem,

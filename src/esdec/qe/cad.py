@@ -115,17 +115,26 @@ budget bounds it too.  Every sample is still charged as a cell, so
 cell counts, budgets and answers are those of the unmemoized lifting.
 
 sign_vectors hands out the decomposition itself: it lifts every cell of
-the sentence "exists v_1 ... exists v_n. p_1 = 0 or ... or p_m = 0",
+the sentence "exists v_1 ... exists v_n. f_1 = 0 or ... or f_k = 0",
 whose matrix only carries the polynomials, through the same _lift, and
-reads the atoms' signs at each full sample point.  The decider's sign
-screen asks, for one type, whether "exists X. exists Y." of its sign
-constraints holds; that sentence's atoms are exactly Q's nonconstant
-coefficients with their prescribed signs, so one set of vectors per
-transform answers every type.  This is sound because the cells are
-sign-invariant for the polynomials (every cell's sign vector is the one
-at its sample) and the samples are exact, so the vectors are exactly
-the sign vectors taken on the whole space, and a screen sentence holds
-exactly when some vector gives each of its atoms the prescribed sign.
+yields each cell's sign vector with its full sample point, lazily, in
+walk order: a consumer that stops reading stops the lifting.  The f_j
+are the factors of the given polynomials' splits p = v_1^e_1 * ... *
+v_k^e_k * r (the variables of p's monomial content, and r when it is
+not constant), and p's sign is the product of the factors' signs, each
+to its exponent, and the sign of r when r is a constant.  The decider reads the point types of
+Q's coefficients off these cells and asks, for one type, whether
+"exists X. exists Y." of its sign constraints holds; that sentence's
+atoms are exactly Q's nonconstant coefficients with their prescribed
+signs, so one walk per transform answers every type.  This is sound
+because the cells are sign-invariant for the factors, hence for their
+products (every cell's sign vector is the one at its sample), and the
+samples are exact, so the vectors are exactly the sign vectors taken on
+the whole space, and a screen sentence holds exactly when some vector
+gives each of its atoms the prescribed sign.  The split keeps degrees
+and projections small: Y^2 and 2*X*Y contribute only the factors Y and
+X, and under F1 every coefficient of Q is a power of Y times a
+polynomial in X.
 
 Budgets make partiality honest: exceeding the cell budget raises
 ResourceLimitError, which callers surface as "undecided", never as an
@@ -136,8 +145,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from math import ceil, floor
+from math import ceil, floor, prod
 
 from ..errors import ResourceLimitError
 from ..poly import MultiPoly
@@ -273,13 +281,26 @@ def _same_number(root: RealAlgebraicNumber, sample) -> bool:
 
 
 def _merge_roots(groups: list) -> list:
-    """Sort and deduplicate RealAlgebraicNumbers from several polynomials.
-    The sort is stable, so of equal roots the first in input order stays."""
+    """Merge the ascending roots of several polynomials into one ascending
+    list without repeats.  Each group is merged into the roots of the
+    groups before it, so of equal roots the first in input order stays,
+    and one compare per step gives both the order and the equality."""
     merged: list = []
-    key = cmp_to_key(RealAlgebraicNumber.compare)
-    for root in sorted((r for grp in groups for r in grp), key=key):
-        if not merged or root.compare(merged[-1]) != 0:
-            merged.append(root)
+    for grp in groups:
+        out = []
+        i = j = 0
+        while i < len(merged) and j < len(grp):
+            c = merged[i].compare(grp[j])
+            if c <= 0:
+                out.append(merged[i])
+                i += 1
+            if c >= 0:
+                if c > 0:
+                    out.append(grp[j])
+                j += 1
+        out.extend(merged[i:])
+        out.extend(grp[j:])
+        merged = out
     return merged
 
 
@@ -571,19 +592,40 @@ def decide_sentence(sentence: Sentence, budget: QeBudget | None = None) -> bool:
     return decide_sentence_stats(sentence, budget)[0]
 
 
-def sign_vectors(polys: list, variables: tuple, budget: QeBudget | None = None) -> set:
-    """The sign vectors (sign of polys[0], ..., of polys[-1]) taken on
-    the real space of ``variables``: one per full sample point of a
-    decomposition sign-invariant for the polynomials (see the module
-    docstring).
+def sign_vectors(polys: list, variables: tuple, budget: QeBudget | None = None):
+    """(sign vector, full sample point) for every cell of a decomposition
+    of the real space of ``variables`` sign-invariant for the nonzero
+    polynomials, lazily, in walk order (see the module docstring); the
+    vector is (sign of polys[0], ..., of polys[-1]) at the point.  A
+    consumer that stops early lifts no cell past the last one it read.
+
+    The decomposition is built for the factors of each polynomial's
+    split p = v_1^e_1 * ... * v_k^e_k * r, with the monomial's variables
+    as polynomials and r left when it is not constant, and p's sign is
+    read off theirs.
 
     Raises ResourceLimitError when a budget is exhausted; never guesses.
     """
-    atoms = tuple(Atom(p, "=") for p in polys)
+    factors: dict = {}  # factor polynomial -> its place among the atoms
+    shapes = []  # per polynomial: the constant's sign, ((factor place, exponent), ...)
+    for p in polys:
+        exps = [min(m[i] for m in p.terms) for i in range(len(p.vars))]
+        rest = MultiPoly(p.vars, {tuple(e - x for e, x in zip(m, exps)): c
+                                  for m, c in p.terms.items()}).drop_unused()
+        parts = [(MultiPoly.var(v, (v,)), e) for v, e in zip(p.vars, exps) if e]
+        const = rest.constant_value()
+        if const is None:
+            const = 1
+            parts.append((rest, 1))
+        shapes.append(((const > 0) - (const < 0),
+                       tuple((factors.setdefault(f, len(factors)), e) for f, e in parts)))
+    atoms = tuple(Atom(f, "=") for f in factors)
     sentence = Sentence(tuple((EXISTS, v) for v in variables), Or(atoms))
     dec = _Decider(sentence, budget or QeBudget())
-    return {tuple(dec._atom_sign(atom, point) for atom in atoms)
-            for point in _full_points(dec, 1, {})}
+    for point in _full_points(dec, 1, {}):
+        signs = [dec._atom_sign(atom, point) for atom in atoms]
+        yield tuple(const * prod(signs[i] ** e for i, e in parts)
+                    for const, parts in shapes), point
 
 
 def _full_points(dec: _Decider, level: int, point: dict):

@@ -280,6 +280,19 @@ def type_at(Q: CoefficientSystem, values: tuple, b: Sequence[Fraction], R: int):
     return CandidateType(sigmas=sigmas, taus=tuple(taus))
 
 
+def point_type(Q: CoefficientSystem, sigmas: tuple) -> CandidateType:
+    """The type that every point (A, B) whose coefficients have the signs
+    ``sigmas`` (shaped as CandidateType.sigmas) realizes with an R-growing
+    b from b1 >= R * (its largest finite nonzero ratio): every pair of
+    nonzero coefficients is then dwarfed, a zero denominator makes its
+    pair gigantic and a zero numerator its pair dwarfed."""
+    taus = []
+    for entry, sig in zip(Q.entries, sigmas):
+        sigma = dict(zip(entry.support, sig))
+        taus.append(tuple(GIGANTIC if sigma[b] == 0 else DWARFED for _a, b in entry.pairs))
+    return CandidateType(sigmas=tuple(sigmas), taus=tuple(taus))
+
+
 def compute_type(Q: CoefficientSystem, A: Fraction, B: Fraction,
                  b: Sequence[Fraction], R: int):
     """The realized type at (A, B, b), or NotWellPlaced naming the first
@@ -326,12 +339,19 @@ def eval_predicates_from_type(pset: PredicateSet, Q: CoefficientSystem,
                               typ: CandidateType, orientation: str) -> dict:
     """Per-member verdict ('everywhere' or 'nowhere') on sequences whose
     coefficient system ``Q = build_Q(pset, transform)`` realizes the
-    type, traversed in the given orientation.  Atom signs are
-    tuple-independent, so one Boolean evaluation of each member
-    suffices."""
-    entry_signs = {
-        e.entry_id: sign_from_type(e, typ, orientation) for e in Q.entries
-    }
+    type, traversed in the given orientation: the verdicts of the entry
+    signs the type gives (verdicts_from_entry_signs)."""
+    return verdicts_from_entry_signs(
+        pset, Q, tuple(sign_from_type(e, typ, orientation) for e in Q.entries))
+
+
+def verdicts_from_entry_signs(pset: PredicateSet, Q: CoefficientSystem,
+                              entry_signs: tuple) -> dict:
+    """Per-member verdict ('everywhere' or 'nowhere') when each entry of
+    Q has the sign ``entry_signs[entry_id]`` on every transformed
+    increasing tuple.  An atom's sign is its numerator entry's times its
+    denominator entry's, so it is tuple-independent and one Boolean
+    evaluation of each member suffices."""
     # equal atoms share entries (interned by polynomial), hence share signs
     atom_sign: dict = {}
     for occ_idx, (m_idx, atom) in enumerate(Q.atom_list):

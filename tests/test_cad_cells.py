@@ -1,5 +1,5 @@
-"""The decomposition's cells as data: the sign vectors sign_vectors
-hands out, and the sorted, deduplicated roots each level's cells are
+"""The decomposition's cells as data: the sign vectors and sample points
+sign_vectors hands out, and the sorted, deduplicated roots each level's cells are
 cut from."""
 
 from itertools import product
@@ -13,7 +13,9 @@ from esdec.feasibility import _REL_OF_SIGN
 from esdec.poly import MultiPoly
 from esdec.predicates import And, Atom, parse
 from esdec.qe import QeBudget, Sentence, decide_sentence, isolate_real_roots, sign_vectors
+from esdec.qe import cad
 from esdec.qe.cad import _merge_roots
+from esdec.qe.roots import sign_at_point
 from esdec.typesys import build_Q
 
 
@@ -36,7 +38,7 @@ def test_sign_vectors_are_the_realizable_sign_patterns(text, kind):
     irrational section samples into the walk."""
     polys = _nonconstant_coefficients(build_Q(parse(text), kind))
     assert 1 <= len(polys) <= 4
-    vectors = sign_vectors(polys, ("X", "Y"), QeBudget())
+    vectors = {v for v, _point in sign_vectors(polys, ("X", "Y"), QeBudget())}
     for pattern in product((-1, 0, 1), repeat=len(polys)):
         atoms = tuple(Atom(p.drop_unused(), _REL_OF_SIGN[s]) for p, s in zip(polys, pattern))
         matrix = And(atoms) if len(atoms) > 1 else atoms[0]
@@ -47,7 +49,32 @@ def test_sign_vectors_are_the_realizable_sign_patterns(text, kind):
 def test_sign_vectors_charge_the_cell_budget():
     polys = _nonconstant_coefficients(build_Q(parse("x1^2 - 2 > 0"), TransformKind.F1))
     with pytest.raises(ResourceLimitError, match="cell budget 3 exhausted"):
-        sign_vectors(polys, ("X", "Y"), QeBudget(max_cells=3))
+        list(sign_vectors(polys, ("X", "Y"), QeBudget(max_cells=3)))
+
+
+def test_sign_vectors_walk_lazily(monkeypatch):
+    """A walk stopped after its first cell has charged fewer cells than
+    the whole walk, and each vector is the signs at its own sample."""
+    charged = []
+    charge = cad._Decider._charge_cell
+
+    def counting(self, level):
+        charged.append(level)
+        return charge(self, level)
+
+    monkeypatch.setattr(cad._Decider, "_charge_cell", counting)
+    polys = _nonconstant_coefficients(build_Q(parse("x1*x2 > 1"), TransformKind.F1))
+    walk = sign_vectors(polys, ("X", "Y"), QeBudget())
+    vector, point = next(walk)
+    first = len(charged)
+    walk.close()
+    cells = list(sign_vectors(polys, ("X", "Y"), QeBudget()))
+    full = len(charged) - first
+    assert 0 < first < full
+    assert full > len(cells)  # the level-1 cells are charged too
+    assert cells[0][0] == vector
+    for v, p in cells:
+        assert v == tuple(sign_at_point(q, p) for q in polys)
 
 
 def _insertion_merge(groups: list) -> list:

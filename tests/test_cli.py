@@ -31,15 +31,36 @@ def test_decide_no_with_certificate(tmp_path, capsys):
 
 
 def test_decide_reports_qe_calls(tmp_path, capsys):
-    """x1 < x2 is NO: one decomposition answers the screen, and the one
-    type tested is the certificate."""
+    """x1 < x2 is NO from a point type of one decomposition, with no
+    feasibility test.  x1 - x2 <= 0 ; x1 != 0 reaches the type
+    enumeration: each transform's walk is its screen, and the screen
+    rejects every type that reaches it."""
     pred = tmp_path / "increasing.pred"
     pred.write_text("x1 < x2\n")
     code, out, _ = run(capsys, "decide", str(pred), "--no-witness")
     assert code == 10
     stats = json.loads(out)["stats"]
-    assert stats["qeCalls"] == {"screen": 1, "feasibility": 1}
+    assert stats["qeCalls"] == {"screen": 1, "feasibility": 0}
     assert "screenCacheHits" not in stats
+    pred.write_text("x1 - x2 <= 0 ; x1 != 0\n")
+    code, out, _ = run(capsys, "decide", str(pred), "--no-witness")
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert stats["qeCalls"] == {"screen": 2, "feasibility": 0}
+    assert stats["typesSkippedByScreen"] == 18
+
+
+def test_decide_reports_how_it_decided(tmp_path, capsys):
+    """decidedBy names the stage that answered: sign vectors, a point
+    type, or the type enumeration."""
+    pred = tmp_path / "set.pred"
+    for text, code_want, how in (("x1 < x2 ; x1 >= x2", 0, "signs"),
+                                 ("x1 < x2", 10, "points"),
+                                 ("x1 - x2 <= 0 ; x1 != 0", 0, "types")):
+        pred.write_text(text + "\n")
+        code, out, _ = run(capsys, "decide", str(pred))
+        assert code == code_want, text
+        assert json.loads(out)["stats"]["decidedBy"] == how, text
 
 
 def test_decide_malformed(tmp_path, capsys):

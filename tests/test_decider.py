@@ -18,7 +18,9 @@ from esdec.feasibility import (
 from esdec.predicates import Atom, eval_at, holds_everywhere, parse
 from esdec.qe import QeBudget, Sentence, decide_sentence
 from esdec.ramsey import canonical_growing, extract_homogeneous
-from esdec.typesys import build_Q, enumerate_types, eval_predicates_from_type
+from esdec.typesys import (
+    build_Q, coefficient_values, enumerate_types, eval_predicates_from_type, type_at,
+)
 
 
 def test_weak_orderings_counts():
@@ -51,7 +53,7 @@ def test_searches_leave_no_reference_cycles():
         lambda: es_bruteforce(mono, 3, 6),
         lambda: extract_homogeneous(noise, mono, 3),  # brute force
         lambda: extract_homogeneous(growing, mono, 4),  # constructive
-        lambda: decide_es(parse("x1 - x2 >= 0"), search_witness=False),  # the screen's cell walk
+        lambda: decide_es(parse("x1 - x2 >= 0"), search_witness=False),  # a cell walk stopped early
     )
     for call in calls:
         gc.collect()
@@ -63,8 +65,19 @@ def test_searches_leave_no_reference_cycles():
             gc.enable()
 
 
+def _by_types(text, type_cap=200_000):
+    """The type enumeration alone, over both transforms: the reference
+    that decide_es's sign-vector and point-type stages answer before."""
+    pset = parse(text)
+    systems = [(kind, build_Q(pset, kind)) for kind in TransformKind]
+    return decider._decide_by_types(pset, systems, QeBudget(), type_cap, False,
+                                    decider.DecisionStats(), {})
+
+
 def test_decide_monotone_pair_yes():
     v = decide_es(parse("x1 < x2 ; x1 >= x2"))
+    assert v.answer == YES and v.stats.decided_by == "signs"
+    v = _by_types("x1 < x2 ; x1 >= x2")
     assert v.answer == YES
     assert v.stats.types_total > 0
 
@@ -149,17 +162,22 @@ def _order_sets(draw):
 @example("x1 - x2 > 0 or 2*x1 - 2*x2 < 0")  # a screen-passing infeasible type comes first
 @settings(max_examples=20, deadline=None)
 def test_decide_matches_feasibility_first(text):
+    """decide_es gives the reference's answer, and the type enumeration
+    alone gives its certificate too."""
     pset = parse(text)
     got = decide_es(pset, search_witness=False)
     want, cert = _feasibility_first_decide(pset)
+    assert got.answer == want, text
+    got = _by_types(text)
     assert got.answer == want, text
     if want == NO:
         assert (got.transform, got.certificate_type, got.orientation) == cert, text
 
 
 def test_screen_exhaustion_falls_through(monkeypatch):
-    """A screen that runs out of budget leaves the type to is_feasible
-    and records no undecided event."""
+    """A walk that runs out of budget leaves the set to the type
+    enumeration and each type to is_feasible, and records no undecided
+    event."""
     calls = []
 
     def exhausted(polys, variables, budget=None):
@@ -168,8 +186,9 @@ def test_screen_exhaustion_falls_through(monkeypatch):
 
     yes_text, no_text = "x1 - x2 <= 0 ; x1 != 0", "-2*x1 + 2*x2 >= 0"
     yes = decide_es(parse(yes_text), search_witness=False)
-    no = decide_es(parse(no_text), search_witness=False)
+    no = _by_types(no_text)  # decide_es answers it from a point type
     assert yes.answer == YES and yes.stats.types_skipped_by_screen > 0
+    assert yes.stats.decided_by == "types"
     assert no.answer == NO and no.stats.types_skipped_by_screen > 0
     monkeypatch.setattr(decider, "sign_vectors", exhausted)
     for text, want in ((yes_text, yes), (no_text, no)):
@@ -177,6 +196,7 @@ def test_screen_exhaustion_falls_through(monkeypatch):
         v = decide_es(parse(text), search_witness=False)
         assert calls, text
         assert v.answer == want.answer, text
+        assert v.stats.decided_by == "types", text
         assert v.stats.undecided_events == [], text
         assert v.stats.types_skipped_by_screen == 0, text
         assert (v.transform, v.certificate_type, v.orientation) == \
@@ -224,24 +244,122 @@ def test_sign_screen_matches_sign_sentences(text):
 
 
 def test_decide_counts_qe_calls():
-    """QE work by purpose, in the stats and their JSON: one screen
-    decomposition per transform that a type reaches the screen in.  In
-    x1 - x2 >= 0 the one decomposition rejects four types before the
-    fifth is tested and certifies NO; a YES pair with no all-nowhere
-    type builds no decomposition and makes no QE call at all."""
-    cases = (  # text, answer, QE calls, types skipped by the screen
-        ("x1 < x2", NO, {"screen": 1, "feasibility": 1}, 0),
-        ("x1 - x2 >= 0", NO, {"screen": 1, "feasibility": 1}, 4),
-        ("x1 < x2 ; x1 >= x2", YES, {"screen": 0, "feasibility": 0}, 0),
+    """QE work by purpose, in the stats and their JSON.  The type
+    enumeration alone builds one screen decomposition per transform that
+    a type reaches the screen in: in x1 - x2 >= 0 it rejects four types
+    before the fifth is tested and certifies NO; a YES pair with no
+    all-nowhere type builds none and makes no QE call at all.  decide_es
+    answers the first two from a point type of one decomposition and the
+    pair from sign vectors; x1 - x2 <= 0 ; x1 != 0 reaches the
+    enumeration, whose screens are the two walks' vectors."""
+    cases = (  # text, answer, how, QE calls of decide_es, of the enumeration alone, skipped
+        ("x1 < x2", NO, "points", {"screen": 1, "feasibility": 0},
+         {"screen": 1, "feasibility": 1}, 0),
+        ("x1 - x2 >= 0", NO, "points", {"screen": 1, "feasibility": 0},
+         {"screen": 1, "feasibility": 1}, 4),
+        ("x1 < x2 ; x1 >= x2", YES, "signs", {"screen": 0, "feasibility": 0},
+         {"screen": 0, "feasibility": 0}, 0),
+        ("x1 - x2 <= 0 ; x1 != 0", YES, "types", {"screen": 2, "feasibility": 0},
+         {"screen": 2, "feasibility": 0}, 18),
     )
-    for text, answer, qe_calls, skipped in cases:
+    for text, answer, how, decide_calls, qe_calls, skipped in cases:
         v = decide_es(parse(text), search_witness=False)
+        assert v.answer == answer, text
+        assert v.stats.decided_by == how, text
+        assert v.stats.qe_calls == decide_calls, text
+        assert v.to_json()["stats"]["decidedBy"] == how, text
+        v = _by_types(text)
         assert v.answer == answer, text
         assert v.stats.qe_calls == qe_calls, text
         assert v.stats.types_skipped_by_screen == skipped, text
         got = v.to_json()["stats"]
         assert got["qeCalls"] == qe_calls, text
         assert "screenCacheHits" not in got, text
+
+
+def _witness_sequence(kind, A, B, b, orientation):
+    """The concrete sequence of a NO witness, in its orientation."""
+    seq = [A + B * x if kind is TransformKind.F1 else A + B / x for x in b]
+    return seq if orientation == "ascending" else seq[::-1]
+
+
+@given(_linear_atom_sets())
+@example("x1 + 2*x2 + 0 != 0")
+@example("1*x1 + 0*x2 + 0 != 0 ; 0*x1 + 1*x2 + 0 > 0")
+@settings(max_examples=40, deadline=None)
+def test_point_type_certificates_are_feasible(text):
+    """A NO from a point type is FEASIBLE by the growth-gap sentence and
+    passes the re-verification of its verdicts.  The small type cap
+    bounds the sets left to the type enumeration, which this does not
+    test."""
+    pset = parse(text)
+    v = decide_es(pset, search_witness=False, type_cap=3000)
+    if v.stats.decided_by != "points":
+        return
+    assert v.answer == NO, text
+    Q = build_Q(pset, v.transform)
+    assert is_feasible(FeasibilityInstance.from_type(Q, v.certificate_type)) == FEASIBLE, text
+    decider._reverify_no(pset, Q, v)
+
+
+@given(_linear_atom_sets())
+@example("x1 + 2*x2 + 0 != 0")
+@settings(max_examples=60, deadline=None)
+def test_point_type_witnesses_realize_their_type(text):
+    """A point-type NO's witness realizes the certificate exactly, and
+    every member is false on every tuple of its concrete sequence."""
+    pset = parse(text)
+    v = decide_es(pset, type_cap=3000)
+    if v.stats.decided_by != "points" or v.witness is None:
+        return
+    A, B, b = v.witness
+    Q = build_Q(pset, v.transform)
+    assert type_at(Q, coefficient_values(Q, A, B), b, decider.WITNESS_R) == v.certificate_type
+    seq = _witness_sequence(v.transform, A, B, b, v.orientation)
+    for member in pset.members:
+        assert not any(eval_at(member, tup) for tup in combinations(seq, pset.arity)), text
+
+
+@given(_linear_atom_sets())
+@example("x1 + -1*x2 + 0 >= 0 ; 0*x1 + 2*x2 + 1 != 0")
+@example("1*x1 + 1*x2 + -1 >= 0")
+@settings(max_examples=30, deadline=None)
+def test_decide_matches_the_type_enumeration(text):
+    """Wherever the type enumeration alone finishes under a small type
+    cap, decide_es gives its answer."""
+    want = _by_types(text, type_cap=3000)
+    if want.answer == UNDEC:
+        return
+    got = decide_es(parse(text), search_witness=False, type_cap=3000)
+    assert got.answer == want.answer, text
+
+
+@st.composite
+def _one_form_sets(draw):
+    """Two members over one form a*x1 + b*x2 + c, each one relation to
+    0: YES by sign vectors exactly when the two relations cover every
+    sign."""
+    a, b = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any))
+    form = f"{a}*x1 + {b}*x2 + {draw(st.integers(-1, 1))}"
+    return " ; ".join(f"{form} {draw(st.sampled_from(_RELS))} 0" for _ in range(2))
+
+
+@given(_one_form_sets())
+@example("1*x1 + -1*x2 + 0 < 0 ; 1*x1 + -1*x2 + 0 >= 0")
+@settings(max_examples=40, deadline=None)
+def test_sign_vector_yes_never_meets_an_enumeration_no(text):
+    """When sign vectors answer YES, no enumerated type of either
+    transform makes every member 'nowhere', so the enumeration alone
+    cannot answer NO."""
+    pset = parse(text)
+    if decide_es(pset, type_cap=3000).stats.decided_by != "signs":
+        return
+    assert _by_types(text, type_cap=3000).answer == YES, text
+    for kind in TransformKind:
+        Q = build_Q(pset, kind)
+        stats = decider.DecisionStats()
+        for typ in enumerate_types(Q):
+            assert decider._nowhere_orientation(pset, Q, typ, stats) is None, (text, kind)
 
 
 def test_envelope_note_emitted():
