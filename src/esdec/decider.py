@@ -29,8 +29,10 @@ in three exact stages.
    sign-invariant cells and exact sample points, so the sign vectors its
    walk reads are exactly those the coefficients take on the plane, and
    its point types are all the point types there are.  The walk is lazy
-   and stops at the first point type that makes every member 'nowhere':
-   NO, with the witness (A, B, b) when the cell's sample is rational.
+   and stops at the first cell with a rational sample whose point type
+   makes every member 'nowhere': NO, with the witness (A, B, b) there.
+   A NO met only at irrational samples answers without a witness, once
+   the walk has ended or run out of cells.
 3. Types (the rest).  The transforms kept by stage 1 and not answered
    by stage 2 go to the candidate-type enumeration: every member's
    verdict in both orientations, for every type; only a type that makes
@@ -48,10 +50,11 @@ The brute-force harness computes the exact Ramsey value of an
 order-invariant set by searching canonical weak orderings, which are
 exhaustive for such sets, depth-first for one without a good n-term
 subsequence.  A prefix that already holds a good subsequence is never
-extended, and each member is evaluated once per distinct tuple of
-argument levels.  Order-invariance itself is checked by realizing every
-weak ordering of argument tuples at several scales and comparing atom
-truth.
+extended, each member is evaluated once per distinct tuple of argument
+levels, and for arity 2 a good subsequence through a new position is a
+clique in bitmask rows (es_bruteforce).  Order-invariance itself is
+checked by realizing every weak ordering of argument tuples at several
+scales and comparing atom truth.
 """
 
 from __future__ import annotations
@@ -225,49 +228,59 @@ def _point_type_no(pset: PredicateSet, kind: TransformKind, Q: CoefficientSystem
                    screens: dict) -> Verdict | None:
     """NO with the first point type, in the walk of one decomposition of
     Q's nonconstant coefficients over (X, Y), that makes every member
-    'nowhere', witnessed at its sample when that is rational; else None,
-    with the sign screen of the vectors walked in ``screens[kind]``
-    (every instance passes when the cell budget runs out)."""
+    'nowhere' at a rational sample, witnessed there; a NO met only at
+    irrational samples answers without a witness when the walk ends or
+    runs out of cells after it.  Else None, with the sign screen of the
+    vectors walked in ``screens[kind]`` (every instance passes when the
+    cell budget runs out).  A vector's point type is read once; a vector
+    met again, at a rational sample, can still answer."""
     stats.qe_calls["screen"] += 1
     index = _coefficient_index(Q)
     # per support element: its place in a sign vector, or its constant sign
     slots = tuple(tuple((index.get(c), _constant_sign(c)) for c in
                         (entry.decomp.coeffs[a] for a in entry.support))
                   for entry in Q.entries)
-    seen: set = set()
+    nos: dict = {}  # sign vector -> (point type, orientation) of a NO, or None
+    first_no = None  # the first NO, met at an irrational sample
+    exhausted = False
     try:
         for vector, point in sign_vectors(list(index), ("X", "Y"), budget):
-            if vector in seen:
+            if vector not in nos:
+                typ = point_type(Q, tuple(tuple(s if i is None else vector[i] for i, s in entry)
+                                          for entry in slots))
+                orientation = _nowhere_orientation(pset, Q, typ, stats)
+                nos[vector] = None if orientation is None else (typ, orientation)
+            no = nos[vector]
+            if no is None:
                 continue
-            seen.add(vector)
-            typ = point_type(Q, tuple(tuple(s if i is None else vector[i] for i, s in entry)
-                                      for entry in slots))
-            orientation = _nowhere_orientation(pset, Q, typ, stats)
-            if orientation is None:
-                continue
-            stats.decided_by = "points"
-            witness = _point_witness(Q, typ, point) if search_witness else None
-            out = Verdict(NO, kind, typ, typ.to_json(Q), orientation, witness, stats)
-            _reverify_no(pset, Q, out)
-            return out
+            A, B = (x.value if isinstance(x, RealAlgebraicNumber) else x
+                    for x in (point["X"], point["Y"]))
+            if A is not None and B is not None:
+                return _point_no(pset, kind, Q, no, (A, B) if search_witness else None, stats)
+            first_no = first_no or no
     except ResourceLimitError:
-        screens[kind] = lambda inst: True
-        return None
-    screens[kind] = _screen(index, seen)
+        exhausted = True
+    if first_no is not None:
+        return _point_no(pset, kind, Q, first_no, None, stats)
+    screens[kind] = (lambda inst: True) if exhausted else _screen(index, nos)
     return None
 
 
-def _point_witness(Q: CoefficientSystem, typ: CandidateType, point: dict):
-    """(A, B, b) at a rational sample point of a cell with the point
-    type's signs; None at an irrational one."""
-    A, B = (x.value if isinstance(x, RealAlgebraicNumber) else x
-            for x in (point["X"], point["Y"]))
-    if A is None or B is None:
-        return None
-    witness = _try_witness(Q, typ, A, B, WITNESS_R, WITNESS_N)
-    if witness is None:
-        raise AssertionError("internal: a rational sample does not realize its point type")
-    return witness
+def _point_no(pset: PredicateSet, kind: TransformKind, Q: CoefficientSystem, no: tuple,
+              sample: tuple | None, stats: DecisionStats) -> Verdict:
+    """The re-verified NO of a point type and orientation, with the
+    witness (A, B, b) at the rational ``sample`` (A, B) of a cell with
+    the type's signs, when given."""
+    typ, orientation = no
+    witness = None
+    if sample is not None:
+        witness = _try_witness(Q, typ, *sample, WITNESS_R, WITNESS_N)
+        if witness is None:
+            raise AssertionError("internal: a rational sample does not realize its point type")
+    stats.decided_by = "points"
+    out = Verdict(NO, kind, typ, typ.to_json(Q), orientation, witness, stats)
+    _reverify_no(pset, Q, out)
+    return out
 
 
 def _decide_by_types(pset: PredicateSet, systems: list, budget: QeBudget, type_cap: int,
@@ -470,7 +483,7 @@ def es_bruteforce(pset: PredicateSet, n: int, n_max: int) -> EsValue:
 
     For each N the weak orderings are searched in ``weak_orderings``
     order for the first one without such a subsequence (the
-    counterexample), with two shortcuts that leave the result unchanged:
+    counterexample), with three shortcuts that leave the result unchanged:
 
     - A prefix whose values already contain a good n-term subsequence
       is not extended.  The subsequences of a prefix's values are
@@ -484,6 +497,19 @@ def es_bruteforce(pset: PredicateSet, n: int, n_max: int) -> EsValue:
       the argument values, and a level always realizes as the same
       Fraction, so an entry is exact wherever it is reused; order
       invariance is needed only for weak orderings to be exhaustive.
+    - For arity 2, a prefix ending at position p stores, per member, its
+      row: the bitmask of the earlier positions j with the member true
+      on (j, p), filled from that table.  A member holds everywhere on
+      an n-subset S + {p} exactly when it holds on every pair of it,
+      that is, when S lies in p's row and each position of S has every
+      lower one of S in its own row: S is an (n-1)-clique of the graph
+      the rows draw, found in p's row by _has_clique.  Rows depend only
+      on the prefix, and ``weak_orderings`` asks about a prefix only
+      after keeping each of its shorter prefixes, with no other prefix
+      of the same length asked in between, so the rows of positions
+      below p, overwritten in place, are those of this prefix's own
+      prefixes.  The answer per prefix is the loop's, so the search
+      visits the same orderings.
     """
     check_order_invariance(pset)
     if n < 1:
@@ -492,26 +518,57 @@ def es_bruteforce(pset: PredicateSet, n: int, n_max: int) -> EsValue:
     members = list(enumerate(pset.members))
     truth: dict = {}
 
+    def holds(i, member, levels: tuple) -> bool:
+        key = (i, levels)
+        value = truth.get(key)
+        if value is None:
+            value = truth[key] = eval_at(member, levels)
+        return value
+
     def keep(prefix: tuple) -> bool:
         last = prefix[-1]
         for rest in combinations(prefix[:-1], n - 1):
             tuples = list(combinations(rest + (last,), k))
             for i, member in members:
-                for levels in tuples:
-                    key = (i, levels)
-                    holds = truth.get(key)
-                    if holds is None:
-                        holds = truth[key] = eval_at(member, [Fraction(v) for v in levels])
-                    if not holds:
-                        break
-                else:
+                if all(holds(i, member, levels) for levels in tuples):
                     return False  # member holds on every k-subset
+        return True
+
+    rows = [[0] * n_max for _ in members]  # rows[i][p]: member i's row of position p
+
+    def keep_pairs(prefix: tuple) -> bool:
+        p = len(prefix) - 1
+        last = prefix[p]
+        for i, member in members:
+            row = 0
+            for j in range(p):
+                if holds(i, member, (prefix[j], last)):
+                    row |= 1 << j
+            rows[i][p] = row
+            if _has_clique(row, n - 1, rows[i]):
+                return False
         return True
 
     last_counterexample = None
     for N in range(n, n_max + 1):
-        failed = next(weak_orderings(N, keep), None)
+        failed = next(weak_orderings(N, keep_pairs if k == 2 else keep), None)
         if failed is None:
             return EsValue(N, N, last_counterexample)
         last_counterexample = failed
     return EsValue(None, n_max, last_counterexample)
+
+
+def _has_clique(candidates: int, m: int, rows: list) -> bool:
+    """Whether the bitmask ``candidates`` holds m positions that pairwise
+    join: position a joins a higher b when bit a is set in rows[b].  The
+    highest candidate either is in such a set, with m - 1 more among the
+    candidates in its row, or is not; a module function, so the
+    recursion makes no reference cycle."""
+    if m < 2:
+        return m == 0 or candidates != 0
+    while candidates.bit_count() >= m:
+        top = candidates.bit_length() - 1
+        candidates ^= 1 << top
+        if _has_clique(candidates & rows[top], m - 1, rows):
+            return True
+    return False

@@ -52,7 +52,7 @@ def merge_vars(a: Sequence[str], b: Sequence[str]) -> tuple:
 class MultiPoly:
     """Sparse exact polynomial; ``terms`` maps exponent tuple -> Fraction."""
 
-    __slots__ = ("vars", "terms", "_hash")
+    __slots__ = ("vars", "terms", "_hash", "_form")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Monomial, Fraction] | None = None):
         vlist = tuple(variables)
@@ -81,6 +81,7 @@ class MultiPoly:
             clean = {m: c for m, c in clean.items() if c != 0}
         self.terms = clean
         self._hash = None
+        self._form = None
 
     # -- constructors ------------------------------------------------
 
@@ -92,6 +93,7 @@ class MultiPoly:
         out.vars = ordered
         out.terms = terms
         out._hash = None
+        out._form = None
         return out
 
     @staticmethod
@@ -282,6 +284,18 @@ class MultiPoly:
             total += prod
         return total
 
+    def sign_at(self, point: Mapping) -> int:
+        """Exact sign at rational coordinates: ``point`` maps variable names
+        to ints or Fractions, and only the variables this polynomial uses
+        are read.  The sign is that of int_form's value; the form is built
+        on the first call and kept, like the hash (a polynomial does not
+        change)."""
+        form = self._form
+        if form is None:
+            form = self._form = int_form(self)
+        value = eval_int_form(form, point)[0]
+        return (value > 0) - (value < 0)
+
     def partial_eval(self, point: Mapping[str, Fraction]) -> "MultiPoly":
         """Substitute exact values for a subset of the variables."""
         fixed = {v: Fraction(x) for v, x in point.items() if v in self.vars}
@@ -420,3 +434,65 @@ class MultiPoly:
         return text
 
 
+# -- evaluation in ints ------------------------------------------------
+
+
+def int_form(p: MultiPoly, var: str | None = None) -> tuple:
+    """What eval_int_form reads of p, built once so that a caller evaluating
+    p at many points can keep it: the variables p uses other than var,
+    each with p's degree in it; the length of the output list; and each
+    term as (c*L, its index in the output, its exponents in those
+    variables), with L the lcm of p's coefficient denominators."""
+    names = p.vars
+    main = names.index(var) if var in names else None
+    degs = [0] * len(names)
+    den = 1
+    for mono, c in p.terms.items():
+        for i, e in enumerate(mono):
+            if e > degs[i]:
+                degs[i] = e
+        d = c.denominator
+        if den % d:
+            den = den * d // gcd(den, d)
+    looked = [i for i, deg in enumerate(degs) if deg and i != main]
+    terms = tuple(
+        (c.numerator * (den // c.denominator), 0 if main is None else mono[main],
+         tuple(mono[i] for i in looked))
+        for mono, c in p.terms.items())
+    size = 1 if main is None else degs[main] + 1
+    return tuple((names[i], degs[i]) for i in looked), size, terms
+
+
+def eval_int_form(form: tuple, point: Mapping) -> list | None:
+    """The polynomial whose int_form is ``form`` at the rational
+    coordinates of ``point``, times a positive int, as a list of int
+    coefficients in the form's main variable (index = degree; the value
+    alone, in a list of one, when it has none).  A coordinate is an int,
+    a Fraction or a real algebraic number (qe.roots); None when a looked
+    up coordinate is irrational.  Only the variables with a nonzero
+    exponent are looked up in ``point``.
+
+    Write each coordinate as n_i/d_i and let deg_i be p's degree in it,
+    and L the lcm of p's coefficient denominators.  The term c*x^e then
+    becomes the int c*L * prod n_i^e_i * d_i^(deg_i - e_i), which is the
+    term's value times L * prod d_i^deg_i.  That factor is positive and
+    the same for every term, so the value keeps its sign and the
+    coefficient list its roots."""
+    looked, size, terms = form
+    powers = []
+    for name, deg in looked:
+        x = point[name]
+        # a real algebraic number otherwise; an exact type test, since a
+        # test against Fraction's abstract bases costs more than the rest
+        if type(x) is not Fraction and not isinstance(x, int):
+            x = x.value
+            if x is None:
+                return None
+        n, d = x.numerator, x.denominator
+        powers.append([n ** e * d ** (deg - e) for e in range(deg + 1)])
+    out = [0] * size
+    for t, k, exps in terms:
+        for pw, e in zip(powers, exps):
+            t *= pw[e]
+        out[k] += t
+    return out

@@ -242,21 +242,28 @@ def _wrap(text: str, need: bool) -> str:
 # -- evaluation -------------------------------------------------------
 
 
+def _named(point: Sequence[Fraction]) -> dict:
+    """The point as the mapping x_i -> point[i-1] that MultiPoly.sign_at reads."""
+    return {f"x{i}": x for i, x in enumerate(point, 1)}
+
+
 def atom_sign(atom: Atom, point: Sequence[Fraction]) -> int:
     """Sign of the atom's polynomial with x_i = point[i-1].  Only the
     variables it uses are read: a cancelled variable may lie beyond the
     arity, which counts used variables only."""
-    poly = atom.poly.drop_unused()
-    value = poly.evaluate({v: point[int(v[1:]) - 1] for v in poly.vars})
-    return 0 if value == 0 else (1 if value > 0 else -1)
+    return atom.poly.sign_at(_named(point))
+
+
+def _holds(pred: Predicate, named: dict) -> bool:
+    """eval_at at a point already checked, converted and named (_named)."""
+    return eval_with(pred.root, lambda a: rel_holds(a.poly.sign_at(named), a.rel))
 
 
 def eval_at(pred: Predicate, point: Sequence[Fraction]) -> bool:
     """Exact truth of the predicate at a tuple of rationals."""
     if len(point) != pred.arity:
         raise ValueError(f"arity mismatch: predicate takes {pred.arity}, got {len(point)}")
-    point = [Fraction(x) for x in point]
-    return eval_with(pred.root, lambda a: rel_holds(atom_sign(a, point), a.rel))
+    return _holds(pred, _named([Fraction(x) for x in point]))
 
 
 def holds_everywhere(pred: Predicate, seq: Sequence[Fraction]) -> bool:
@@ -268,7 +275,7 @@ def holds_everywhere(pred: Predicate, seq: Sequence[Fraction]) -> bool:
     k = pred.arity
     if len(values) < k:
         return True
-    return all(eval_at(pred, tup) for tup in combinations(values, k))
+    return all(_holds(pred, _named(tup)) for tup in combinations(values, k))
 
 
 # -- negation (NNF) ---------------------------------------------------
@@ -352,7 +359,7 @@ def member_verdicts(pset: PredicateSet, seq: Sequence[Fraction]) -> dict:
     for i, m in enumerate(pset.members):
         seen = set()
         for tup in combinations(values, m.arity):
-            seen.add(eval_at(m, tup))
+            seen.add(_holds(m, _named(tup)))
             if len(seen) == 2:
                 break
         if len(seen) == 2:

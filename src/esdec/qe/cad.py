@@ -105,7 +105,7 @@ sound because:
 * real algebraic numbers may be shared freely (see roots.py).
 
 What evaluating a polynomial at rational coordinates in ints reads of
-the polynomial itself, its int form (roots._int_form), is built once
+the polynomial itself, its int form (poly.int_form), is built once
 for each level polynomial and each atom when the decision starts.
 
 The memo and the int forms live on one decision call and are dropped
@@ -148,10 +148,10 @@ from fractions import Fraction
 from math import ceil, floor, prod
 
 from ..errors import ResourceLimitError
-from ..poly import MultiPoly
+from ..poly import MultiPoly, int_form
 from ..predicates import Atom, Not, Or, atoms_of, rel_holds
 from .resultants import psc_set
-from .roots import RealAlgebraicNumber, _int_form, roots_at_point, sign_at_point
+from .roots import RealAlgebraicNumber, roots_at_point, sign_at_point
 from .sentences import EVENTUALLY, EXISTS, FORALL, Sentence
 
 
@@ -366,7 +366,7 @@ class _Decider:
             for lvl, polys in self.levels.items()
         }
         self._root_forms = {
-            lvl: [_int_form(p, self.order[lvl - 1]) for p in polys]
+            lvl: [int_form(p, self.order[lvl - 1]) for p in polys]
             for lvl, polys in self.levels.items()
         }
         slots: dict = {}
@@ -381,7 +381,7 @@ class _Decider:
             self._atom_keys[id(atom)] = (slots.setdefault(atom.poly, len(slots)), positions)
             self._atom_vars[id(atom)] = used
             self._atom_level[id(atom)] = max(positions, default=-1) + 1
-            self._atom_forms[id(atom)] = _int_form(atom.poly)
+            self._atom_forms[id(atom)] = int_form(atom.poly)
         # the memo key of each coordinate of the current sample point, set
         # when its sample is lifted (_lift)
         self._keys = [None] * self.nvars

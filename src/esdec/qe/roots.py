@@ -29,8 +29,10 @@ are computed in ints, scaled by one positive common denominator
 (_int_coeffs); a positive factor changes neither a sign nor a root.
 What this reads of the polynomial itself (the variables it uses, its
 degrees in them, and its terms scaled by the lcm of their denominators)
-is its int form (_int_form); a caller that evaluates one polynomial at
-many points builds the form once and passes it in.
+is its int form.  The form and its evaluation live in ``poly``
+(int_form, eval_int_form), which the sequence side shares
+(MultiPoly.sign_at); a caller that evaluates one polynomial at many
+points builds the form once and passes it in.
 Multivariate sign evaluation at sample points mixing rationals and
 algebraic numbers works by interval arithmetic with adaptive
 refinement; exact zero recognition goes through a resultant cascade
@@ -52,7 +54,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 from ..errors import ResourceLimitError
-from ..poly import MultiPoly
+from ..poly import MultiPoly, eval_int_form, int_form
 
 Coeffs = list  # list[Fraction], index = degree
 
@@ -576,67 +578,14 @@ def _nonzero_root_gap(N: Coeffs) -> Fraction:
     return c0 / (c0 + rest) if rest else Fraction(1)
 
 
-def _int_form(p: MultiPoly, var: str | None = None) -> tuple:
-    """What _int_coeffs reads of p, built once so that a caller evaluating
-    p at many points can keep it: the variables p uses other than var,
-    each with p's degree in it; the length of the output list; and each
-    term as (c*L, its index in the output, its exponents in those
-    variables), with L the lcm of p's coefficient denominators."""
-    names = p.vars
-    main = names.index(var) if var in names else None
-    degs = [0] * len(names)
-    den = 1
-    for mono, c in p.terms.items():
-        for i, e in enumerate(mono):
-            if e > degs[i]:
-                degs[i] = e
-        d = c.denominator
-        if den % d:
-            den = den * d // int_gcd(den, d)
-    looked = [i for i, deg in enumerate(degs) if deg and i != main]
-    terms = tuple(
-        (c.numerator * (den // c.denominator), 0 if main is None else mono[main],
-         tuple(mono[i] for i in looked))
-        for mono, c in p.terms.items())
-    size = 1 if main is None else degs[main] + 1
-    return tuple((names[i], degs[i]) for i in looked), size, terms
-
-
-def _eval_int_form(form: tuple, point: dict) -> list | None:
-    """_int_coeffs of the polynomial whose _int_form is ``form``."""
-    looked, size, terms = form
-    powers = []
-    for name, deg in looked:
-        x = point[name]
-        if isinstance(x, RealAlgebraicNumber):
-            if x.value is None:
-                return None
-            x = x.value
-        n, d = x.numerator, x.denominator
-        powers.append([n ** e * d ** (deg - e) for e in range(deg + 1)])
-    out = [0] * size
-    for t, k, exps in terms:
-        for pw, e in zip(powers, exps):
-            t *= pw[e]
-        out[k] += t
-    return out
-
-
 def _int_coeffs(p: MultiPoly, point: dict, var: str | None = None) -> list | None:
     """p at the rational coordinates of ``point``, times a positive int,
     as a list of int coefficients in ``var`` (index = degree; the value
     alone, in a list of one, when var is None).  None when a variable p
-    uses, other than var, has an irrational coordinate.  Only the
-    variables with a nonzero exponent in p are looked up in ``point``.
-
-    Write each coordinate as n_i/d_i and let deg_i be p's degree in it,
-    and L the lcm of p's coefficient denominators.  The term c*x^e then
-    becomes the int c*L * prod n_i^e_i * d_i^(deg_i - e_i), which is the
-    term's value times L * prod d_i^deg_i.  That factor is positive and
-    the same for every term, so the value keeps its sign and the
-    coefficient list its roots.  Everything but the coordinates is read
-    off p once, by _int_form; _eval_int_form does the rest."""
-    return _eval_int_form(_int_form(p, var), point)
+    uses, other than var, has an irrational coordinate.  Everything but
+    the coordinates is read off p once, by poly.int_form; poly.eval_int_form
+    does the rest, and its docstring has the argument."""
+    return eval_int_form(int_form(p, var), point)
 
 
 def _split_point(point: dict):
@@ -656,8 +605,8 @@ def sign_at_point(p: MultiPoly, point: dict, form: tuple | None = None) -> int:
     """Exact sign of p at a sample point whose coordinates are Fractions
     or RealAlgebraicNumbers.  When every coordinate p uses is rational,
     the sign is that of _int_coeffs' value.  A caller that evaluates p at
-    many points may pass ``form``, p's _int_form, built once."""
-    ints = _int_coeffs(p, point) if form is None else _eval_int_form(form, point)
+    many points may pass ``form``, p's int_form, built once."""
+    ints = _int_coeffs(p, point) if form is None else eval_int_form(form, point)
     if ints is not None:
         return (ints[0] > 0) - (ints[0] < 0)
     rats, algs = _split_point(point)
@@ -720,14 +669,14 @@ def roots_at_point(p: MultiPoly, point: dict, var: str, form: tuple | None = Non
     None when p vanishes identically at the sample.  When every
     coordinate p uses is rational, the int coefficients of _int_coeffs,
     trimmed, go straight to isolate_real_roots; ``form``, when given, is
-    _int_form(p, var), kept by a caller that solves p over many points.
+    int_form(p, var), kept by a caller that solves p over many points.
     Otherwise the
     coefficients are evaluated at the rational coordinates once; a
     constant one gives its sign directly, and only one with a live
     algebraic variable goes to sign_at_point, at the algebraic
     coordinates.  When no algebraic coordinate is left in the
     coefficients, their rational values go to isolate_real_roots."""
-    ints = _int_coeffs(p, point, var) if form is None else _eval_int_form(form, point)
+    ints = _int_coeffs(p, point, var) if form is None else eval_int_form(form, point)
     if ints is not None:
         while ints and ints[-1] == 0:
             ints.pop()

@@ -16,10 +16,12 @@ from esdec.feasibility import (
     _REL_OF_SIGN, FEASIBLE, UNDECIDED, FeasibilityInstance, _conjunction, is_feasible,
 )
 from esdec.predicates import Atom, eval_at, holds_everywhere, parse
-from esdec.qe import QeBudget, Sentence, decide_sentence
+from esdec.qe import (
+    QeBudget, RealAlgebraicNumber, Sentence, decide_sentence, isolate_real_roots, sign_vectors,
+)
 from esdec.ramsey import canonical_growing, extract_homogeneous
 from esdec.typesys import (
-    build_Q, coefficient_values, enumerate_types, eval_predicates_from_type, type_at,
+    build_Q, coefficient_values, enumerate_types, eval_predicates_from_type, point_type, type_at,
 )
 
 
@@ -320,6 +322,73 @@ def test_point_type_witnesses_realize_their_type(text):
         assert not any(eval_at(member, tup) for tup in combinations(seq, pset.arity)), text
 
 
+def _check_no_witness(pset, v):
+    """What the benchmark checks of a NO witness: the concrete sequence
+    is defined (no zero term under F2) and every member is false on each
+    of its increasing tuples."""
+    A, B, b = v.witness
+    assert v.transform is TransformKind.F1 or all(x != 0 for x in b)
+    seq = _witness_sequence(v.transform, A, B, b, v.orientation)
+    for member in pset.members:
+        assert not any(eval_at(member, tup) for tup in combinations(seq, pset.arity))
+
+
+def test_point_type_no_has_a_witness_past_an_irrational_cell():
+    """The first NO cell of x1^2 - 2 > 0 lies at X = -sqrt(2); the walk
+    goes on to a rational one, whose sample is the witness."""
+    pset = parse("x1^2 - 2 > 0")
+    v = decide_es(pset)
+    assert v.answer == NO and v.stats.decided_by == "points"
+    assert v.witness is not None
+    _check_no_witness(pset, v)
+
+
+def _rational_no_cell(pset, Q):
+    """The first cell of Q's walk with a rational sample whose point
+    type makes every member 'nowhere': its sign vector and sample."""
+    index = decider._coefficient_index(Q)
+    slots = tuple(tuple((index.get(c), decider._constant_sign(c)) for c in
+                        (entry.decomp.coeffs[a] for a in entry.support)) for entry in Q.entries)
+    for vector, point in sign_vectors(list(index), ("X", "Y"), QeBudget()):
+        if any(isinstance(x, RealAlgebraicNumber) and x.value is None for x in point.values()):
+            continue
+        typ = point_type(Q, tuple(tuple(s if i is None else vector[i] for i, s in entry)
+                                  for entry in slots))
+        if decider._nowhere_orientation(pset, Q, typ, decider.DecisionStats()):
+            return vector, point
+    raise AssertionError("no rational NO cell")
+
+
+@pytest.mark.parametrize("tail", ("rational", "exhausted", "end"))
+def test_point_type_no_prefers_a_rational_sample(monkeypatch, tail):
+    """A NO vector met first at an irrational sample answers with a
+    witness when it comes back at a rational one, and without one when
+    the walk ends or runs out of cells before that."""
+    pset = parse("x1^2 - 2 > 0")
+    vector, point = _rational_no_cell(pset, build_Q(pset, TransformKind.F1))
+    root2 = isolate_real_roots([-2, 0, 1])[-1]
+    assert root2.value is None
+
+    def walk(polys, variables, budget=None):
+        yield vector, {**point, "X": root2}
+        if tail == "rational":
+            yield vector, point
+        elif tail == "exhausted":
+            raise ResourceLimitError("walk budget")
+
+    monkeypatch.setattr(decider, "sign_vectors", walk)
+    v = decide_es(pset)
+    assert v.answer == NO and v.stats.decided_by == "points"
+    assert v.transform is TransformKind.F1
+    if tail != "rational":
+        assert v.witness is None
+        return
+    A, B = (x.value if isinstance(x, RealAlgebraicNumber) else x
+            for x in (point["X"], point["Y"]))
+    assert v.witness[:2] == (A, B)
+    _check_no_witness(pset, v)
+
+
 @given(_linear_atom_sets())
 @example("x1 + -1*x2 + 0 >= 0 ; 0*x1 + 2*x2 + 1 != 0")
 @example("1*x1 + 1*x2 + -1 >= 0")
@@ -456,6 +525,53 @@ def test_es_bruteforce_matches_full_enumeration(text, params):
     pset = parse(text)
     n, n_max = params
     assert es_bruteforce(pset, n, n_max) == _full_enumeration_es(pset, n, n_max), text
+
+
+def _es_by_loop(pset, n, n_max):
+    """es_bruteforce as it searched before arity 2 had its clique rows:
+    for every n-subset through the last position, every member over
+    every k-subset of it, from the same level-keyed truth table."""
+    k = pset.arity
+    members = list(enumerate(pset.members))
+    truth = {}
+
+    def keep(prefix):
+        last = prefix[-1]
+        for rest in combinations(prefix[:-1], n - 1):
+            tuples = list(combinations(rest + (last,), k))
+            for i, member in members:
+                for levels in tuples:
+                    key = (i, levels)
+                    holds = truth.get(key)
+                    if holds is None:
+                        holds = truth[key] = eval_at(member, [Fraction(v) for v in levels])
+                    if not holds:
+                        break
+                else:
+                    return False
+        return True
+
+    last_counterexample = None
+    for N in range(n, n_max + 1):
+        failed = next(weak_orderings(N, keep), None)
+        if failed is None:
+            return EsValue(N, N, last_counterexample)
+        last_counterexample = failed
+    return EsValue(None, n_max, last_counterexample)
+
+
+@given(_invariant_sets(), st.sampled_from(((1, 3), (2, 2), (2, 3), (2, 4), (2, 5), (3, 3),
+                                           (3, 4), (3, 5))))
+@example("x1 < x2 ; x1 >= x2", (3, 5))
+@example("x1 = x2 ; x1 != x2", (3, 5))
+@example("x1 < x2 and x2 < x3 ; not (x1 < x2 and x2 < x3)", (3, 5))
+@settings(max_examples=60, deadline=None)
+def test_es_bruteforce_matches_the_loop_search(text, params):
+    """Value, searched length and counterexample are those of the loop
+    over n-subsets, for arity 2 (clique rows) and arity 3 (the loop)."""
+    pset = parse(text)
+    n, n_max = params
+    assert es_bruteforce(pset, n, n_max) == _es_by_loop(pset, n, n_max), text
 
 
 def test_order_invariance_failure_is_not_cached():

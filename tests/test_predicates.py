@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from esdec.algebra import infer_arity
 from esdec.errors import ParseError
+from esdec.poly import MultiPoly
 from esdec.predicates import (
     And, Atom, Not, Or,
-    PredicateSet, eval_at, eval_with, holds_everywhere, member_verdicts,
+    PredicateSet, atom_sign, eval_at, eval_with, holds_everywhere, member_verdicts,
     negate, parse, parse_predicate, symmetrize_single,
 )
 
@@ -220,3 +222,40 @@ def test_eval_at_ignores_cancelled_variables():
     assert eval_at(pred, [1]) is True
     assert eval_at(pred, [-1]) is False
     assert member_verdicts(PredicateSet((pred,)), [Fraction(1), Fraction(2)]) == {0: "everywhere"}
+
+
+_FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def _atom_sign_cases(draw):
+    """A polynomial over x1..x3 (zero, constant or not, coefficients
+    Fractions that may cancel) with a point of every length from its
+    highest used index up to 3: a variable beyond the point is unused."""
+    exponents = st.tuples(*(st.integers(0, 2) for _ in range(3)))
+    terms = draw(st.dictionaries(exponents, _FRACTIONS, max_size=5))
+    poly = MultiPoly(("x1", "x2", "x3"), terms)
+    size = draw(st.integers(max(infer_arity(poly), 1), 3))
+    return poly, draw(st.lists(_FRACTIONS, min_size=size, max_size=size))
+
+
+def _sign_by_evaluate(poly, point):
+    """The sign through MultiPoly.evaluate over the used variables."""
+    used = poly.drop_unused()
+    value = used.evaluate({v: point[int(v[1:]) - 1] for v in used.vars})
+    return (value > 0) - (value < 0)
+
+
+@given(_atom_sign_cases())
+@example((MultiPoly(("x1", "x2", "x3"), {}), [Fraction(0)]))
+@example((MultiPoly(("x1", "x2", "x3"), {(0, 0, 0): Fraction(-2, 3)}), [Fraction(1, 2)]))
+@example((parse_predicate("x1 + x3 - x3 > 0").root.poly, [Fraction(-1, 2)]))
+@settings(max_examples=300, deadline=None)
+def test_atom_sign_matches_evaluate(case):
+    """The sign read from the polynomial's int form is the sign of its
+    value, also on the second read, from the kept form."""
+    poly, point = case
+    want = _sign_by_evaluate(poly, point)
+    for _ in range(2):
+        assert atom_sign(Atom(poly, ">"), point) == want, (poly, point)
+

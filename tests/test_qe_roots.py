@@ -8,10 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.subresultants_qq_zz import sylvester
 
-from esdec.poly import MultiPoly
+from esdec.poly import MultiPoly, eval_int_form, int_form
 from esdec.qe.resultants import det_bareiss, psc_set, resultant
 from esdec.qe.roots import (
-    RealAlgebraicNumber, _eval_int_form, _int_coeffs, _int_form, interval_eval,
+    RealAlgebraicNumber, _int_coeffs, interval_eval,
     isolate_real_roots, roots_at_point, sign_at_point, ueval, usquarefree, utrim,
 )
 
@@ -194,17 +194,17 @@ def test_integer_evaluation_matches_partial_eval(case):
     """At each point, p's int forms, built once and reused, give what a
     fresh _int_coeffs gives, and that agrees with the partial_eval route."""
     p, points, var = case
-    form, form_var = _int_form(p), _int_form(p, var)
+    form, form_var = int_form(p), int_form(p, var)
     for point in points:
         rats = {v: x.value if isinstance(x, RealAlgebraicNumber) else x for v, x in point.items()}
         value = p.evaluate({v: rats.get(v, F(0)) for v in p.vars})
-        ints = _eval_int_form(form, point)
+        ints = eval_int_form(form, point)
         assert ints == _int_coeffs(p, point) and _positive_multiple(ints, [value])
         assert sign_at_point(p, point) == sign_at_point(p, point, form) == (value > 0) - (value < 0)
         without_var = {v: x for v, x in point.items() if v != var}
         wanted = [c.constant_value() for c in p.partial_eval(
             {v: rats[v] for v in without_var}).as_univar(var)]
-        ints = _eval_int_form(form_var, without_var)
+        ints = eval_int_form(form_var, without_var)
         assert ints == _int_coeffs(p, without_var, var) and _positive_multiple(ints, wanted)
         want_roots = repr(_roots_by_partial_eval(p, without_var, var))
         assert repr(roots_at_point(p, without_var, var)) == want_roots
