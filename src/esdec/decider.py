@@ -394,20 +394,21 @@ def _reverify_no(pset: PredicateSet, Q: CoefficientSystem, verdict: Verdict):
 # -- exact Ramsey values for order-invariant sets -----------------------
 
 
-def _weak_orderings_from(prefix: tuple, present: frozenset, top: int, n: int, keep):
-    """weak_orderings' depth-first recursion below ``prefix``; a module
-    function, so the recursion makes no reference cycle."""
+def _weak_orderings_from(prefix: tuple, present: int, top: int, n: int, keep):
+    """weak_orderings' depth-first recursion below ``prefix``, whose
+    levels are the set bits of ``present``; a module function, so the
+    recursion makes no reference cycle."""
     pos = len(prefix)
     if pos == n:
         yield prefix
         return
     remaining = n - pos
     for level in range(1, top + remaining + 1):
-        new_present = present | {level}
+        new_present = present | (1 << level)
         new_top = max(top, level)
         # every present level is <= new_top; the missing ones must
         # still fit into the positions left after this one
-        if new_top - len(new_present) > remaining - 1:
+        if new_top - new_present.bit_count() > remaining - 1:
             continue
         new_prefix = prefix + (level,)
         if keep is None or keep(new_prefix):
@@ -424,7 +425,7 @@ def weak_orderings(n: int, keep=None):
     if n == 0:
         yield ()
         return
-    yield from _weak_orderings_from((), frozenset(), 0, n, keep)
+    yield from _weak_orderings_from((), 0, 0, n, keep)
 
 
 # realization scales: all strictly increasing in the level, spread across

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 Monomial = tuple  # exponent vector, one entry per variable
@@ -145,12 +145,9 @@ class MultiPoly:
         return max(sum(m) for m in self.terms)
 
     def used_vars(self) -> tuple:
-        used = set()
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(self.vars[i])
-        return tuple(sorted(used, key=var_sort_key))
+        """The variables some term has a nonzero exponent in, in order
+        (``vars`` is sorted, so these are too)."""
+        return tuple([v for v, column in zip(self.vars, zip(*self.terms)) if any(column)])
 
     def max_abs_coeff(self) -> Fraction:
         return max((abs(c) for c in self.terms.values()), default=Fraction(0))
@@ -284,16 +281,19 @@ class MultiPoly:
             total += prod
         return total
 
-    def sign_at(self, point: Mapping) -> int:
-        """Exact sign at rational coordinates: ``point`` maps variable names
-        to ints or Fractions, and only the variables this polynomial uses
-        are read.  The sign is that of int_form's value; the form is built
-        on the first call and kept, like the hash (a polynomial does not
-        change)."""
+    def kept_form(self) -> tuple:
+        """int_form(self), built on the first call and kept, like the
+        hash (a polynomial does not change)."""
         form = self._form
         if form is None:
             form = self._form = int_form(self)
-        value = eval_int_form(form, point)[0]
+        return form
+
+    def sign_at(self, point: Mapping) -> int:
+        """Exact sign at rational coordinates: ``point`` maps variable names
+        to ints or Fractions, and only the variables this polynomial uses
+        are read.  The sign is that of the value of its kept int form."""
+        value = eval_int_form(self.kept_form(), point)[0]
         return (value > 0) - (value < 0)
 
     def partial_eval(self, point: Mapping[str, Fraction]) -> "MultiPoly":
@@ -357,12 +357,8 @@ class MultiPoly:
         """Positive rational c with self/c integer-coefficient primitive."""
         if not self.terms:
             return Fraction(1)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
+        coeffs = self.terms.values()
+        return Fraction(gcd(*[c.numerator for c in coeffs]), lcm(*[c.denominator for c in coeffs]))
 
     def primitive(self) -> "MultiPoly":
         """Integer-coefficient primitive part with canonical sign
@@ -373,6 +369,8 @@ class MultiPoly:
         lead = max(self.terms)
         if self.terms[lead] < 0:
             c = -c
+        elif c == 1:
+            return self
         return MultiPoly._make(self.vars, {m: k / c for m, k in self.terms.items()})
 
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":

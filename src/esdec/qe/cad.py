@@ -14,6 +14,23 @@ being A_j cut to its degree there, so the pscs against A_j fix
 deg gcd(A_i, A_j) as the pscs against G do.  Delineability of the
 product needs nothing more.
 
+The projection runs on int polynomials (see resultants.py) over one
+frame: the variables of the level's polynomials other than the main
+one, sorted by var_sort_key.  Each polynomial is converted once, scaled
+by the lcm of its denominators; the coefficients, reducta and psc sets
+are taken in ints, and an output is made canonical there: divided by
+the gcd of its coefficients, negated when the coefficient of its
+lex-greatest exponent tuple is negative, and dropped when constant.
+That is _canonical's polynomial (MultiPoly.primitive after dropping the
+unused variables), because a positive scale does not change the
+primitive part, and because dropping variables that no term uses, or
+adding them, removes or inserts a column of zeros in every exponent
+tuple, which leaves their lex order unchanged: the frame orders the
+variables as MultiPoly does, so the greatest tuple is the same
+monomial.  Equal outputs have equal int terms in the frame, so they are
+deduplicated on those, in first-found order, and one MultiPoly is built
+for each distinct output.
+
 Lifting walks the levels outermost-first.  Over each sample point of
 the level below, the level's polynomials are solved exactly
 (roots_at_point), the merged roots cut the line into sectors and
@@ -105,14 +122,17 @@ sound because:
 * real algebraic numbers may be shared freely (see roots.py).
 
 What evaluating a polynomial at rational coordinates in ints reads of
-the polynomial itself, its int form (poly.int_form), is built once
-for each level polynomial and each atom when the decision starts.
+the polynomial itself, its int form (poly.int_form), is built once for
+each level polynomial when the decision starts.  An atom's polynomial
+keeps its own form (MultiPoly.kept_form), built on its first sign and
+kept with the polynomial, which does not change.
 
-The memo and the int forms live on one decision call and are dropped
-when it returns.  The memo holds at most one entry per polynomial or
-atom per charged cell (and the empty point at the root), so the cell
-budget bounds it too.  Every sample is still charged as a cell, so
-cell counts, budgets and answers are those of the unmemoized lifting.
+The memo and the level polynomials' int forms live on one decision
+call and are dropped when it returns.  The memo holds at most one entry
+per polynomial or atom per charged cell (and the empty point at the
+root), so the cell budget bounds it too.  Every sample is still charged
+as a cell, so cell counts, budgets and answers are those of the
+unmemoized lifting.
 
 sign_vectors hands out the decomposition itself: it lifts every cell of
 the sentence "exists v_1 ... exists v_n. f_1 = 0 or ... or f_k = 0",
@@ -145,12 +165,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, prod
+from math import ceil, floor, gcd, prod
 
 from ..errors import ResourceLimitError
-from ..poly import MultiPoly, int_form
+from ..poly import MultiPoly, int_form, merge_vars
 from ..predicates import Atom, Not, Or, atoms_of, rel_holds
-from .resultants import psc_set
+from .resultants import int_coeffs, psc_set
 from .roots import RealAlgebraicNumber, roots_at_point, sign_at_point
 from .sentences import EVENTUALLY, EXISTS, FORALL, Sentence
 
@@ -173,13 +193,25 @@ def _canonical(p: MultiPoly) -> MultiPoly | None:
     return q.primitive()
 
 
+def _int_canonical(p: dict) -> dict | None:
+    """_canonical of an int polynomial, in its frame (see the module
+    docstring); None if constant."""
+    if not p or (len(p) == 1 and not any(next(iter(p)))):
+        return None
+    g = gcd(*p.values())
+    if p[max(p)] < 0:
+        g = -g
+    return p if g == 1 else {m: c // g for m, c in p.items()}
+
+
 def _reducta(coeffs: list) -> list:
     """Successive leading-term truncations with degree >= 1, as dense
-    coefficient lists."""
+    coefficient lists.  The entries are int polynomials or MultiPolys;
+    either is zero when it has no terms."""
     out = []
     cur = list(coeffs)
     while True:
-        while len(cur) > 1 and cur[-1].is_zero:
+        while len(cur) > 1 and not getattr(cur[-1], "terms", cur[-1]):
             cur.pop()
         if len(cur) <= 1:
             break
@@ -190,30 +222,38 @@ def _reducta(coeffs: list) -> list:
 
 def collins_project(polys: list, var: str) -> list:
     """Hong's projection of a level's polynomials w.r.t. its main
-    variable (see the module docstring); output polynomials no longer
-    involve ``var``."""
-    out: dict = {}
+    variable (see the module docstring); output polynomials are
+    canonical (_canonical), distinct, in first-found order, and no
+    longer involve ``var``.  Computed on int polynomials over one frame,
+    the variables of ``polys`` but ``var``; the module docstring has why
+    that gives the MultiPoly outputs."""
+    frame = ()
+    for p in polys:
+        frame = merge_vars(frame, p.vars)
+    frame = tuple(v for v in frame if v != var)
+    const = {(0,) * len(frame)}
+    out: dict = {}  # canonical int polynomial, as a frozenset of its terms -> itself
 
-    def add(p: MultiPoly):
-        q = _canonical(p)
+    def add(p: dict):
+        q = _int_canonical(p)
         if q is not None:
-            out[q] = True
+            out.setdefault(frozenset(q.items()), q)
 
     # a polynomial in var alone has constant coefficients, and so do the
     # psc sets it takes part in with another such polynomial: those add
     # nothing, and at a level with many of them computing them dominates
     unis, alone = [], []
     for p in polys:
-        coeffs = p.as_univar(var)
+        coeffs = int_coeffs(p, var, frame)
         unis.append(coeffs)
-        alone.append(all(c.constant_value() is not None for c in coeffs))
+        alone.append(all(c.keys() <= const for c in coeffs))
         if alone[-1]:
             continue
         for c in coeffs:
             add(c)
         for red in _reducta(coeffs):
             if len(red) >= 3:
-                dred = [red[k] * k for k in range(1, len(red))]
+                dred = [{m: k * c for m, c in red[k].items()} for k in range(1, len(red))]
                 for v in psc_set(red, dred):
                     add(v)
     for i in range(len(unis)):
@@ -223,14 +263,26 @@ def collins_project(polys: list, var: str) -> list:
             for ri in _reducta(unis[i]):
                 for v in psc_set(ri, unis[j]):
                     add(v)
-    return list(out)
+    polys_out = []
+    for q in out.values():
+        used = [i for i in range(len(frame)) if any(m[i] for m in q)]
+        polys_out.append(MultiPoly._make(
+            tuple(frame[i] for i in used),
+            {tuple([m[i] for i in used]): Fraction(c) for m, c in q.items()}))
+    return polys_out
 
 
 def _rational_below(x: RealAlgebraicNumber) -> Fraction:
+    v = x.value
+    if v is not None:
+        return Fraction(v.numerator // v.denominator - 1)
     return Fraction(floor(x.lo) - 1)
 
 
 def _rational_above(x: RealAlgebraicNumber) -> Fraction:
+    v = x.value
+    if v is not None:
+        return Fraction(1 - (-v.numerator // v.denominator))
     return Fraction(ceil(x.hi) + 1)
 
 
@@ -240,17 +292,19 @@ def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     by continued-fraction descent on ints: floor(lo) + 1 if it is below
     hi, else t + 1/x' with t = floor(lo) and x' the simplest rational in
     (1/(hi - t), 1/(lo - t)), whose end is infinite (denominator 0) when
-    lo is t; (h1*y + h0)/(k1*y + k0) accumulates the partial quotients."""
-    if lo < 0 < hi:
-        return Fraction(0)
-    if hi <= 0:
-        return -_simplest_between(-hi, -lo)
+    lo is t; (h1*y + h0)/(k1*y + k0) accumulates the partial quotients.
+    For hi <= 0 it is minus the simplest rational in (-hi, -lo)."""
     p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    if p < 0 < r:
+        return Fraction(0)
+    sign = 1
+    if r <= 0:
+        sign, p, q, r, s = -1, -r, s, -p, q
     h0, h1, k0, k1 = 0, 1, 1, 0
     while True:
         t = p // q
         if (t + 1) * s < r:
-            return Fraction(h1 * (t + 1) + h0, k1 * (t + 1) + k0)
+            return Fraction(sign * (h1 * (t + 1) + h0), k1 * (t + 1) + k0)
         h0, h1, k0, k1 = h1, h1 * t + h0, k1, k1 * t + k0
         p, q, r, s = s, r - t * s, q, p - t * q
 
@@ -260,7 +314,10 @@ def _rational_between(a: RealAlgebraicNumber, b: RealAlgebraicNumber) -> Fractio
     separates the isolating intervals of the adjacent roots a < b.  Any
     rational in that gap lies in the sector between them and samples it
     equally well; the simplest stays short, where the midpoint would carry
-    every bisection of the shared roots, which comparisons refine in place."""
+    every bisection of the shared roots, which comparisons refine in place.
+    Two rational roots are apart already."""
+    if a.value is not None and b.value is not None:
+        return _simplest_between(a.value, b.value)
     while not a.hi < b.lo:
         progressed = False
         if not a.is_rational:
@@ -354,6 +411,7 @@ class _Decider:
         self.nvars = len(self.order)
         self.levels: dict = {i: [] for i in range(1, self.nvars + 1)}
         self.cells_by_level = [0] * self.nvars
+        self._seen: set = set()  # every level's polynomials, for _place
         self._build_levels()
         # memo keys: the positions in ``order`` of the variables each level
         # polynomial uses besides the level's own, and each matrix atom's
@@ -373,7 +431,6 @@ class _Decider:
         self._atom_keys = {}
         self._atom_vars = {}
         self._atom_level = {}
-        self._atom_forms = {}
         self._atom_index = {}  # an atom's place in its level's polynomials, found on first use
         for atom in atoms_of(sentence.matrix):
             used = atom.poly.used_vars()
@@ -381,7 +438,6 @@ class _Decider:
             self._atom_keys[id(atom)] = (slots.setdefault(atom.poly, len(slots)), positions)
             self._atom_vars[id(atom)] = used
             self._atom_level[id(atom)] = max(positions, default=-1) + 1
-            self._atom_forms[id(atom)] = int_form(atom.poly)
         # the memo key of each coordinate of the current sample point, set
         # when its sample is lifted (_lift)
         self._keys = [None] * self.nvars
@@ -395,25 +451,25 @@ class _Decider:
         self._roots_memo: dict = {}
         self._sign_memo: dict = {}
 
-    def _level_of(self, p: MultiPoly) -> int:
-        used = p.used_vars()
-        return max(self.order.index(v) for v in used) + 1
-
     def _add_poly(self, p: MultiPoly):
-        q = _canonical(p)
-        if q is None:
+        self._place(_canonical(p))
+
+    def _place(self, q: MultiPoly | None):
+        """Append a canonical polynomial (None: a constant) to its level,
+        that of its innermost variable (it uses all its vars), unless a
+        level holds it already."""
+        if q is None or q in self._seen:
             return
-        lvl = self._level_of(q)
-        if q not in self.levels[lvl]:
-            self.levels[lvl].append(q)
+        self._seen.add(q)
+        self.levels[max(self.order.index(v) for v in q.vars) + 1].append(q)
 
     def _build_levels(self):
         for atom in atoms_of(self.sentence.matrix):
             self._add_poly(atom.poly)
         for lvl in range(self.nvars, 1, -1):
             var = self.order[lvl - 1]
-            for p in collins_project(self.levels[lvl], var):
-                self._add_poly(p)
+            for q in collins_project(self.levels[lvl], var):  # canonical already
+                self._place(q)
 
     def _charge_cell(self, level: int):
         self.cells_used += 1
@@ -455,7 +511,7 @@ class _Decider:
         polynomial vanishes exactly where that sample is one of its roots
         there (everywhere, if it vanishes identically).  Only the sign of
         a nonzero value is left to sign_at_point."""
-        form = self._atom_forms[id(atom)]
+        form = atom.poly.kept_form()
         irrational = [v for v in self._atom_vars[id(atom)]
                       if isinstance(point[v], RealAlgebraicNumber) and not point[v].is_rational]
         if len(irrational) < 2:

@@ -321,8 +321,10 @@ class RealAlgebraicNumber:
             self.refine()
 
     def compare_rational(self, r: Fraction) -> int:
-        if self.value is not None:
-            return 0 if self.value == r else (1 if self.value > r else -1)
+        v = self.value
+        if v is not None:  # one int cross-multiplication; denominators are positive
+            d = v.numerator * r.denominator - r.numerator * v.denominator
+            return (d > 0) - (d < 0)
         # the number lies strictly inside its isolating interval
         if r <= self.lo:
             return 1

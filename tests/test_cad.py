@@ -530,6 +530,73 @@ def test_hong_projection_is_within_collins_with_the_same_truths():
     assert (truth, cells, c_truth, c_cells) == (True, 129, True, 167)
 
 
+# -- the projection in ints against the projection on MultiPoly ----------
+
+
+def _hong_on_multipolys(polys, var):
+    """Hong's projection computed on MultiPoly coefficients, psc sets
+    through psc_set's MultiPoly route and outputs made canonical by
+    cad._canonical, deduplicated in first-found order."""
+    out = {}
+
+    def add(p):
+        q = cad._canonical(p)
+        if q is not None:
+            out.setdefault(q, q)
+
+    unis = [p.as_univar(var) for p in polys]
+    alone = [all(c.constant_value() is not None for c in coeffs) for coeffs in unis]
+    for coeffs, lone in zip(unis, alone):
+        if lone:
+            continue
+        for c in coeffs:
+            add(c)
+        for red in cad._reducta(coeffs):
+            if len(red) >= 3:
+                for v in psc_set(red, [red[k] * k for k in range(1, len(red))]):
+                    add(v)
+    for i in range(len(unis)):
+        for j in range(i + 1, len(unis)):
+            if alone[i] and alone[j]:
+                continue
+            for ri in cad._reducta(unis[i]):
+                for v in psc_set(ri, unis[j]):
+                    add(v)
+    return list(out)
+
+
+# polynomials in x1 (degree <= 3), a1 (degree <= 2) and b1 (degree <= 1)
+# with rational, mostly non-integer coefficients
+_projected = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 1)),
+    st.builds(F, st.integers(-3, 3).filter(bool), st.integers(1, 3)),
+    min_size=1, max_size=4,
+).map(lambda terms: MultiPoly(("x1", "a1", "b1"), terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_projected, min_size=1, max_size=3), st.sampled_from(("x1", "a1", "b1")))
+@example([MultiPoly(("x1", "a1"), {(2, 0): F(1, 2), (0, 1): F(-3, 4)}),
+          MultiPoly(("x1", "a1"), {(2, 0): F(-2), (0, 1): F(3)})], "x1")  # one polynomial, twice
+@example([MultiPoly(("x1", "b1"), {(1, 1): F(2, 3), (0, 0): F(1)}),
+          MultiPoly(("x1",), {(3,): F(1, 2), (0,): F(-1)})], "x1")  # one in x1 alone
+def test_projection_in_ints_is_canonical_and_matches_multipolys(polys, var):
+    """Every collins_project output is an integer primitive polynomial
+    with a positive lex-leading coefficient, nonconstant, without
+    ``var`` and over the variables it uses; none repeats; and the list
+    is the MultiPoly computation's, in content and order."""
+    got = collins_project(polys, var)
+    for p in got:
+        assert p.vars and p.vars == p.used_vars() and var not in p.vars
+        coeffs = list(p.terms.values())
+        assert all(c.denominator == 1 for c in coeffs)
+        assert gcd(*(c.numerator for c in coeffs)) == 1
+        assert p.terms[max(p.terms)] > 0
+    assert len(set(got)) == len(got)
+    want = _hong_on_multipolys(polys, var)
+    assert [(p.vars, p.terms) for p in got] == [(q.vars, q.terms) for q in want]
+
+
 # -- sector samples ---------------------------------------------------------
 
 

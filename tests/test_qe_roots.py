@@ -359,6 +359,49 @@ def test_det_bareiss_known():
     assert det_bareiss(m2) == x ** 2 - 1
 
 
+# polynomials in x1 (degree <= 3), a1 and b1 (degree <= 1) with rational,
+# mostly non-integer coefficients: they reach the int core's row scaling
+# and its exact division by non-constant pivots
+_ratio = st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 4))
+_trivariate = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 1), st.integers(0, 1)),
+    _ratio, min_size=1, max_size=4,
+).map(lambda terms: MultiPoly(("x1", "a1", "b1"), terms))
+
+
+def _sympy_det(M):
+    """Determinant of a sympy Matrix over QQ[...] by DomainMatrix."""
+    dm = DomainMatrix.from_Matrix(M)
+    return dm.domain.to_sympy(dm.det())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_trivariate, _trivariate)
+@example(F(1, 2) * X("x1") ** 2 - F(3, 4) * X("a1"), F(2, 3) * X("x1") + F(-3, 4) * X("b1"))
+@example(F(1, 2) * X("x1") * X("a1") + X("b1"), F(-3, 4) * X("x1") ** 3 + F(1, 3) * X("a1"))
+def test_resultant_of_rational_trivariate_polys_matches_sylvester(f, g):
+    M = sylvester(_to_sympy(f), _to_sympy(g), sympy.Symbol("x1"))
+    want = 1 if M.rows == 0 else _sympy_det(M)
+    assert sympy.expand(_to_sympy(resultant(f, g, "x1")) - want) == 0
+
+
+_entry = st.one_of(st.just(MultiPoly.zero()), _trivariate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(_entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+@example([[F(1, 2) * X("a1"), X("b1")], [MultiPoly.const(F(-3, 4)), X("x1") * X("a1")]])
+@example([[MultiPoly.zero(), X("a1"), MultiPoly.const(F(1, 2))],
+          [X("b1"), MultiPoly.zero(), X("x1")],
+          [MultiPoly.const(F(2, 3)), X("x1"), X("a1") + F(1, 3)]])
+def test_det_bareiss_matches_domain_matrix(rows):
+    """Zero entries force row swaps; rational entries force row scaling
+    and exact division by non-constant pivots."""
+    want = _sympy_det(sympy.Matrix([[_to_sympy(e) for e in row] for row in rows]))
+    assert sympy.expand(_to_sympy(det_bareiss(rows)) - want) == 0
+
+
 def test_sign_at_point_mixed():
     x = X("x1")
     sqrt2 = isolate_real_roots(x ** 2 - 2)[1]
