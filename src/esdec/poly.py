@@ -373,34 +373,6 @@ class MultiPoly:
             return self
         return MultiPoly._make(self.vars, {m: k / c for m, k in self.terms.items()})
 
-    def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Exact polynomial division; raises if not divisible."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("exact_div by zero polynomial")
-        dc = divisor.constant_value()
-        if dc is not None:
-            return self * (Fraction(1) / dc)
-        a, b = MultiPoly._aligned(self, divisor)
-        rem = dict(a.terms)
-        lead_b = max(b.terms)
-        cb = b.terms[lead_b]
-        q: dict = {}
-        while rem:
-            lead_r = max(rem)
-            mono = tuple(er - eb for er, eb in zip(lead_r, lead_b))
-            if any(e < 0 for e in mono):
-                raise ValueError("exact_div: not divisible")
-            coeff = rem[lead_r] / cb
-            q[mono] = coeff  # lead_r strictly falls, so each mono once
-            for m2, c2 in b.terms.items():
-                key = tuple(e1 + e2 for e1, e2 in zip(mono, m2))
-                s = rem.get(key, Fraction(0)) - coeff * c2
-                if s == 0:
-                    rem.pop(key, None)
-                else:
-                    rem[key] = s
-        return MultiPoly._make(a.vars, q)
-
     # -- printing ------------------------------------------------------
 
     def to_text(self) -> str:

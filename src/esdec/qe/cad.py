@@ -665,7 +665,7 @@ def sign_vectors(polys: list, variables: tuple, budget: QeBudget | None = None):
     factors: dict = {}  # factor polynomial -> its place among the atoms
     shapes = []  # per polynomial: the constant's sign, ((factor place, exponent), ...)
     for p in polys:
-        exps = [min(m[i] for m in p.terms) for i in range(len(p.vars))]
+        exps = [min((m[i] for m in p.terms), default=0) for i in range(len(p.vars))]
         rest = MultiPoly(p.vars, {tuple(e - x for e, x in zip(m, exps)): c
                                   for m, c in p.terms.items()}).drop_unused()
         parts = [(MultiPoly.var(v, (v,)), e) for v, e in zip(p.vars, exps) if e]

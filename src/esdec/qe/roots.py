@@ -1,11 +1,40 @@
 """Exact univariate real root isolation and real algebraic numbers.
 
-Univariate polynomials appear here as dense Fraction coefficient lists
-(index = degree); isolate_real_roots also takes int lists, which is how
-a polynomial evaluated at a rational point arrives (see below).  Root
-isolation is Sturm-chain bisection of the squarefree integer primitive
+Univariate polynomials appear here as dense int coefficient lists
+(index = degree).  isolate_real_roots also takes a Fraction list or a
+MultiPoly, and RealAlgebraicNumber.sign_of_poly a Fraction list; each
+converts its input once, on entry, to a positive multiple with int
+coefficients and no content (_to_ints), which has the same roots and
+the same signs.  A polynomial evaluated at a rational point arrives as
+an int list already (see below), and a linear one gives its root
+-c0/c1 at once.
+
+The int kit:
+
+* the sign of c at n/d (d > 0) is the sign of d^deg * c(n/d), the sum
+  of c_i * n^i * d^(deg - i), taken by Horner in ints (usign);
+* a pseudo-remainder (_prem) multiplies the running remainder r by
+  |lc(b)| / g, with g = gcd(lc(r), lc(b)), before each step cancels
+  r's lead, so it is a positive multiple of the remainder over Q and
+  has its signs;
+* the quotient by a primitive divisor that divides exactly has int
+  coefficients (Gauss's lemma), so long division in ints finds it, and
+  a step that does not divide in ints shows that there is no quotient
+  (_quotient);
+* a gcd comes from the primitive remainder sequence: pseudo-remainders,
+  each divided by its content (ugcd).
+
+Root isolation is Sturm-chain bisection of the squarefree primitive
 part sf; every interval returned has rational non-root endpoints and
-exactly one root inside.
+exactly one root inside.  The chain is the signed remainder sequence of
+(sf, sf') with each member divided by a positive constant
+(_remainders), so its sign sequences, and with them the bisection
+midpoints and the isolating intervals, are those of the chain over Q.
+Sturm stays rather than Descartes' rule with Vincent-Collins-Akritas
+bisection: that gives other intervals, and cad picks a sector's sample
+from the interval ends around it (_rational_between), so samples and
+witnesses would move; and the same remainder sequence answers the
+Tarski queries below.
 
 Every rational root comes back as an exact point, by the rational root
 theorem: a root p/q in lowest terms has q | lead(sf), and two distinct
@@ -18,10 +47,22 @@ that candidate lies strictly inside the interval (else it may be another
 root of sf) and sf vanishes there.  A linear sf gives its root
 -sf[0]/sf[1] directly.
 
-A real algebraic number is a squarefree integer-coefficient defining
-polynomial plus an isolating interval (or an exact rational).  Signs of
-arbitrary polynomials at such numbers are decided exactly: a gcd test
-recognizes zero, interval refinement settles everything else.
+A real algebraic number is a squarefree int polynomial p plus an
+isolating interval (lo, hi) (or an exact rational).  The sign of q at
+it is one Tarski query (Basu, Pollack and Roy, Algorithms in Real
+Algebraic Geometry, ch. 2): for a < b not roots of p, the sign
+variations of the signed remainder sequence of (p, p'q) at a minus
+those at b are the sum of sign q(x) over the roots x of p in (a, b).
+The interval holds one root, so that sum is the sign.  q is first
+replaced by its pseudo-remainder by p, which has q's sign at every root
+of p and a degree below p's.  A rational r inside the interval compares
+with the number by p's sign at r alone: the root inside is simple, as p
+is squarefree, so p has its sign at lo exactly left of the root.  Two
+irrational numbers are equal exactly when g = gcd(p1, p2) changes sign
+across the overlap of their intervals: g divides p1, so its roots are
+simple roots of p1, at most one of them inside the overlap, and none at
+its ends, each of which is an end of an interval, where p1 or p2 is
+not zero.
 
 At a sample point whose coordinates on the variables a polynomial uses
 are all rational, its sign and its coefficients in the main variable
@@ -51,147 +92,158 @@ the shared factor out; see _eliminate_algebraics.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd, lcm
 
 from ..errors import ResourceLimitError
 from ..poly import MultiPoly, eval_int_form, int_form
 
-Coeffs = list  # list[Fraction], index = degree
 
-
-def utrim(c: Coeffs) -> Coeffs:
+def utrim(c: list) -> list:
     c = list(c)
     while len(c) > 1 and c[-1] == 0:
         c.pop()
     return c
 
 
-def udeg(c: Coeffs) -> int:
+def usign(c: list, x: Fraction) -> int:
+    """Sign of the int list c at x, by Horner on d^deg * c(n/d)."""
+    n, d = x.numerator, x.denominator
+    acc, dpow = c[-1], 1
+    for coeff in c[-2::-1]:
+        dpow *= d
+        acc = acc * n + coeff * dpow
+    return (acc > 0) - (acc < 0)
+
+
+def uderiv(c: list) -> list:
+    return [i * c[i] for i in range(1, len(c))] or [0]
+
+
+def _umul(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _content_free(c: list) -> list:
+    """The int list c, trimmed, divided by its positive content."""
     c = utrim(c)
-    return 0 if (len(c) == 1 and c[0] == 0) else len(c) - 1
+    g = gcd(*c)
+    return [x // g for x in c] if g > 1 else c
 
 
-def uis_zero(c: Coeffs) -> bool:
-    return all(x == 0 for x in c)
+def _to_ints(c: list) -> list:
+    """A positive multiple of an int or Fraction list with int
+    coefficients and no content, trimmed: the same roots and signs."""
+    den = lcm(*(x.denominator for x in c))
+    return _content_free([x.numerator * (den // x.denominator) for x in c])
 
 
-def ueval(c: Coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for coeff in reversed(c):
-        acc = acc * x + coeff
-    return acc
+def uprimitive(c: list) -> list:
+    """Primitive int form with positive leading coefficient."""
+    c = _to_ints(c)
+    return [-x for x in c] if c[-1] < 0 else c
 
 
-def uderiv(c: Coeffs) -> Coeffs:
-    if len(c) <= 1:
-        return [Fraction(0)]
-    return [Fraction(i) * c[i] for i in range(1, len(c))]
+def _prem(a: list, b: list) -> list:
+    """A positive multiple of the remainder of a by the nonzero b, in
+    ints (see the module docstring)."""
+    r = utrim(a)
+    db, lb = len(b) - 1, b[-1]
+    while len(r) > db:
+        lr = r[-1]
+        g = gcd(lr, lb)
+        m, t = abs(lb) // g, (lr if lb > 0 else -lr) // g
+        if m != 1:
+            r = [m * x for x in r]
+        shift = len(r) - 1 - db
+        for i, y in enumerate(b):
+            r[shift + i] -= t * y
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return r or [0]
 
 
-def _positive_primitive(c: Coeffs) -> Coeffs:
-    """Content-normalized by a positive rational: signs preserved."""
-    c = utrim(c)
-    if uis_zero(c):
-        return [Fraction(0)]
-    den = 1
-    for x in c:
-        den = den * x.denominator // int_gcd(den, x.denominator)
-    ints = [x * den for x in c]
-    g = 0
-    for x in ints:
-        g = int_gcd(g, abs(int(x)))
-    return [x / g for x in ints]
-
-
-def uprimitive(c: Coeffs) -> Coeffs:
-    """Integer primitive form with positive leading coefficient."""
-    ints = _positive_primitive(c)
-    return [-x for x in ints] if ints[-1] < 0 else ints
-
-
-def udivmod(a: Coeffs, b: Coeffs):
-    a = utrim(a)
-    b = utrim(b)
-    if uis_zero(b):
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+def _quotient(a: list, b: list) -> list | None:
+    """a / b for the primitive b, or None when b does not divide a (see
+    the module docstring)."""
     r = list(a)
-    db = udeg(b)
-    while not uis_zero(r) and udeg(r) >= db:
-        shift = udeg(r) - db
-        factor = r[udeg(r)] / b[db]
-        q[shift] += factor
-        for i in range(len(b)):
-            r[i + shift] -= factor * b[i]
-        r = utrim(r)
-    return utrim(q), utrim(r)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * (len(r) - db)
+    for k in range(len(q) - 1, -1, -1):
+        t, rem = divmod(r[k + db], lb)
+        if rem:
+            return None
+        q[k] = t
+        if t:
+            for i, y in enumerate(b):
+                r[k + i] -= t * y
+    return None if any(r[:db]) else q
 
 
-def ugcd(a: Coeffs, b: Coeffs) -> Coeffs:
-    a, b = utrim(a), utrim(b)
-    while not uis_zero(b):
-        _, r = udivmod(a, b)
-        a, b = b, r
-    return uprimitive(a) if not uis_zero(a) else [Fraction(0)]
+def ugcd(a: list, b: list) -> list:
+    """Primitive gcd with a positive leading coefficient, of int lists."""
+    a, b = _content_free(a), _content_free(b)
+    while any(b):
+        a, b = b, _content_free(_prem(a, b))
+    return uprimitive(a)
 
 
-def usquarefree(c: Coeffs) -> Coeffs:
-    c = utrim(c)
-    if udeg(c) <= 1:
-        return uprimitive(c) if not uis_zero(c) else c
+def usquarefree(c: list) -> list:
+    """Primitive squarefree part of an int list, leading coefficient
+    positive."""
+    c = uprimitive(c)
+    if len(c) <= 2:
+        return c
     g = ugcd(c, uderiv(c))
-    if udeg(g) == 0:
-        return uprimitive(c)
-    q, r = udivmod(c, g)
-    if not uis_zero(r):
-        raise AssertionError("the gcd with the derivative must divide exactly")
-    return uprimitive(q)
+    return c if len(g) == 1 else _quotient(c, g)
 
 
-def sturm_chain(c: Coeffs) -> list:
-    """Sturm chain of a squarefree polynomial, scaled only by positive
-    rationals so sign variations stay faithful."""
-    chain = [_positive_primitive(c)]
-    d = uderiv(c)
-    if not uis_zero(d):
-        chain.append(_positive_primitive(d))
-        while True:
-            _, r = udivmod(chain[-2], chain[-1])
-            if uis_zero(r):
-                break
-            chain.append(_positive_primitive([-x for x in r]))
+def _remainders(a: list, b: list) -> list:
+    """Signed remainder sequence of (a, b): a, b, then minus the
+    remainder of the two members before, until it is zero; each member
+    divided by a positive constant, which keeps its signs."""
+    chain = [_content_free(a)]
+    b = _content_free(b)
+    while any(b):
+        chain.append(b)
+        b = _content_free([-x for x in _prem(chain[-2], b)])
     return chain
 
 
-def _variations(signs: list) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+def _variations(chain: list, x: Fraction) -> int:
+    out = prev = 0
+    for c in chain:
+        s = usign(c, x)
+        if s:
+            out += s == -prev
+            prev = s
+    return out
 
 
-def sturm_count(chain: list, lo: Fraction, hi: Fraction) -> int:
-    """Distinct roots in (lo, hi]; requires chain[0](lo) != 0."""
-    def sgn(v):
-        return 0 if v == 0 else (1 if v > 0 else -1)
-    va = _variations([sgn(ueval(p, lo)) for p in chain])
-    vb = _variations([sgn(ueval(p, hi)) for p in chain])
-    return va - vb
+def _tarski_query(chain: list, lo: Fraction, hi: Fraction) -> int:
+    """Variations of a signed remainder sequence of (p, p'q) at lo minus
+    those at hi, for lo and hi not roots of p: the sum of sign q over
+    the roots of p in (lo, hi).  With q = 1 (a Sturm chain), the number
+    of distinct roots."""
+    return _variations(chain, lo) - _variations(chain, hi)
 
 
-def cauchy_bound(c: Coeffs) -> Fraction:
-    c = utrim(c)
-    lead = abs(c[-1])
-    rest = max((abs(x) for x in c[:-1]), default=Fraction(0))
-    return 1 + rest / lead
+def cauchy_bound(c: list) -> Fraction:
+    return 1 + Fraction(max(abs(x) for x in c[:-1]), abs(c[-1]))
 
 
-def isolate_squarefree(c: Coeffs) -> list:
-    """Isolating intervals for a squarefree polynomial: (r, r) for exact
-    rational roots, open (lo, hi) with one root and non-root rational
+def isolate_squarefree(c: list) -> list:
+    """Isolating intervals for a squarefree trimmed int list: (r, r) for
+    exact rational roots, open (lo, hi) with one root and non-root rational
     endpoints otherwise.  Sorted ascending."""
-    c = utrim(c)
-    if udeg(c) == 0:
+    if len(c) == 1:
         return []
-    chain = sturm_chain(c)
+    chain = _remainders(c, uderiv(c))
     B = cauchy_bound(c)
     out = []
 
@@ -202,40 +254,41 @@ def isolate_squarefree(c: Coeffs) -> list:
             out.append((lo, hi))
             return
         mid = (lo + hi) / 2
-        if ueval(c, mid) == 0:
+        if usign(c, mid) == 0:
             out.append((mid, mid))
             # shrink around the exact root until it is the only one inside
             w = (hi - lo) / 4
             while True:
                 l2, h2 = mid - w, mid + w
-                if ueval(c, l2) != 0 and ueval(c, h2) != 0 and sturm_count(chain, l2, h2) == 1:
+                if usign(c, l2) != 0 and usign(c, h2) != 0 and _tarski_query(chain, l2, h2) == 1:
                     break
                 w /= 2
-            rec(lo, l2, sturm_count(chain, lo, l2))
-            rec(h2, hi, sturm_count(chain, h2, hi))
+            rec(lo, l2, _tarski_query(chain, lo, l2))
+            rec(h2, hi, _tarski_query(chain, h2, hi))
         else:
-            rec(lo, mid, sturm_count(chain, lo, mid))
-            rec(mid, hi, sturm_count(chain, mid, hi))
+            rec(lo, mid, _tarski_query(chain, lo, mid))
+            rec(mid, hi, _tarski_query(chain, mid, hi))
 
-    total = sturm_count(chain, -B, B)
+    total = _tarski_query(chain, -B, B)
     rec(-B, B, total)
     return sorted(out)
 
 
 class RealAlgebraicNumber:
-    """A real root of a squarefree integer polynomial, isolated by a
+    """A real root of a squarefree int polynomial, isolated by a
     rational interval; exact rationals collapse to a direct value.
 
     Refinement narrows the interval in place (always preserving the
     isolating property), so instances may be shared freely.  It moves
     ``lo`` only to a point where the defining polynomial has the sign it
     has at ``lo``, so that sign is fixed once and each bisection step
-    costs one evaluation.
+    costs one evaluation.  Signs and comparisons do not refine (see the
+    module docstring).
     """
 
     __slots__ = ("poly", "lo", "hi", "value", "_lo_positive")
 
-    def __init__(self, poly: Coeffs | None, lo: Fraction, hi: Fraction,
+    def __init__(self, poly: list | None, lo: Fraction, hi: Fraction,
                  value: Fraction | None = None):
         if value is not None:
             self.value = value if isinstance(value, Fraction) else Fraction(value)
@@ -243,11 +296,11 @@ class RealAlgebraicNumber:
             self.lo = self.hi = self.value
             return
         self.value = None
-        self.poly = [Fraction(x) for x in poly]
+        self.poly = _to_ints(poly)
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
-        at_lo = ueval(self.poly, self.lo)
-        if at_lo == 0 or ueval(self.poly, self.hi) == 0:
+        at_lo = usign(self.poly, self.lo)
+        if at_lo == 0 or usign(self.poly, self.hi) == 0:
             raise ValueError("isolating interval endpoints must not be roots")
         self._lo_positive = at_lo > 0
 
@@ -266,7 +319,7 @@ class RealAlgebraicNumber:
         if self.value is not None:
             return
         mid = (self.lo + self.hi) / 2
-        v = ueval(self.poly, mid)
+        v = usign(self.poly, mid)
         if v == 0:
             self.value = mid
             self.lo = self.hi = mid
@@ -277,7 +330,7 @@ class RealAlgebraicNumber:
         else:
             self.hi = mid
 
-    def restrict(self, factor: Coeffs):
+    def restrict(self, factor: list) -> bool:
         """Define this number by whichever of ``factor``, a factor of the
         defining polynomial, and its cofactor it is a root of.  Either has
         only roots of the defining polynomial, so the interval stays
@@ -286,39 +339,26 @@ class RealAlgebraicNumber:
         is_root = self.sign_of_poly(factor) == 0
         if self.value is not None:
             return is_root
-        factor = uprimitive(factor if is_root else udivmod(self.poly, factor)[0])
-        if udeg(factor) == 1:
-            self.value = -factor[0] / factor[1]
+        factor = uprimitive(factor)
+        if not is_root:
+            factor = uprimitive(_quotient(self.poly, factor))
+        if len(factor) == 2:
+            self.value = Fraction(-factor[0], factor[1])
             self.lo = self.hi = self.value
             self.poly = None
         else:
             self.poly = factor
-            self._lo_positive = ueval(factor, self.lo) > 0
+            self._lo_positive = usign(factor, self.lo) > 0
         return is_root
 
-    def sign_of_poly(self, q: Coeffs) -> int:
-        """Exact sign of q at this number."""
-        q = utrim(q)
+    def sign_of_poly(self, q: list) -> int:
+        """Exact sign of q at this number: one Tarski query (see the
+        module docstring)."""
+        q = _to_ints(q)
         if self.value is not None:
-            v = ueval(q, self.value)
-            return 0 if v == 0 else (1 if v > 0 else -1)
-        if uis_zero(q):
-            return 0
-        # q vanishes here iff gcd(defining, q) has a root in the isolating
-        # interval; the gcd divides the defining polynomial, so neither
-        # endpoint can be one of its roots and a Sturm count is exact.
-        g = ugcd(self.poly, q)
-        if udeg(g) > 0 and sturm_count(sturm_chain(g), self.lo, self.hi) > 0:
-            return 0
-        qsf = usquarefree(q)
-        chain_q = sturm_chain(qsf)
-        while True:
-            if self.value is not None:
-                return self.sign_of_poly(q)
-            vlo, vhi = ueval(q, self.lo), ueval(q, self.hi)
-            if vlo != 0 and vhi != 0 and sturm_count(chain_q, self.lo, self.hi) == 0:
-                return 1 if vlo > 0 else -1
-            self.refine()
+            return usign(q, self.value)
+        p = self.poly
+        return _tarski_query(_remainders(p, _umul(uderiv(p), _prem(q, p))), self.lo, self.hi)
 
     def compare_rational(self, r: Fraction) -> int:
         v = self.value
@@ -330,22 +370,21 @@ class RealAlgebraicNumber:
             return 1
         if r >= self.hi:
             return -1
-        return self.sign_of_poly([-Fraction(r), Fraction(1)])
+        s = usign(self.poly, r)
+        return 0 if s == 0 else (1 if (s > 0) == self._lo_positive else -1)
 
     def compare(self, other: "RealAlgebraicNumber") -> int:
         if other.value is not None:
             return self.compare_rational(other.value)
         if self.value is not None:
             return -other.compare_rational(self.value)
-        # equality test: the numbers coincide iff gcd(p1, p2) has a root
-        # in the overlap of the isolating intervals (such a root lies in
-        # both intervals and is a root of both polynomials, hence is both
-        # numbers; the gcd's roots avoid all four endpoints)
+        # equal iff gcd(p1, p2) changes sign across the overlap (see the
+        # module docstring)
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
         if lo < hi:
             g = ugcd(self.poly, other.poly)
-            if udeg(g) > 0 and sturm_count(sturm_chain(g), lo, hi) > 0:
+            if usign(g, lo) != usign(g, hi):
                 return 0
         while not (self.hi < other.lo or other.hi < self.lo):
             if self.value is not None or other.value is not None:
@@ -360,17 +399,17 @@ class RealAlgebraicNumber:
         return f"RealAlgebraicNumber({self.poly}, ({self.lo}, {self.hi}))"
 
 
-def _settle(sf: Coeffs, lo: Fraction, hi: Fraction):
-    """The root of the integer squarefree ``sf`` isolated in (lo, hi):
-    a Fraction when it is rational, else a narrowed isolating interval.
-    Bisect below 1/lead^2, then test the one rational candidate (see the
-    module docstring)."""
-    lead = int(sf[-1])
+def _settle(sf: list, lo: Fraction, hi: Fraction):
+    """The root of the squarefree primitive int list ``sf`` isolated in
+    (lo, hi): a Fraction when it is rational, else a narrowed isolating
+    interval.  Bisect below 1/lead^2, then test the one rational
+    candidate (see the module docstring)."""
+    lead = sf[-1]
     gap = Fraction(1, lead * lead)
-    lo_positive = ueval(sf, lo) > 0
+    lo_positive = usign(sf, lo) > 0
     while hi - lo >= gap:
         mid = (lo + hi) / 2
-        v = ueval(sf, mid)
+        v = usign(sf, mid)
         if v == 0:
             return mid
         if (v > 0) == lo_positive:
@@ -379,7 +418,7 @@ def _settle(sf: Coeffs, lo: Fraction, hi: Fraction):
             hi = mid
     cand = ((lo + hi) / 2).limit_denominator(lead)
     # a candidate outside (lo, hi) may be a root of sf, but not this one
-    if lo < cand < hi and ueval(sf, cand) == 0:
+    if lo < cand < hi and usign(sf, cand) == 0:
         return cand
     return lo, hi
 
@@ -400,24 +439,22 @@ def isolate_real_roots(p) -> list:
             if p.is_zero:
                 raise ValueError("cannot isolate roots of the zero polynomial")
             return []
-        coeffs = [c.constant_value() for c in p.as_univar(used[0])]
-    else:
-        coeffs = utrim(p)
-    if uis_zero(coeffs):
+        p = [c.constant_value() for c in p.as_univar(used[0])]
+    coeffs = utrim(p)
+    if not any(coeffs):
         raise ValueError("cannot isolate roots of the zero polynomial")
     if len(coeffs) == 2:
         return [RealAlgebraicNumber.from_rational(Fraction(-coeffs[0], coeffs[1]))]
-    sf = usquarefree([Fraction(x) for x in coeffs])
-    if udeg(sf) == 1:
-        return [RealAlgebraicNumber.from_rational(-sf[0] / sf[1])]
+    sf = usquarefree(coeffs)
+    if len(sf) == 2:
+        return [RealAlgebraicNumber.from_rational(Fraction(-sf[0], sf[1]))]
     settled = [lo if lo == hi else _settle(sf, lo, hi) for lo, hi in isolate_squarefree(sf)]
     # defining the irrational roots by sf itself would keep its rational
     # roots, at which an elimination resultant can vanish identically
     rest = sf
     for r in settled:
         if not isinstance(r, tuple):
-            rest, _ = udivmod(rest, [-r, Fraction(1)])
-    rest = uprimitive(rest)
+            rest = _quotient(rest, [-r.numerator, r.denominator])
     return [RealAlgebraicNumber(rest, *r) if isinstance(r, tuple)
             else RealAlgebraicNumber.from_rational(r) for r in settled]
 
@@ -458,14 +495,14 @@ def _defining_multipoly(a: RealAlgebraicNumber, var: str) -> MultiPoly:
     return MultiPoly((var,), terms)
 
 
-def _reduce_mod(M: MultiPoly, defining: Coeffs, var: str) -> MultiPoly:
+def _reduce_mod(M: MultiPoly, defining: list, var: str) -> MultiPoly:
     """Remainder of M modulo the defining polynomial, as a polynomial in
     ``var`` (exact; the defining leading coefficient is a nonzero
     rational).  Leaves the value at the algebraic number unchanged."""
     if var not in M.vars:
         return M
     coeffs = M.as_univar(var)
-    dm = udeg(defining)
+    dm = len(defining) - 1
     if dm == 0:
         return M
     lead_inv = Fraction(1) / defining[dm]
@@ -482,39 +519,43 @@ def _reduce_mod(M: MultiPoly, defining: Coeffs, var: str) -> MultiPoly:
     return MultiPoly.from_univar(coeffs, var)
 
 
-def _coeffs_in(M: MultiPoly, var: str) -> dict:
-    """M as univariate coefficient lists in ``var``, one per monomial in
-    the other variables (exponent tuples with var's entry dropped)."""
+def _coeffs_in(M: MultiPoly, var: str) -> tuple:
+    """(den, parts): M times den, the lcm of its denominators, as int
+    coefficient lists in ``var``, one per monomial in the other variables
+    (exponent tuples with var's entry dropped)."""
     i = M.vars.index(var)
+    den = lcm(*(c.denominator for c in M.terms.values()))
     by_rest: dict = {}
     for mono, coeff in M.terms.items():
-        by_rest.setdefault(mono[:i] + mono[i + 1:], {})[mono[i]] = coeff
-    return {rest: [powers.get(k, Fraction(0)) for k in range(max(powers) + 1)]
-            for rest, powers in by_rest.items()}
+        by_rest.setdefault(mono[:i] + mono[i + 1:], {})[mono[i]] = \
+            coeff.numerator * (den // coeff.denominator)
+    return den, {rest: [powers.get(k, 0) for k in range(max(powers) + 1)]
+                 for rest, powers in by_rest.items()}
 
 
-def _shared_factor(defining: Coeffs, M: MultiPoly, var: str) -> Coeffs:
+def _shared_factor(defining: list, M: MultiPoly, var: str) -> list:
     """gcd of the defining polynomial and every coefficient of M taken
     as a polynomial in ``var`` over the other variables."""
     g = defining
-    for coeffs in _coeffs_in(M, var).values():
+    for coeffs in _coeffs_in(M, var)[1].values():
         g = ugcd(g, coeffs)
-        if udeg(g) == 0:
+        if len(g) == 1:
             break
     return g
 
 
-def _divide_out(M: MultiPoly, factor: Coeffs, var: str) -> MultiPoly:
-    """M divided by the highest power of factor(var) that divides it."""
+def _divide_out(M: MultiPoly, factor: list, var: str) -> MultiPoly:
+    """M divided by the highest power of the primitive factor(var) that
+    divides it: the quotients of M's int lists, divided by their den."""
     i = M.vars.index(var)
-    parts = _coeffs_in(M, var)
+    den, parts = _coeffs_in(M, var)
     while True:
         quotients = {}
         for rest, coeffs in parts.items():
-            q, r = udivmod(coeffs, factor)
-            if not uis_zero(r):
+            q = _quotient(coeffs, factor)
+            if q is None:
                 return MultiPoly(M.vars, {
-                    other[:i] + (k,) + other[i:]: c
+                    other[:i] + (k,) + other[i:]: Fraction(c, den)
                     for other, cs in parts.items() for k, c in enumerate(cs)})
             quotients[rest] = q
         parts = quotients
@@ -554,7 +595,7 @@ def _eliminate_algebraics(M: MultiPoly, algs: dict) -> MultiPoly:
                     out = res
                     break
             shared = _shared_factor(a.poly, out, v)
-            if udeg(shared) == 0:  # not reached: a zero resultant needs a shared factor
+            if len(shared) == 1:  # not reached: a zero resultant needs a shared factor
                 return MultiPoly.zero()
             if a.restrict(shared):
                 out = _divide_out(out, shared, v)
@@ -568,16 +609,15 @@ def _fresh_var(avoid) -> str:
     return f"W{i}"
 
 
-def _nonzero_root_gap(N: Coeffs) -> Fraction:
-    """Positive rational strictly below every nonzero real root magnitude."""
-    N = utrim(N)
+def _nonzero_root_gap(N: list) -> Fraction:
+    """Positive rational strictly below every nonzero real root magnitude
+    of the nonzero int list N."""
     k = 0
-    while k < len(N) and N[k] == 0:
+    while N[k] == 0:
         k += 1
-    tail = N[k:]
-    c0 = abs(tail[0])
-    rest = max((abs(c) for c in tail[1:]), default=Fraction(0))
-    return c0 / (c0 + rest) if rest else Fraction(1)
+    c0 = abs(N[k])
+    rest = max((abs(c) for c in N[k + 1:]), default=0)
+    return Fraction(c0, c0 + rest) if rest else Fraction(1)
 
 
 def _int_coeffs(p: MultiPoly, point: dict, var: str | None = None) -> list | None:
@@ -636,8 +676,9 @@ def sign_at_point(p: MultiPoly, point: dict, form: tuple | None = None) -> int:
             M = MultiPoly.var(tvar, (tvar,) + q.vars) - q.with_vars((tvar,) + q.vars)
             N_poly = _eliminate_algebraics(M, live)
             ncoeffs = [c.constant_value() for c in N_poly.as_univar(tvar)]
-            if any(c is None for c in ncoeffs) or uis_zero(ncoeffs):
+            if any(c is None for c in ncoeffs) or not any(ncoeffs):
                 raise ResourceLimitError("degenerate characteristic polynomial")
+            ncoeffs = _to_ints(ncoeffs)
             zero_possible = ncoeffs[0] == 0
             gap = _nonzero_root_gap(ncoeffs)
         if not zero_possible:
@@ -708,7 +749,7 @@ def roots_at_point(p: MultiPoly, point: dict, var: str, form: tuple | None = Non
     if N_poly.is_zero:
         raise ResourceLimitError("algebraic lifting degeneracy: cascade vanished")
     ncoeffs = [c.constant_value() for c in N_poly.as_univar(var)]
-    if any(c is None for c in ncoeffs) or uis_zero(ncoeffs):
+    if any(c is None for c in ncoeffs) or not any(ncoeffs):
         raise ResourceLimitError("algebraic lifting degeneracy: cascade vanished")
     out = []
     for cand in isolate_real_roots(ncoeffs):

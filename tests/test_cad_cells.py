@@ -52,6 +52,17 @@ def test_sign_vectors_charge_the_cell_budget():
         list(sign_vectors(polys, ("X", "Y"), QeBudget(max_cells=3)))
 
 
+def test_sign_vectors_read_a_zero_polynomial_as_zero():
+    """Every polynomial gets an entry, the zero polynomial too, whatever
+    variables it declares."""
+    X = MultiPoly.var("X")
+    polys = [X, MultiPoly.zero(("X",)), MultiPoly.zero()]
+    cells = list(sign_vectors(polys, ("X", "Y"), QeBudget()))
+    assert {v for v, _point in cells} == {(-1, 0, 0), (0, 0, 0), (1, 0, 0)}
+    for v, point in cells:
+        assert v == tuple(sign_at_point(q, point) for q in polys)
+
+
 def test_sign_vectors_walk_lazily(monkeypatch):
     """A walk stopped after its first cell has charged fewer cells than
     the whole walk, and each vector is the signs at its own sample."""

@@ -79,14 +79,6 @@ def test_primitive_and_content():
     assert (-p).primitive() == x ** 2 - 1  # sign-canonical
 
 
-def test_exact_div():
-    x, y = MultiPoly.var("x1"), MultiPoly.var("x2")
-    a = (x + y) * (x - y) * (x + 1)
-    assert a.exact_div(x + y) == (x - y) * (x + 1)
-    with pytest.raises(ValueError):
-        (x * x + 1).exact_div(x + y)
-
-
 def test_to_text_roundtrip_shape():
     x1, x2 = MultiPoly.var("x1"), MultiPoly.var("x2")
     p = -x1 ** 2 + Fraction(5, 3) * x2 - 1
@@ -137,8 +129,6 @@ def test_operations_return_canonical_polys(p, q, c, order, e):
         MultiPoly.var(order[e], order), MultiPoly.const(c, order),
         MultiPoly.zero(order),
     ]
-    if not q.is_zero:
-        results.append((p * q).exact_div(q))
     for i, v in enumerate(p.vars):
         results.append(p.partial_eval({v: c}))
         coeffs = p.as_univar(v)

@@ -12,7 +12,7 @@ from esdec.poly import MultiPoly, eval_int_form, int_form
 from esdec.qe.resultants import det_bareiss, psc_set, resultant
 from esdec.qe.roots import (
     RealAlgebraicNumber, _int_coeffs, interval_eval,
-    isolate_real_roots, roots_at_point, sign_at_point, ueval, usquarefree, utrim,
+    isolate_real_roots, roots_at_point, sign_at_point, usign, usquarefree, utrim,
 )
 
 F = Fraction
@@ -59,7 +59,7 @@ def test_refine_evaluates_once_per_step(monkeypatch):
     defining polynomial at the midpoint alone."""
     a = isolate_real_roots([F(-2), F(0), F(1)])[1]  # sqrt 2
     calls = []
-    monkeypatch.setattr("esdec.qe.roots.ueval", lambda c, x: calls.append(x) or ueval(c, x))
+    monkeypatch.setattr("esdec.qe.roots.usign", lambda c, x: calls.append(x) or usign(c, x))
     for _ in range(20):
         width = a.hi - a.lo
         calls.clear()
@@ -478,6 +478,6 @@ def test_interval_eval():
 
 def test_usquarefree():
     # (x-1)^3 -> x-1 up to sign/scale
-    p = [F(-1), F(3), F(-3), F(1)]
+    p = [-1, 3, -3, 1]
     sf = usquarefree(p)
     assert len(sf) == 2
