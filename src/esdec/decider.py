@@ -48,13 +48,21 @@ in three exact stages.
 
 The brute-force harness computes the exact Ramsey value of an
 order-invariant set by searching canonical weak orderings, which are
-exhaustive for such sets, depth-first for one without a good n-term
-subsequence.  A prefix that already holds a good subsequence is never
-extended, each member is evaluated once per distinct tuple of argument
-levels, and for arity 2 a good subsequence through a new position is a
-clique in bitmask rows (es_bruteforce).  Order-invariance itself is
-checked by realizing every weak ordering of argument tuples at several
-scales and comparing atom truth.
+exhaustive for such sets, for one without a good n-term subsequence
+(es_bruteforce).  The search is one plain depth-first recursion
+(_first_survivor) over a prefix held in one int list: levels are tried
+in increasing order, so the first ordering it completes is the first
+survivor in lexicographic order, and a prefix that already holds a
+good subsequence is never extended, which removes no survivor.  Member
+truths sit in a table indexed by member and argument levels, filled
+on first read and grown with the length searched (not sized by the
+cap), so each member is evaluated once per tuple of levels;
+for arity 2 a good subsequence through a new position is a clique in
+bitmask rows, rewritten in place along the current path.  The
+recursion is a module function with its state in its arguments, so it
+leaves no reference cycle.  Order-invariance itself is checked by
+realizing every weak ordering of argument tuples at several scales and
+comparing atom truth.
 """
 
 from __future__ import annotations
@@ -394,38 +402,13 @@ def _reverify_no(pset: PredicateSet, Q: CoefficientSystem, verdict: Verdict):
 # -- exact Ramsey values for order-invariant sets -----------------------
 
 
-def _weak_orderings_from(prefix: tuple, present: int, top: int, n: int, keep):
-    """weak_orderings' depth-first recursion below ``prefix``, whose
-    levels are the set bits of ``present``; a module function, so the
-    recursion makes no reference cycle."""
-    pos = len(prefix)
-    if pos == n:
-        yield prefix
-        return
-    remaining = n - pos
-    for level in range(1, top + remaining + 1):
-        new_present = present | (1 << level)
-        new_top = max(top, level)
-        # every present level is <= new_top; the missing ones must
-        # still fit into the positions left after this one
-        if new_top - new_present.bit_count() > remaining - 1:
-            continue
-        new_prefix = prefix + (level,)
-        if keep is None or keep(new_prefix):
-            yield from _weak_orderings_from(new_prefix, new_present, new_top, n, keep)
-
-
-def weak_orderings(n: int, keep=None):
+def weak_orderings(n: int):
     """Canonical weak orderings of n positions: all rank assignments
-    surjective onto an initial segment {1..m}, depth-first in the order
-    of their prefixes.  Counts are the ordered Bell numbers (3 for n=2:
-    ties, up, down).  ``keep(prefix)``, if given, is asked about every
-    nonempty prefix, the full ordering included; a prefix it rejects is
-    neither yielded nor extended."""
-    if n == 0:
-        yield ()
-        return
-    yield from _weak_orderings_from((), 0, 0, n, keep)
+    surjective onto an initial segment {1..m}, in lexicographic order.
+    Counts are the ordered Bell numbers (3 for n=2: ties, up, down)."""
+    for levels in product(range(1, n + 1), repeat=n):
+        if set(levels) == set(range(1, max(levels, default=0) + 1)):
+            yield levels
 
 
 # realization scales: all strictly increasing in the level, spread across
@@ -480,11 +463,18 @@ class EsValue:
 def es_bruteforce(pset: PredicateSet, n: int, n_max: int) -> EsValue:
     """Exact Ramsey value: the least N <= n_max such that every weak
     ordering of length N admits an n-term subsequence on which some
-    member holds everywhere.  Requires order invariance (checked).
+    member holds everywhere.  Requires order invariance (checked), and
+    1 <= n <= n_max (ValueError otherwise: a cap below n searches no
+    length).
 
-    For each N the weak orderings are searched in ``weak_orderings``
-    order for the first one without such a subsequence (the
-    counterexample), with three shortcuts that leave the result unchanged:
+    For each N, _first_survivor searches the canonical weak orderings
+    for the first one without such a subsequence (the counterexample),
+    by one depth-first recursion over a prefix kept in one int list.
+    Each position tries its levels in increasing order, and a level is
+    skipped only when the levels still missing below the new top cannot
+    fit into the positions left, so the orderings completed are exactly
+    the canonical ones, in lexicographic (``weak_orderings``) order.
+    Three shortcuts leave the result unchanged:
 
     - A prefix whose values already contain a good n-term subsequence
       is not extended.  The subsequences of a prefix's values are
@@ -493,70 +483,141 @@ def es_bruteforce(pset: PredicateSet, n: int, n_max: int) -> EsValue:
       counterexample of the full enumeration.  Each new prefix checks
       only the n-subsets that contain its last position; every other
       subset was checked when a shorter prefix was kept.
-    - Member truths come from a table local to the call, keyed by the
-      member and its tuple of argument levels.  Truth is a function of
-      the argument values, and a level always realizes as the same
-      Fraction, so an entry is exact wherever it is reused; order
+    - Member truths come from a table local to the call, truth[i][a][b]
+      for member i at the levels (a, b), one index per argument, filled
+      by eval_at the first time an entry is read.  The table grows with
+      N, to the levels 0..N a length-N ordering can use, keeping every
+      entry already filled, so its size follows the lengths searched and
+      not the cap.  Truth is a function
+      of the argument values, and a level always realizes as the same
+      value, so an entry is exact wherever it is reused; order
       invariance is needed only for weak orderings to be exhaustive.
     - For arity 2, a prefix ending at position p stores, per member, its
       row: the bitmask of the earlier positions j with the member true
-      on (j, p), filled from that table.  A member holds everywhere on
-      an n-subset S + {p} exactly when it holds on every pair of it,
-      that is, when S lies in p's row and each position of S has every
-      lower one of S in its own row: S is an (n-1)-clique of the graph
-      the rows draw, found in p's row by _has_clique.  Rows depend only
-      on the prefix, and ``weak_orderings`` asks about a prefix only
-      after keeping each of its shorter prefixes, with no other prefix
-      of the same length asked in between, so the rows of positions
-      below p, overwritten in place, are those of this prefix's own
-      prefixes.  The answer per prefix is the loop's, so the search
-      visits the same orderings.
+      on (j, p).  A member holds everywhere on an n-subset S + {p}
+      exactly when it holds on every pair of it, that is, when S lies in
+      p's row and each position of S has every lower one of S in its
+      own row: S is an (n-1)-clique of the graph the rows draw, found in
+      p's row by _has_clique.  Row p is written in place when a prefix
+      ending at p is tried.  The recursion tries a prefix only inside the
+      subtree of each of its shorter prefixes, and leaves that subtree
+      before a sibling of one of them writes its row; so the rows below p
+      are those of this prefix's own prefixes, the current path.
+
+    The recursion, like _has_clique, is a module function that takes its
+    state as arguments: a nested function that calls itself holds its
+    own closure cell, a reference cycle that only the garbage collector
+    frees, once per call.
     """
     check_order_invariance(pset)
     if n < 1:
         raise ValueError("n must be >= 1")
-    k = pset.arity
-    members = list(enumerate(pset.members))
-    truth: dict = {}
-
-    def holds(i, member, levels: tuple) -> bool:
-        key = (i, levels)
-        value = truth.get(key)
-        if value is None:
-            value = truth[key] = eval_at(member, levels)
-        return value
-
-    def keep(prefix: tuple) -> bool:
-        last = prefix[-1]
-        for rest in combinations(prefix[:-1], n - 1):
-            tuples = list(combinations(rest + (last,), k))
-            for i, member in members:
-                if all(holds(i, member, levels) for levels in tuples):
-                    return False  # member holds on every k-subset
-        return True
-
-    rows = [[0] * n_max for _ in members]  # rows[i][p]: member i's row of position p
-
-    def keep_pairs(prefix: tuple) -> bool:
-        p = len(prefix) - 1
-        last = prefix[p]
-        for i, member in members:
-            row = 0
-            for j in range(p):
-                if holds(i, member, (prefix[j], last)):
-                    row |= 1 << j
-            rows[i][p] = row
-            if _has_clique(row, n - 1, rows[i]):
-                return False
-        return True
-
+    if n_max < n:
+        raise ValueError("n_max must be >= n")
+    members = pset.members
+    truth = [[] for _ in members]
+    # rows[i][p]: member i's row of position p, arity 2 only
+    rows = [[] for _ in members] if pset.arity == 2 else None
     last_counterexample = None
     for N in range(n, n_max + 1):
-        failed = next(weak_orderings(N, keep_pairs if k == 2 else keep), None)
-        if failed is None:
+        for table in truth:
+            _grow_table(table, pset.arity, N + 1)
+        if rows is not None:
+            for member_rows in rows:
+                member_rows.extend([0] * (N - len(member_rows)))
+        levels = [0] * N
+        if not _first_survivor(levels, 0, 0, 0, n, members, truth, rows):
             return EsValue(N, N, last_counterexample)
-        last_counterexample = failed
+        last_counterexample = tuple(levels)
     return EsValue(None, n_max, last_counterexample)
+
+
+def _grow_table(table: list, k: int, size: int) -> None:
+    """Pad the k-deep nested list ``table`` with Nones until every index
+    runs over range(size), keeping the entries already filled."""
+    if k == 1:
+        table.extend([None] * (size - len(table)))
+        return
+    for sub in table:
+        _grow_table(sub, k - 1, size)
+    while len(table) < size:
+        sub = []
+        _grow_table(sub, k - 1, size)
+        table.append(sub)
+
+
+def _first_survivor(levels: list, pos: int, present: int, top: int, n: int,
+                    members: tuple, truth: list, rows: list | None) -> bool:
+    """Whether levels[:pos], a kept prefix whose levels are the set bits
+    of ``present``, the highest ``top``, extends to a canonical weak
+    ordering of len(levels) positions none of whose prefixes holds a good
+    n-subsequence; if so, the first such ordering is left in ``levels``.
+    es_bruteforce states why that is the first counterexample, and why
+    the rows (arity 2; None otherwise) are those of the current path."""
+    size = len(levels)
+    if pos == size:
+        return True
+    remaining = size - pos - 1
+    for level in range(1, top + remaining + 2):
+        new_present = present | 1 << level
+        new_top = level if level > top else top
+        if new_top - new_present.bit_count() > remaining:
+            continue
+        levels[pos] = level
+        if rows is None:
+            good = _tuples_good(levels, pos, n, members, truth)
+        else:
+            good = _pairs_good(levels, pos, n, members, truth, rows)
+        if not good and _first_survivor(levels, pos + 1, new_present, new_top, n,
+                                        members, truth, rows):
+            return True
+    return False
+
+
+def _pairs_good(levels: list, p: int, n: int, members: tuple, truth: list,
+                rows: list) -> bool:
+    """Arity 2: whether some member holds on every pair of an n-subset
+    of levels[:p + 1] through p, with each member's row of p written
+    until one does."""
+    last = levels[p]
+    for i, member in enumerate(members):
+        table = truth[i]
+        row = 0
+        for j in range(p):
+            a = levels[j]
+            value = table[a][last]
+            if value is None:
+                value = table[a][last] = eval_at(member, (a, last))
+            if value:
+                row |= 1 << j
+        rows[i][p] = row
+        if _has_clique(row, n - 1, rows[i]):
+            return True
+    return False
+
+
+def _tuples_good(levels: list, p: int, n: int, members: tuple, truth: list) -> bool:
+    """Whether some member holds on every k-subset of an n-subset of
+    levels[:p + 1] through p, k the arity."""
+    k = members[0].arity
+    last = levels[p]
+    for rest in combinations(levels[:p], n - 1):
+        tuples = list(combinations(rest + (last,), k))
+        for member, table in zip(members, truth):
+            if all(_truth(table, member, t) for t in tuples):
+                return True
+    return False
+
+
+def _truth(table: list, member, levels: tuple) -> bool:
+    """The member's truth at ``levels``, from its table, evaluated on the
+    first read."""
+    for a in levels[:-1]:
+        table = table[a]
+    value = table[levels[-1]]
+    if value is None:
+        value = table[levels[-1]] = eval_at(member, levels)
+    return value
 
 
 def _has_clique(candidates: int, m: int, rows: list) -> bool:

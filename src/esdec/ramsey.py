@@ -109,13 +109,18 @@ def at_least_power(y, x, R: int) -> bool:
     return y >= x ** R
 
 
+def _fractions(values) -> list:
+    """``values`` as Fractions, keeping those that already are."""
+    return [x if type(x) is Fraction else Fraction(x) for x in values]
+
+
 def is_R_growing(b: Sequence[Fraction], R: int) -> bool:
     """Exact check: b1 >= R and b_{i+1} >= b_i^R (``at_least_power``;
     each b_i it raises is positive, since b1 >= R and the terms before
     it passed)."""
     if not isinstance(R, int) or R < 3:
         raise ValueError("R must be an integer >= 3")
-    b = [Fraction(x) for x in b]
+    b = _fractions(b)
     if not b:
         return False
     if b[0] < R:
@@ -149,8 +154,8 @@ def apply_transform(kind: TransformKind, x: Fraction, A: Fraction, B: Fraction) 
 
 def verify_embedding(a: Sequence[Fraction], b: Sequence[Fraction], witness: EmbeddingWitness) -> bool:
     """Exact recomputation of the transformed sequence against the host."""
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
+    a = _fractions(a)
+    b = _fractions(b)
     idx = witness.index_map
     if len(idx) != len(b) or any(i < 0 or i >= len(a) for i in idx):
         return False
@@ -225,7 +230,7 @@ MULTIPLICATIVE = _Multiplicative()
 
 
 def _check_increasing(seq, scale=None) -> list:
-    vals = [Fraction(x) for x in seq]
+    vals = _fractions(seq)
     if any(y <= x for x, y in zip(vals, vals[1:])):
         raise ValueError("input sequence must be strictly increasing")
     if scale is MULTIPLICATIVE and vals and vals[0] <= 0:
@@ -306,7 +311,7 @@ def _scaled_ints(values) -> list:
     L > 0, and every comparison the sequence searches make is
     homogeneous, with the same degree on both sides:
 
-      order                  u < v                     degree 1
+      order, equality        u < v, u = v              degree 1
       DDC                    z + x >= 2y               degree 1
       additive R-fold        z - f >= R(l - f)         degree 1
       multiplicative R-fold  z * f^(R-1) >= l^R        degree R
@@ -496,11 +501,11 @@ def extract_rfold(seq: Sequence[Fraction], n: int, R: int, scale=ADDITIVE,
 # -- the embedding pipeline --------------------------------------------
 
 
-def _strictly_monotone(a):
+def _strictly_monotone(ints):
     """Longest strictly increasing and strictly decreasing subsequences,
     as index lists, in O(n log n) by patience sorting (Fredman 1975).
-    Runs on ``_scaled_ints(a)``, whose order is that of ``a``; a
-    decreasing subsequence is an increasing one of the negated values.
+    Callers pass a host's ``_scaled_ints``, whose order is the host's;
+    a decreasing subsequence is an increasing one of the negated values.
 
     The chains are those of the quadratic dynamic program: j's length is
     1 + the longest length of an earlier smaller value, its parent the
@@ -514,7 +519,6 @@ def _strictly_monotone(a):
     them is found by bisecting the class's negated values.  The chain
     ends at the first member of the top class.
     """
-    ints = _scaled_ints(a)
     results = []
     for vals in (ints, [-v for v in ints]):
         tails: list = []  # per length class: its last (smallest) value
@@ -587,19 +591,21 @@ def extract_growing_embedding(a: Sequence[Fraction], params: GrowthParams) -> Gr
     at lengths far beyond desk scale, so failures are honest outcomes.
     """
     R, n = params.R, params.n
-    host = [Fraction(x) for x in a]
+    host = _fractions(a)
     if not host:
         raise ExtractionFailure("empty host sequence", stage="input")
+    ints = _scaled_ints(host)  # L > 0: equal ints are equal values, in the same order
 
     # repeated value: constant image under B = 0
     counts: dict = {}
-    for i, v in enumerate(host):
+    for i, v in enumerate(ints):
         counts.setdefault(v, []).append(i)
-    value, positions = max(counts.items(), key=lambda kv: (len(kv[1]), -kv[1][0]))
+    positions = max(counts.values(), key=lambda p: (len(p), -p[0]))
     if len(positions) >= n:
-        return _finish(host, canonical_growing(R, n), positions[:n], TransformKind.F1, value, 0)
+        return _finish(host, canonical_growing(R, n), positions[:n], TransformKind.F1,
+                       host[positions[0]], 0)
 
-    inc, dec = _strictly_monotone(host)
+    inc, dec = _strictly_monotone(ints)
     nu, mono = (1, inc) if len(inc) >= len(dec) else (-1, dec)
     s_vals = [nu * host[i] for i in mono]  # strictly increasing
     if len(s_vals) < n + 1:
@@ -659,7 +665,7 @@ def refine_well_placed(b: Sequence[Fraction], ratios: Sequence[Fraction],
     ratio magnitudes ``ratios``: ``ratio_class`` finds each dwarfed or
     gigantic against it.  Every run is tried, the longest first from
     each start; an R-growing b is short, as b_k has over 3^(k-1) bits."""
-    vals = [Fraction(x) for x in b]
+    vals = _fractions(b)
     if not is_R_growing(vals, params.R):
         raise ValueError("refine_well_placed: input must be R-growing")
     start, stop = 0, 0
@@ -733,7 +739,7 @@ def extract_homogeneous(a: Sequence[Fraction], pset, n: int,
     the desk-scale fallback.  Output is re-verified by definition."""
     from . import typesys  # local: typesys imports this module
 
-    host = [Fraction(x) for x in a]
+    host = _fractions(a)
     if n < 1:
         raise ValueError("n must be >= 1")
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -123,6 +124,29 @@ def test_es_exact(tmp_path, capsys):
     code, out, _ = run(capsys, "es-exact", str(pred), "--n", "3", "--Nmax", "6")
     assert code == 0
     assert json.loads(out)["value"] == 5
+
+
+def test_es_exact_answers_at_once_under_a_generous_cap(tmp_path, capsys):
+    """The search's tables grow with the lengths searched, so a cap far
+    above the value answers as a cap of 6 does."""
+    pred = tmp_path / "monotone.pred"
+    pred.write_text("x1 < x2 ; x1 >= x2\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "es-exact", str(pred), "--n", "3", "--Nmax", "100000")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert json.loads(out)["value"] == 5
+
+
+def test_es_exact_rejects_a_cap_below_n(tmp_path, capsys):
+    """--Nmax below --n is a usage error, not an UNDECIDED search of
+    nothing."""
+    pred = tmp_path / "monotone.pred"
+    pred.write_text("x1 < x2 ; x1 >= x2\n")
+    code, out, err = run(capsys, "es-exact", str(pred), "--n", "5", "--Nmax", "3")
+    assert code == 1
+    assert out == ""
+    assert "n_max must be >= n" in err
 
 
 def test_homog(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import gc
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -31,6 +32,37 @@ def test_weak_orderings_counts():
         assert sum(1 for _ in weak_orderings(n)) == count
 
 
+def _weak_orderings_from(prefix, present, top, n, keep):
+    pos = len(prefix)
+    if pos == n:
+        yield prefix
+        return
+    remaining = n - pos
+    for level in range(1, top + remaining + 1):
+        new_present = present | (1 << level)
+        new_top = max(top, level)
+        # every present level is <= new_top; the missing ones must
+        # still fit into the positions left after this one
+        if new_top - new_present.bit_count() > remaining - 1:
+            continue
+        new_prefix = prefix + (level,)
+        if keep is None or keep(new_prefix):
+            yield from _weak_orderings_from(new_prefix, new_present, new_top, n, keep)
+
+
+def _weak_orderings(n, keep=None):
+    """Canonical weak orderings of n positions depth-first, by nested
+    generators, in the order of their prefixes: the search es_bruteforce
+    made before it was one recursion, kept as the loop search's
+    independent reference.  ``keep(prefix)``, if given, is asked about
+    every nonempty prefix, the full ordering included; a prefix it
+    rejects is neither yielded nor extended."""
+    if n == 0:
+        yield ()
+        return
+    yield from _weak_orderings_from((), 0, 0, n, keep)
+
+
 def test_weak_orderings_order():
     """Lexicographic order of the canonical rank tuples; a prefix filter
     drops exactly the orderings with a rejected prefix, keeping order."""
@@ -41,7 +73,8 @@ def test_weak_orderings_order():
         want = [t for t in product(range(1, n + 1), repeat=n)
                 if set(t) == set(range(1, max(t, default=0) + 1))]
         assert list(weak_orderings(n)) == want
-        assert list(weak_orderings(n, no_repeat)) == \
+        assert list(_weak_orderings(n)) == want
+        assert list(_weak_orderings(n, no_repeat)) == \
             [t for t in want if all(a != b for a, b in zip(t, t[1:]))]
 
 
@@ -472,6 +505,31 @@ def test_es_bruteforce_cap():
     assert got.searched_up_to == 4
 
 
+def test_es_bruteforce_rejects_a_cap_below_n():
+    """A cap below n searches no length, so it is a usage error, as
+    n < 1 is; a cap of n searches n alone."""
+    mono = parse("x1 < x2 ; x1 >= x2")
+    with pytest.raises(ValueError, match="n_max must be >= n"):
+        es_bruteforce(mono, 5, 3)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        es_bruteforce(mono, 0, 3)
+    assert es_bruteforce(mono, 3, 3) == EsValue(None, 3, (1, 1, 2))
+
+
+def test_es_bruteforce_sizes_its_table_by_the_lengths_searched():
+    """A generous cap costs nothing: the truth table and the rows grow
+    with the length searched, so a search that answers at N = 5 takes
+    the time and memory of a cap of 5, not of the cap given."""
+    for text, n, value in (("x1 < x2 ; x1 >= x2", 3, 5),
+                           ("x1 < x2 and x2 < x3 ; not (x1 < x2 and x2 < x3)", 4, 5)):
+        pset = parse(text)
+        start = time.perf_counter()
+        got = es_bruteforce(pset, n, 10 ** 6)
+        assert time.perf_counter() - start < 2.0, text
+        assert got == es_bruteforce(pset, n, value), text
+        assert got.value == value, text
+
+
 def _admits_good_subsequence(pset, seq, n):
     for subset in combinations(range(len(seq)), n):
         sub = [seq[i] for i in subset]
@@ -497,12 +555,14 @@ def _full_enumeration_es(pset, n, n_max):
 
 
 @st.composite
-def _invariant_sets(draw):
-    """1-3 members, each a Boolean combination of atoms a*x1 - a*x2 rel 0,
-    which are order-invariant by construction."""
+def _invariant_sets(draw, variables=2):
+    """1-3 members, each a Boolean combination of atoms a*xi - a*xj rel 0
+    (i < j <= ``variables``), which are order-invariant by construction."""
     def atom():
         a = draw(st.sampled_from((1, 2, -1, -3)))
-        return f"{a}*x1 - {a}*x2 {draw(st.sampled_from(_RELS))} 0"
+        i, j = (1, 2) if variables == 2 else draw(
+            st.sampled_from(list(combinations(range(1, variables + 1), 2))))
+        return f"{a}*x{i} - {a}*x{j} {draw(st.sampled_from(_RELS))} 0"
 
     def node(depth):
         shape = draw(st.sampled_from(("atom", "not", "and", "or") if depth else ("atom",)))
@@ -553,22 +613,31 @@ def _es_by_loop(pset, n, n_max):
 
     last_counterexample = None
     for N in range(n, n_max + 1):
-        failed = next(weak_orderings(N, keep), None)
+        failed = next(_weak_orderings(N, keep), None)
         if failed is None:
             return EsValue(N, N, last_counterexample)
         last_counterexample = failed
     return EsValue(None, n_max, last_counterexample)
 
 
-@given(_invariant_sets(), st.sampled_from(((1, 3), (2, 2), (2, 3), (2, 4), (2, 5), (3, 3),
-                                           (3, 4), (3, 5))))
+@given(st.one_of(_invariant_sets(), _invariant_sets(3)),
+       st.sampled_from(((1, 3), (2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5),
+                        (4, 5))))
 @example("x1 < x2 ; x1 >= x2", (3, 5))
 @example("x1 = x2 ; x1 != x2", (3, 5))
 @example("x1 < x2 and x2 < x3 ; not (x1 < x2 and x2 < x3)", (3, 5))
+@example("x1 < x2 and x2 < x3 ; not (x1 < x2 and x2 < x3)", (4, 5))
+@example("x1 < x3 ; x2 >= x3", (4, 5))
+# the benchmark's es_bruteforce ops
+@example("x1 < x2 ; x1 >= x2", (3, 6))
+@example("x2 > x1 ; x2 <= x1", (3, 6))
+@example("x1 > x2 ; x1 <= x2", (3, 6))
+@example("x1 - x2 < 0 ; x1 - x2 >= 0", (3, 6))
 @settings(max_examples=60, deadline=None)
 def test_es_bruteforce_matches_the_loop_search(text, params):
     """Value, searched length and counterexample are those of the loop
-    over n-subsets, for arity 2 (clique rows) and arity 3 (the loop)."""
+    over n-subsets, for arity 2 (clique rows) and arity 3 (k-subsets of
+    each n-subset)."""
     pset = parse(text)
     n, n_max = params
     assert es_bruteforce(pset, n, n_max) == _es_by_loop(pset, n, n_max), text

@@ -435,7 +435,7 @@ def test_scaled_ints_example():
 @example([F(v % 7) for v in range(120)])
 @example([F(-v // 3) for v in range(120)])
 def test_strictly_monotone_matches_fraction_search(vals):
-    assert _strictly_monotone(vals) == _fraction_strictly_monotone(vals)
+    assert _strictly_monotone(_scaled_ints(vals)) == _fraction_strictly_monotone(vals)
 
 
 @settings(max_examples=200, deadline=None)
@@ -490,6 +490,55 @@ def test_extract_growing_embedding_matches_fraction_run(case):
     if not isinstance(got, tuple):
         assert is_R_growing(got.sequence, params.R)
         assert verify_embedding(host, got.sequence, got.witness)
+
+
+@st.composite
+def _integer_hosts(draw):
+    """An integer-valued host, spelled as ints, as Fractions and mixed:
+    noise, with a value repeated n to n + 2 times or n + 2 terms of
+    A + B*b (b R-growing, either orientation) planted in it, or neither."""
+    R, n = draw(st.integers(3, 4)), draw(st.integers(3, 4))
+    host = draw(st.lists(st.integers(-60, 60), min_size=n + 2, max_size=24))
+    plant = draw(st.sampled_from(("noise", "repeat", "growing")))
+    if plant == "repeat":
+        vals = [draw(st.integers(-60, 60))] * draw(st.integers(n, n + 2))
+    elif plant == "growing":
+        b = canonical_growing(R, n + 2, F(draw(st.integers(R, 7))))
+        A, B = draw(st.integers(-20, 20)), draw(st.integers(-9, 9).filter(bool))
+        vals = [int(A + B * x) for x in b][::draw(st.sampled_from((1, -1)))]
+    else:
+        vals = []
+    positions = sorted(draw(st.permutations(range(len(host))))[:len(vals)])
+    for pos, v in zip(positions, vals):
+        host[pos] = v
+    as_fraction = draw(st.lists(st.booleans(), min_size=len(host), max_size=len(host)))
+    mixed = [F(x) if f else x for x, f in zip(host, as_fraction)]
+    return (host, [F(x) for x in host], mixed), GrowthParams(R, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integer_hosts())
+@example((([5, 1, 5, 2, 5, 3, 5], [F(5), F(1), F(5), F(2), F(5), F(3), F(5)],
+           [5, F(1), F(5), 2, 5, F(3), F(5)]), GrowthParams(3, 4)))
+@example((([0, 7, 7, 7, 1], [F(0), F(7), F(7), F(7), F(1)], [0, F(7), 7, F(7), 1]),
+          GrowthParams(4, 3)))
+def test_extract_growing_embedding_is_the_same_for_int_and_fraction_hosts(case):
+    """One host as ints, as Fractions and mixed gives the same result,
+    repr included, or the same failure stage and message; so does the
+    Fraction run, whose patched _scaled_ints the host passes through."""
+    spellings, params = case
+    outcomes = [_outcome(extract_growing_embedding, host, params) for host in spellings]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert len({repr(got) for got in outcomes}) == 1
+    scaled = []
+
+    def spy(values):
+        scaled.append(list(values))
+        return list(values)
+
+    with mock.patch.object(ramsey, "_scaled_ints", spy):
+        assert _outcome(extract_growing_embedding, spellings[2], params) == outcomes[0]
+    assert scaled[0] == spellings[1]
 
 
 # -- the embedding pipeline against its two-branch form ------------------

@@ -1,9 +1,13 @@
 """Output digests of the three benchmark workloads, for checking that a
 change keeps every answer.
 
-    python3 tools/digests.py [SEED ...]        (default: 401 5)
+    python3 tools/digests.py [SEED ...] [WORKLOAD ...]
 
-For each seed it prints the sha256 of:
+Seeds default to 401 5.  Workload names (qe, decide, extract) among the
+arguments restrict the lines to those workloads, printed in that order;
+with no name, all three are printed.  ``python3 tools/digests.py 401 5
+extract`` prints the two extract lines.  For each seed it prints the
+sha256 of:
 
 * qe: the truth and LiftStats of every sentence of 8 qe rounds (or the
   ResourceLimitError text);
@@ -82,9 +86,10 @@ def digest(workload: str, seed: int) -> str:
 
 
 def main(argv: list) -> int:
-    seeds = [int(s) for s in argv] or [401, 5]
+    named = [w for w in ROUNDS if w in argv]
+    seeds = [int(s) for s in argv if s not in ROUNDS] or [401, 5]
     for seed in seeds:
-        for workload in ROUNDS:
+        for workload in named or ROUNDS:
             print(f"seed {seed} {workload} {digest(workload, seed)}")
     return 0
 
