@@ -9,13 +9,12 @@ in three exact stages.
 
 1. Sign vectors (YES).  A type fixes the sign of each entry of Q on
    transformed increasing tuples, and a member's verdict reads only
-   those entry signs: an atom's sign is its numerator entry's times its
-   denominator entry's (typesys.verdicts_from_entry_signs).  So every
-   type's verdicts are those of one of the 3^entries entry-sign
-   vectors, forced-positive denominator entries at +1.  A transform
-   none of whose vectors makes every member 'nowhere' has no type that
-   does and can certify nothing; when neither transform has one, the
-   answer is YES, with no type enumerated.
+   those entry signs: an atom's sign is its numerator entry's, since
+   the cleared denominator is positive (typesys).  So every type's
+   verdicts are those of one of the 3^entries entry-sign vectors.  A
+   transform none of whose vectors makes every member 'nowhere' has no
+   type that does and can certify nothing; when neither transform has
+   one, the answer is YES, with no type enumerated.
 2. Point types (NO).  At a point (A, B), for any R and n, an R-growing
    b from b1 >= R * max|q_a/q_b| over the finite nonzero ratios makes
    every nonzero ratio dwarfed (|ratio| <= b1/R); a zero numerator's
@@ -221,14 +220,13 @@ def decide_es(pset: PredicateSet, budget: QeBudget | None = None,
 
 
 def _nowhere_sign_vector(pset: PredicateSet, Q: CoefficientSystem, cap: int) -> bool:
-    """Whether some vector of entry signs, forced-positive entries at +1,
-    makes every member 'nowhere'; also when there are more than ``cap``
-    vectors, which are left to the later stages."""
-    choices = [(1,) if e.forced_positive else (-1, 0, 1) for e in Q.entries]
-    if 3 ** sum(len(c) > 1 for c in choices) > cap:
+    """Whether some vector of entry signs makes every member 'nowhere';
+    also when there are more than ``cap`` vectors, which are left to the
+    later stages."""
+    if 3 ** len(Q.entries) > cap:
         return True
     return any(all(v == "nowhere" for v in verdicts_from_entry_signs(pset, Q, signs).values())
-               for signs in product(*choices))
+               for signs in product((-1, 0, 1), repeat=len(Q.entries)))
 
 
 def _point_type_no(pset: PredicateSet, kind: TransformKind, Q: CoefficientSystem,

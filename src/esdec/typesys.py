@@ -1,11 +1,12 @@
 """Candidate types: sign and magnitude classes of transform coefficients.
 
 Substituting a transform into every atom polynomial of a predicate set
-and decomposing by y-monomials yields a coefficient system Q.  Relative
-to concrete parameters (A, B) and an R-growing sequence b, each
-coefficient q_a(A, B) has a sign, and each ratio q_a/q_b is either
-*dwarfed* (|ratio| <= b1/R) or *gigantic* (|ratio| >= bn^R) when b is
-well-placed.  A candidate type prescribes these data abstractly:
+and decomposing the cleared numerator by y-monomials yields a
+coefficient system Q.  Relative to concrete parameters (A, B) and an
+R-growing sequence b, each coefficient q_a(A, B) has a sign, and each
+ratio q_a/q_b is either *dwarfed* (|ratio| <= b1/R) or *gigantic*
+(|ratio| >= bn^R) when b is well-placed.  A candidate type prescribes
+these data abstractly:
 
   sigma : support -> {-1, 0, +1}
   tau   : ordered pairs of distinct support elements -> {D, G}
@@ -18,9 +19,14 @@ preserves completeness of any enumeration client):
   * sigma(alpha) = 0 with sigma(beta) != 0 forces tau(alpha, beta) = D
     (the ratio is 0);
   * both signs nonzero forbids tau(alpha, beta) = tau(beta, alpha) = G
-    (the two magnitudes multiply to 1);
-  * denominator entries of the reciprocal transform are pure
-    y-monomials with coefficient 1: sigma is forced to +1.
+    (the two magnitudes multiply to 1).
+
+Q holds numerators only, soundly: an atom p transforms to num/den, and
+den is 1 under F1 and the monomial prod y_i^(deg_{x_i} p) with
+coefficient 1 under F2 (algebra.substitute_transform).  Every y_i is a
+term of the R-growing b, which is positive, in either traversal
+orientation, so den > 0 and sign(p) = sign(num) at every transformed
+tuple.
 
 A type determines every atom's sign on transformed tuples without
 knowing (A, B, b): among the nonzero-sign exponent vectors, one must
@@ -44,19 +50,16 @@ from .algebra import (
     substitute_transform,
 )
 from .errors import InconsistentTypeError, ResourceLimitError
-from .poly import MultiPoly
-from .predicates import Atom, PredicateSet, atoms_of, eval_with, rel_holds
+from .predicates import PredicateSet, atoms_of, eval_with, rel_holds
 from .ramsey import DWARFED, GIGANTIC, is_R_growing, ratio_class
 
 
 @dataclass(frozen=True)
 class QEntry:
-    """One deduplicated polynomial of the coefficient system."""
+    """One deduplicated numerator of the coefficient system."""
 
     entry_id: int
-    part: str  # "numerator" | "denominator"
     decomp: CoefficientDecomposition
-    forced_positive: bool  # denominator entries under the reciprocal transform
 
     @property
     def support(self) -> tuple:
@@ -70,54 +73,28 @@ class QEntry:
 
 @dataclass(frozen=True)
 class CoefficientSystem:
-    transform: TransformKind
-    arity: int
     entries: tuple  # QEntry, ...
-    atom_entries: dict  # id(atom occurrence) -> (num entry index, den entry index | None)
-    atom_list: tuple  # (member_index, Atom) pairs in deterministic order
+    atoms: tuple  # (Atom, entry index | None for a zero atom), in member order
 
 
 def build_Q(pset: PredicateSet, transform: TransformKind) -> CoefficientSystem:
-    """Substitute the transform into every atom polynomial, decompose,
-    and share identical polynomials across atoms."""
+    """Substitute the transform into every atom polynomial, decompose the
+    numerator, and share identical numerators across atoms."""
     k = pset.arity
     entries: list = []
     index_of: dict = {}
-    atom_entries: dict = {}
-    atom_list: list = []
-
-    def intern(poly: MultiPoly, part: str, forced: bool) -> int:
-        key = (part == "denominator" and forced, poly)
-        if key in index_of:
-            return index_of[key]
-        decomp = coefficient_decomposition(poly, k=k)
-        entry = QEntry(len(entries), part, decomp, forced)
-        entries.append(entry)
-        index_of[key] = entry.entry_id
-        return entry.entry_id
-
-    for m_idx, member in enumerate(pset.members):
+    atoms: list = []
+    for member in pset.members:
         for atom in atoms_of(member.root):
-            atom_list.append((m_idx, atom))
-            if atom.poly.is_zero:
-                atom_entries[len(atom_list) - 1] = (None, None)  # sign 0 atom
-                continue
-            num, den = substitute_transform(atom.poly, transform, k=k)
-            num_id = intern(num, "numerator", False)
-            den_id = None
-            if transform is TransformKind.F2:
-                dc = den.constant_value()
-                if dc is None:
-                    den_id = intern(den, "denominator", True)
-                # a constant denominator (no x appears) contributes sign +1
-            atom_entries[len(atom_list) - 1] = (num_id, den_id)
-    return CoefficientSystem(
-        transform=transform,
-        arity=k,
-        entries=tuple(entries),
-        atom_entries=atom_entries,
-        atom_list=tuple(atom_list),
-    )
+            entry_id = None
+            if not atom.poly.is_zero:
+                num, _den = substitute_transform(atom.poly, transform, k=k)
+                entry_id = index_of.get(num)
+                if entry_id is None:
+                    entry_id = index_of[num] = len(entries)
+                    entries.append(QEntry(entry_id, coefficient_decomposition(num, k=k)))
+            atoms.append((atom, entry_id))
+    return CoefficientSystem(entries=tuple(entries), atoms=tuple(atoms))
 
 
 @dataclass(frozen=True)
@@ -138,16 +115,14 @@ class CandidateType:
         out = {}
         for entry in Q.entries:
             out[str(entry.entry_id)] = {
-                "part": entry.part,
+                "part": "numerator",
                 "sigma": [[list(a), s] for a, s in sorted(self.sigma(entry).items())],
                 "tau": [[list(a), list(b), t] for (a, b), t in sorted(self.tau(entry).items())],
             }
         return out
 
 
-def _valid_entry_assignment(support, pairs, sigma, tau, forced_positive) -> bool:
-    if forced_positive and any(s != 1 for s in sigma.values()):
-        return False
+def _valid_entry_assignment(pairs, sigma, tau) -> bool:
     for (a, b) in pairs:
         t = tau[(a, b)]
         if sigma[b] == 0 and t != GIGANTIC:
@@ -161,10 +136,8 @@ def _valid_entry_assignment(support, pairs, sigma, tau, forced_positive) -> bool
 
 
 def _entry_bound(entry: QEntry) -> int:
-    """Unpruned assignment count: 3^|support| * 2^|pairs| (1 sign choice
-    when the sign is structurally forced)."""
-    sig = 1 if entry.forced_positive else 3 ** len(entry.support)
-    return sig * 2 ** len(entry.pairs)
+    """Unpruned assignment count: 3^|support| * 2^|pairs|."""
+    return 3 ** len(entry.support) * 2 ** len(entry.pairs)
 
 
 def _entry_assignments(entry: QEntry, cap: int = 1_000_000) -> list:
@@ -177,16 +150,10 @@ def _entry_assignments(entry: QEntry, cap: int = 1_000_000) -> list:
     support = entry.support
     pairs = entry.pairs
     out = []
-    sigma_iter = (
-        product(*[(1,)] * len(support)) if entry.forced_positive
-        else product((-1, 0, 1), repeat=len(support))
-    )
-    for sigma_vec in sigma_iter:
+    for sigma_vec in product((-1, 0, 1), repeat=len(support)):
         sigma = dict(zip(support, sigma_vec))
         for tau_vec in product((DWARFED, GIGANTIC), repeat=len(pairs)):
-            tau = dict(zip(pairs, tau_vec))
-            if _valid_entry_assignment(support, pairs, sigma, tau,
-                                       entry.forced_positive):
+            if _valid_entry_assignment(pairs, sigma, dict(zip(pairs, tau_vec))):
                 out.append((sigma_vec, tau_vec))
     return out
 
@@ -349,21 +316,11 @@ def verdicts_from_entry_signs(pset: PredicateSet, Q: CoefficientSystem,
                               entry_signs: tuple) -> dict:
     """Per-member verdict ('everywhere' or 'nowhere') when each entry of
     Q has the sign ``entry_signs[entry_id]`` on every transformed
-    increasing tuple.  An atom's sign is its numerator entry's times its
-    denominator entry's, so it is tuple-independent and one Boolean
+    increasing tuple.  An atom's sign is its numerator entry's (see the
+    module docstring), so it is tuple-independent and one Boolean
     evaluation of each member suffices."""
-    # equal atoms share entries (interned by polynomial), hence share signs
-    atom_sign: dict = {}
-    for occ_idx, (m_idx, atom) in enumerate(Q.atom_list):
-        num_id, den_id = Q.atom_entries[occ_idx]
-        if num_id is None:
-            s = 0
-        else:
-            s = entry_signs[num_id]
-            if den_id is not None:
-                s *= entry_signs[den_id]
-        atom_sign[atom] = s
-
+    atom_sign = {atom: 0 if entry_id is None else entry_signs[entry_id]
+                 for atom, entry_id in Q.atoms}
     verdicts = {}
     for m_idx, member in enumerate(pset.members):
         holds = eval_with(member.root, lambda a: rel_holds(atom_sign[a], a.rel))

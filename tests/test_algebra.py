@@ -79,6 +79,8 @@ def test_substitute_consistency_random():
             lhs = num.evaluate(point)
             rhs = p.evaluate(xs) * den.evaluate(point)
             assert lhs == rhs
+            # every y is positive, so den is: num has p's sign (typesys keeps num only)
+            assert (lhs > 0) - (lhs < 0) == (p.evaluate(xs) > 0) - (p.evaluate(xs) < 0)
 
 
 def _f1_expansion(p, k):
@@ -158,6 +160,23 @@ def test_substitute_f1_matches_term_expansion(p, extra):
     ref_num, ref_den = _f1_expansion(p, k)
     assert num.vars == ref_num.vars and num.terms == ref_num.terms
     assert den.vars == ref_den.vars and den.terms == ref_den.terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(_X_POLYS, st.integers(0, 2))
+@example(xv(1) ** 3 * xv(2) - xv(2), 1)
+@example(MultiPoly.zero(_XS), 0)
+def test_cleared_denominator_is_a_unit_monomial(p, extra):
+    """F2's cleared denominator is the one monomial prod y_i^(deg_{x_i} p)
+    with coefficient 1, and F1's is 1: both are positive wherever every
+    y_i is, which is why a coefficient system keeps numerators only."""
+    k = max(infer_arity(p), 1) + extra
+    degs = tuple(p.degree(f"x{i}") for i in range(1, k + 1))
+    _num, den = substitute_transform(p, TransformKind.F2, k)
+    assert den.vars == y_names(k) + ("X", "Y")
+    assert den.terms == {degs + (0, 0): 1}
+    _num, den = substitute_transform(p, TransformKind.F1, k)
+    assert den.terms == {(0,) * (k + 2): 1}
 
 
 @settings(max_examples=100, deadline=None)

@@ -26,6 +26,20 @@ from esdec.typesys import (
 )
 
 
+def test_undecided_types_answer_undecided_never_no():
+    """A feasibility test that runs out of cells leaves its type
+    undecided, and with no NO found the answer is UNDECIDED, by the type
+    enumeration; a larger budget decides the same set YES."""
+    pset = parse("x1 - x2 <= 0 ; x1 != 0")
+    v = decide_es(pset, QeBudget(max_cells=5), search_witness=False)
+    assert v.answer == UNDEC
+    assert v.stats.decided_by == "types"
+    assert "F1: type undecided" in v.stats.undecided_events
+    assert set(v.stats.undecided_events) <= {"F1: type undecided", "F2: type undecided"}
+    assert v.to_json()["stats"]["decidedBy"] == "types"
+    assert decide_es(pset, QeBudget(max_cells=20), search_witness=False).answer == YES
+
+
 def test_weak_orderings_counts():
     # ordered Bell numbers
     for n, count in ((1, 1), (2, 3), (3, 13), (4, 75), (5, 541)):

@@ -7,8 +7,9 @@ from hypothesis import assume, event, example, given, settings, strategies as st
 
 from esdec.algebra import TransformKind
 from esdec.decider import _sign_screen
+from esdec import feasibility
 from esdec.feasibility import (
-    FEASIBLE, INFEASIBLE, FeasibilityInstance, _try_witness, build_psi_eventual,
+    FEASIBLE, INFEASIBLE, UNDECIDED, FeasibilityInstance, _try_witness, build_psi_eventual,
     build_psi_star, is_feasible, witness_search,
 )
 from esdec.poly import MultiPoly
@@ -97,6 +98,26 @@ def test_sign_constraints_listed_once():
         assert set(inst.sign_constraints) == want
     inst = FeasibilityInstance.from_type(Q, types[1320])
     assert [c.to_text() for c, _ in inst.sign_constraints].count("Y") == 1
+
+
+def test_constant_conflict_is_infeasible_without_qe(monkeypatch):
+    def no_qe(*args, **kwargs):
+        raise AssertionError("a constant conflict needs no QE")
+
+    monkeypatch.setattr(feasibility, "decide_sentence", no_qe)
+    inst = FeasibilityInstance((), (), (), constant_conflict=True)
+    assert is_feasible(inst) == INFEASIBLE
+    assert is_feasible(inst, QeBudget(max_cells=1)) == INFEASIBLE
+
+
+def test_exhausted_budget_is_undecided():
+    """Running out of cells answers 'undecided', never a guess: every
+    instance of this system with a sign constraint needs more than one."""
+    Q = build_Q(parse("x1 - x2 <= 0 ; x1 != 0"), TransformKind.F1)
+    insts = [FeasibilityInstance.from_type(Q, t) for t in enumerate_types(Q)]
+    insts = [inst for inst in insts if inst.sign_constraints]
+    assert len(insts) == 289
+    assert all(is_feasible(inst, QeBudget(max_cells=1)) == UNDECIDED for inst in insts)
 
 
 def test_witness_search_examples():

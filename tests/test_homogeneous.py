@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from esdec.algebra import TransformKind
+from esdec.algebra import TransformKind, sufficient_R
 from esdec.errors import ExtractionFailure
-from esdec.predicates import holds_everywhere, negate, parse
+from esdec.predicates import atoms_of, holds_everywhere, negate, parse
 from esdec.ramsey import (
-    GrowthParams, at_least_power, canonical_growing, extract_homogeneous,
-    refine_well_placed,
+    GrowthParams, apply_transform, at_least_power, canonical_growing,
+    extract_growing_embedding, extract_homogeneous, refine_well_placed,
 )
 from esdec.typesys import build_Q, ratio_magnitudes
 
@@ -157,6 +157,28 @@ def test_extract_homogeneous_constructive_past_one_low_ratio():
     assert got.method == "constructive"
     assert got.indices == (2, 3, 4)
     assert all(v in ("everywhere", "nowhere") for v in got.verdicts.values())
+
+
+def test_extract_homogeneous_reversed_embedding():
+    """A decreasing image of an R-growing b embeds as F1 'reversed'.  The
+    constructive answer is then the host positions of the first n terms
+    of the well-placed run, which lie backwards in the host."""
+    mono = parse("x1 < x2 ; x1 >= x2")
+    host = [3 + 2 * x for x in canonical_growing(8, 6, F(9))][::-1]
+    got = extract_homogeneous(host, mono, 3)
+    assert got.method == "constructive"
+    assert got.indices == (2, 3, 4)
+    assert got.verdicts == {0: "nowhere", 1: "everywhere"}
+
+    R = max([4] + [sufficient_R(a.poly) for m in mono.members for a in atoms_of(m.root)])
+    emb = extract_growing_embedding(host, GrowthParams(R, 5))
+    w = emb.witness
+    assert (w.kind, w.orientation) == (TransformKind.F1, "reversed")
+    ratios = ratio_magnitudes(build_Q(mono, w.kind), w.A, w.B)
+    run = refine_well_placed(emb.sequence, ratios, GrowthParams(R, 5))
+    first = [apply_transform(w.kind, t, w.A, w.B) for t in run.values[:3]]
+    assert got.indices == tuple(sorted(host.index(v) for v in first))
+    assert got.values == tuple(host[i] for i in got.indices)
 
 
 def test_extract_homogeneous_monotone_guarantee():

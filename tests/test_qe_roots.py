@@ -434,6 +434,15 @@ def test_roots_at_point():
     assert [r.value for r in got] == [-2, 2]
 
 
+def test_roots_at_point_when_the_rationals_cancel_every_algebraic():
+    """x = 1 cancels the only term in the algebraic a, so the roots in y
+    come from rational coefficients alone: exactly the rational 2."""
+    x, a, y = MultiPoly.var("x"), MultiPoly.var("a"), MultiPoly.var("y")
+    sqrt2 = isolate_real_roots([-2, 0, 1])[1]
+    got = roots_at_point((x - 1) * a * y + y - 2, {"x": F(1), "a": sqrt2}, "y")
+    assert [r.value for r in got] == [2]
+
+
 def test_roots_at_point_with_a_reducible_defining_polynomial():
     """-sqrt2 defined by x^4 - 4 = (x^2 - 2)(x^2 + 2): the polynomial's
     coefficients share the factor x^2 + 2, so the resultant with x^4 - 4

@@ -22,25 +22,27 @@ def test_build_q_monotone_f1_dedup():
     assert len(Q.entries) == 1  # both atoms share x1 - x2
     entry = Q.entries[0]
     assert entry.decomp.support == frozenset({(1, 0), (0, 1)})
-    assert len(Q.atom_list) == 2
+    assert [entry_id for _atom, entry_id in Q.atoms] == [0, 0]
 
 
 def test_build_q_f2_denominator():
+    """Under F2 the cleared denominator y1*y2 is positive on the positive
+    terms of b, so Q keeps only the numerator, and a certificate lists
+    every entry as a numerator."""
     ps = parse("x1*x2 > 0")
     Q = build_Q(ps, TransformKind.F2)
-    parts = sorted(e.part for e in Q.entries)
-    assert parts == ["denominator", "numerator"]
-    num = next(e for e in Q.entries if e.part == "numerator")
-    den = next(e for e in Q.entries if e.part == "denominator")
-    assert len(num.decomp.support) == 4
-    assert den.decomp.support == frozenset({(1, 1)})
-    assert den.forced_positive
+    assert len(Q.entries) == 1
+    assert len(Q.entries[0].decomp.support) == 4
+    assert [entry_id for _atom, entry_id in Q.atoms] == [0]
+    typ = next(enumerate_types(Q))
+    assert [e["part"] for e in typ.to_json(Q).values()] == ["numerator"]
 
 
 def test_build_q_constant_atom():
     ps = parse("0 = 0")
     Q = build_Q(ps, TransformKind.F1)
-    assert Q.atom_entries[0] == (None, None)
+    assert Q.entries == ()
+    assert [entry_id for _atom, entry_id in Q.atoms] == [None]
 
 
 def test_enumerate_counts():
@@ -60,7 +62,7 @@ def test_enumerate_counts():
     assert len(set(types)) == 17
 
     Qf2 = build_Q(MONOTONE, TransformKind.F2)
-    assert len(list(enumerate_types(Qf2))) == 17  # denominator entry contributes factor 1
+    assert len(list(enumerate_types(Qf2))) == 17  # one numerator entry, as under F1
 
 
 def test_enumerate_checks_both_caps_before_iterating():
