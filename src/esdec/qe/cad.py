@@ -121,18 +121,52 @@ sound because:
   decided;
 * real algebraic numbers may be shared freely (see roots.py).
 
+Lifting decides each repeated subtree once.  A level that trial
+evaluation leaves open is memoized under the level, the residual in
+force there, and the memo keys of the fixed coordinates that any
+polynomial of this level or an inner one uses.  An entry holds the
+subtree's truth, the cells it charged at each level and its
+settled_early count; a hit adds those counts instead of walking the
+subtree again.  This is sound because below the level the recursion
+reads only three things:
+
+* the residual, into which every atom of an outer level is folded;
+* the roots of the polynomials of this level and the inner ones, which
+  depend only on the coordinates they use (as above); the samples, and
+  so the cells charged, are made from those roots alone;
+* the signs of the residual's atoms, whose polynomials are among those
+  level polynomials.
+
+So equal keys give equal truths and equal charges, in the same order.
+Coordinates key as above: an irrational one keys by identity, which can
+miss an entry but never hit a wrong one.  A hit that would pass the cell
+budget walks the subtree instead, which charges the same cells in the
+same order, so it stops where the unmemoized lifting stops, with the
+same counts.
+
+Residuals are interned per decision so that they can be keyed by
+identity: _fold makes each And, Or and Not that it keeps through a table
+keyed by the node's type and the ids of its children.  A residual is an
+atom, a node of the matrix or a node of that table, so residuals built
+from the same parts are one object.  The table holds its nodes, and they
+hold their children, so no id in a key is reused while the decision
+runs.
+
 What evaluating a polynomial at rational coordinates in ints reads of
 the polynomial itself, its int form (poly.int_form), is built once for
 each level polynomial when the decision starts.  An atom's polynomial
 keeps its own form (MultiPoly.kept_form), built on its first sign and
 kept with the polynomial, which does not change.
 
-The memo and the level polynomials' int forms live on one decision
-call and are dropped when it returns.  The memo holds at most one entry
-per polynomial or atom per charged cell (and the empty point at the
-root), so the cell budget bounds it too.  Every sample is still charged
-as a cell, so cell counts, budgets and answers are those of the
-unmemoized lifting.
+The memos, the interned residuals and the level polynomials' int forms
+live on one decision call and are dropped when it returns.  The roots
+and sign memos hold at most one entry per polynomial or atom per charged
+cell (and the empty point at the root), the subtree memo at most one per
+charged cell whose level below was walked (and the root), and the
+interned residuals at most one per connective of the matrix per trial
+level entered, so the cell budget bounds them too.  Every sample is
+still charged as a cell, a replayed subtree charging its cells again, so
+cell counts, budgets and answers are those of the unmemoized lifting.
 
 sign_vectors hands out the decomposition itself: it lifts every cell of
 the sentence "exists v_1 ... exists v_n. f_1 = 0 or ... or f_k = 0",
@@ -448,8 +482,20 @@ class _Decider:
         self._trial_levels = set(trial)
         self._prev_trial = dict(zip(trial, [0] + trial))
         self._residuals = {0: sentence.matrix}
+        # the subtree memo's key parts (see the module docstring): per
+        # level, the trial level whose residual is in force there, and
+        # the fixed positions that a polynomial of that level or inner uses
+        self._residual_level = {lvl: max((t for t in trial if t <= lvl), default=0)
+                                for lvl in self.levels}
+        self._subtree_pos = {
+            lvl: tuple(sorted({i for inner in range(lvl, self.nvars + 1)
+                               for used in self._root_pos[inner] for i in used if i < lvl - 1}))
+            for lvl in self.levels
+        }
+        self._interned: dict = {}  # residual nodes by (type, ids of their children)
         self._roots_memo: dict = {}
         self._sign_memo: dict = {}
+        self._subtree_memo: dict = {}
 
     def _add_poly(self, p: MultiPoly):
         self._place(_canonical(p))
@@ -538,7 +584,7 @@ class _Decider:
             sub = self._fold(node.child, known, point)
             if sub is node.child:
                 return node
-            return (not sub) if isinstance(sub, bool) else Not(sub)
+            return (not sub) if isinstance(sub, bool) else self._intern(Not, sub)
         settling = isinstance(node, Or)  # a true disjunct, a false conjunct
         kept = []
         for child in node.children:
@@ -551,7 +597,16 @@ class _Decider:
             return not settling
         if len(kept) == 1:
             return kept[0]
-        return type(node)(tuple(kept))
+        return self._intern(type(node), tuple(kept))
+
+    def _intern(self, kind, children):
+        """The one ``kind`` node over these children (a Not's child, or an
+        And's or Or's tuple), by the children's identities."""
+        key = (kind, id(children)) if kind is Not else (kind, tuple(map(id, children)))
+        node = self._interned.get(key)
+        if node is None:
+            node = self._interned[key] = kind(children)
+        return node
 
     def _trial_truth(self, level: int, point: dict):
         """The matrix in three-valued logic over the atoms whose variables
@@ -612,6 +667,7 @@ class _Decider:
         """Truth of the prefix from ``level`` inward, with the outer
         variables fixed to ``point``.  The matrix is tried first; at
         level nvars + 1 every atom is assigned, so it always settles there.
+        An open level is decided by _decide_open.
 
         ``cell`` is unused here and passed down as None; it lets a
         subclass thread a cell tree through the recursion."""
@@ -621,6 +677,39 @@ class _Decider:
                 if 1 < level <= self.nvars:
                     self.settled_early += 1
                 return truth
+        return self._decide_open(level, point)
+
+    def _decide_open(self, level: int, point: dict) -> bool:
+        """_decide_cells, memoized by subtree: a hit replays the charges
+        of the walk it stands for (see the module docstring)."""
+        keys = self._keys
+        key = (level, id(self._residuals[self._residual_level[level]]),
+               tuple([keys[i] for i in self._subtree_pos[level]]))
+        entry = self._subtree_memo.get(key)
+        if entry is not None:
+            truth, cells, settled = entry
+            total = sum(cells)
+            if self.cells_used + total > self.budget.max_cells:
+                # the walk charges the same cells in the same order, so it
+                # stops where the unmemoized lifting stops, with its counts
+                return self._decide_cells(level, point)
+            self.cells_used += total
+            for i, n in enumerate(cells, level - 1):
+                self.cells_by_level[i] += n
+            self.settled_early += settled
+            return truth
+        by_level, settled = self.cells_by_level[level - 1:], self.settled_early
+        truth = self._decide_cells(level, point)
+        self._subtree_memo[key] = (
+            truth,
+            tuple([n - m for n, m in zip(self.cells_by_level[level - 1:], by_level)]),
+            self.settled_early - settled,
+        )
+        return truth
+
+    def _decide_cells(self, level: int, point: dict) -> bool:
+        """The level's quantifier over its lifted cells, each decided by
+        decide, stopping at the first that settles it."""
         quant = self.sentence.prefix[level - 1][0]
         for _kind, child_point in self._lift(level, point):
             sub = self.decide(level + 1, child_point, None)

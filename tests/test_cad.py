@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from esdec.errors import ParseError, ResourceLimitError
 from esdec.poly import MultiPoly
-from esdec.predicates import Atom, Or, atoms_of, eval_with, rel_holds
+from esdec.predicates import And, Atom, Not, Or, atoms_of, eval_with, rel_holds
 from esdec.qe import (
     QeBudget, Sentence, decide_sentence, export_smtlib, parse_sentence, sentence_negate,
 )
@@ -64,7 +64,9 @@ def decide_with_tree(sentence, budget=None):
 
 class _PlainDecider(_Decider):
     """Lifting without the memo: every root set and every atom sign is
-    computed afresh at each sample point."""
+    computed afresh at each sample point, and every subtree is walked."""
+
+    _decide_open = _Decider._decide_cells
 
     def _roots(self, level, index, point):
         return cad.roots_at_point(self.levels[level][index], point, self.order[level - 1])
@@ -93,7 +95,10 @@ class _NoTrialDecider(_Decider):
 
 class _FullTrialDecider(_Decider):
     """Trial evaluation without the residual: each trial level evaluates
-    the whole matrix, re-reading every atom assigned so far."""
+    the whole matrix, re-reading every atom assigned so far.  It keeps no
+    residual, so it walks every subtree."""
+
+    _decide_open = _Decider._decide_cells
 
     def _trial_truth(self, level, point):
         def atom_truth(atom):
@@ -376,6 +381,97 @@ def test_trial_evaluation_settles_growth_gap_cells():
     assert dec.settled_early > 0
     assert sum(dec.cells_by_level) == dec.cells_used
     assert dec.cells_used < _run(_NoTrialDecider, dec.sentence, QeBudget())[1]
+
+
+class _UnmemoizedDecider(_Decider):
+    """The decision recursion without the subtree memo: every open level
+    walks its cells."""
+
+    _decide_open = _Decider._decide_cells
+
+
+def _lift_outcome(decider_cls, sentence, budget):
+    """(truth or "exhausted", cells charged, cells by level, settled early)."""
+    truth, cells, dec = _run(decider_cls, sentence, budget)
+    return truth, cells, tuple(dec.cells_by_level), dec.settled_early
+
+
+Z_UNUSED_INSIDE = "forall z. forall x. exists y. z^2 - 1 != 0 or y^2 - x >= 0 or y - x < 0"
+
+
+@given(_small_sentences(), st.integers(1, 60))
+@example(GROWTH_GAP_EXAMPLE, 60)
+@example(GROWTH_GAP_EXAMPLE, 8)
+@example(Z_UNUSED_INSIDE, 60)
+@example(Z_UNUSED_INSIDE, 14)  # runs out inside the replayed z = 1 subtree
+@example("exists z. forall x. (z < 0 and x - 1 > 0) or (z >= 0 and x^2 >= 0)", 60)  # z picks the residual
+@settings(max_examples=40, deadline=None)
+def test_subtree_memo_matches_the_plain_recursion(text, max_cells):
+    """Replaying a memoized subtree gives the truth and charges of walking
+    it: the same LiftStats under a roomy budget, and under a small one
+    the same exhaustion, at the same cell, with the same counts."""
+    sentence = parse_sentence(text)
+    for budget in (QeBudget(max_cells=300), QeBudget(max_cells=max_cells)):
+        want = _lift_outcome(_UnmemoizedDecider, sentence, budget)
+        assert _lift_outcome(_Decider, sentence, budget) == want, (text, budget)
+        if want[0] == "exhausted":
+            assert want[1] == budget.max_cells + 1
+
+
+def _counting(decider_cls):
+    class Counting(decider_cls):
+        """Counts decide calls, open levels and walked levels."""
+
+        def __init__(self, sentence, budget):
+            super().__init__(sentence, budget)
+            self.calls = self.opens = self.walks = 0
+
+        def decide(self, level, point, cell):
+            self.calls += 1
+            return super().decide(level, point, cell)
+
+        def _decide_open(self, level, point):
+            self.opens += 1
+            return super()._decide_open(level, point)
+
+        def _decide_cells(self, level, point):
+            self.walks += 1
+            return super()._decide_cells(level, point)
+
+    return Counting
+
+
+def test_subtree_memo_skips_a_subtree_over_an_unused_coordinate():
+    """z is outermost and no inner polynomial uses it; z^2 - 1 != 0
+    settles every z-cell but z = -1 and z = 1, which leave the same
+    residual.  The x-subtree over z = 1 is then replayed, not walked, and
+    the LiftStats are those of walking it."""
+    s = parse_sentence(Z_UNUSED_INSIDE)
+    memo = _counting(_Decider)(s, QeBudget())
+    plain = _counting(_UnmemoizedDecider)(s, QeBudget())
+    assert memo.decide(1, {}, None) is plain.decide(1, {}, None) is True
+    assert memo.opens - memo.walks == 1  # one hit, at level 2
+    assert len(memo._subtree_memo) == memo.walks == 7
+    assert memo.calls == 16 < plain.calls == 26
+    assert (memo.cells_by_level, memo.settled_early) == (plain.cells_by_level, plain.settled_early) \
+        == ([5, 10, 10], 3)
+
+
+def test_residuals_are_interned():
+    """Folding equal truths into a residual gives one object each time,
+    which the subtree memo keys by identity."""
+    s = parse_sentence("forall z. forall x. exists y. z > 0 or not (z < 1 and x > 0 and y > x)")
+    dec = _Decider(s, QeBudget())
+    unchanged = dec._fold(s.matrix, 0, {})  # no constant atom
+    assert unchanged == s.matrix and unchanged is dec._fold(s.matrix, 0, {})
+    folded = []
+    for z in (F(-1), F(-2)):
+        dec._keys[0] = cad._coord_key(z)
+        folded.append(dec._fold(s.matrix, 1, {"z": z}))
+    inner = s.matrix.children[1].child.children
+    assert folded[0] is folded[1]
+    assert folded[0] == Not(And(inner[1:]))
+    assert folded[0].child is dec._fold(And(inner), 1, {"z": F(-1)})
 
 
 def test_eventually_parse_and_negate_roundtrip():
