@@ -9,7 +9,10 @@ clearing denominators yields a pair (num, den) of polynomials over
 y1..yk, X, Y.  Each term of p is expanded in closed form by the
 binomial theorem under F1; the F2 numerator is the F1 numerator with
 each y_i exponent j reflected to deg_{x_i} p - j (the argument is in
-``substitute_transform``).  Grouping num by y-monomials
+``substitute_transform``).  The expansion runs on ints, on p scaled by
+the lcm of its coefficient denominators, and divides each sum by that
+lcm once: it is linear in the coefficients, so the terms are exactly
+those of expanding with Fractions.  Grouping num by y-monomials
 gives the coefficient decomposition q = sum_a q_a(X, Y) * y^a whose
 support drives the dominance analysis: on sequences that grow fast
 enough, the sign of a polynomial at any increasing tuple is the sign
@@ -28,7 +31,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from .poly import Monomial, MultiPoly
@@ -80,6 +83,12 @@ def substitute_transform(
     every y_i exponent j replaced by d_i - j.  j <= e_i <= d_i keeps the
     result a polynomial, and j -> d_i - j is a bijection of 0..d_i, so no
     two terms merge.
+
+    The sums are taken on ints.  With L the lcm of p's coefficient
+    denominators, L*p has int coefficients, and its expansion is L times
+    that of p, term by term, since the expansion is linear in the
+    coefficients.  So each nonzero int sum s gives the term Fraction(s, L)
+    of p's expansion exactly, and a zero sum is a term that cancels.
     """
     if kind not in (TransformKind.F1, TransformKind.F2):
         raise ValueError(f"unknown transform {kind!r}")
@@ -93,20 +102,24 @@ def substitute_transform(
         if not m or not 1 <= int(m.group(1)) <= k:
             raise ValueError(f"{v!r} is not among x1..x{k}")
         slots.append(int(m.group(1)) - 1)
-    degs = tuple(p.degree(f"x{i}") for i in range(1, k + 1))
+    degs = [0] * k
+    for slot, column in zip(slots, zip(*p.terms)):
+        degs[slot] = max(column)
     reflect = kind is TransformKind.F2
-    num: dict = {}
+    L = lcm(*(c.denominator for c in p.terms.values()))
+    sums: dict = {}  # int coefficients of the expansion of L*p
     for mono, coeff in p.terms.items():
+        scaled = coeff.numerator * (L // coeff.denominator)
         for js in product(*(range(e + 1) for e in mono)):
-            c, ys = coeff, [0] * k
+            c, ys = scaled, [0] * k
             for slot, e, j in zip(slots, mono, js):
                 c *= comb(e, j)
                 ys[slot] = degs[slot] - j if reflect else j
             key = (*ys, sum(mono) - sum(js), sum(js))
-            num[key] = num.get(key, 0) + c
-    if reflect:
-        return MultiPoly(allv, num), MultiPoly(allv, {degs + (0, 0): 1})
-    return MultiPoly(allv, num), MultiPoly.const(1, allv)
+            sums[key] = sums.get(key, 0) + c
+    num = MultiPoly._make(allv, {key: Fraction(c, L) for key, c in sums.items() if c})
+    den = tuple(degs) + (0, 0) if reflect else (0,) * (k + 2)
+    return num, MultiPoly._make(allv, {den: Fraction(1)})
 
 
 @dataclass(frozen=True)
@@ -136,25 +149,28 @@ class CoefficientDecomposition:
 
 
 def coefficient_decomposition(q: MultiPoly, k: int | None = None) -> CoefficientDecomposition:
-    """Group a polynomial over y1..yk, X, Y by its y-monomials."""
+    """Group a polynomial over y1..yk, X, Y by its y-monomials.
+
+    ``source`` is q over at least y1..yk, X, Y.  A variable outside
+    those that some term uses raises ValueError: its exponents would
+    have no place in the grouping.  k defaults to the largest y-index
+    appearing in q."""
     if q.is_zero:
         raise ValueError("coefficient_decomposition: zero polynomial")
     if k is None:
         k = infer_arity(q, _YVAR)
     allv = y_names(k) + ("X", "Y")
+    for v in q.vars:
+        if v not in allv and v in q.used_vars():
+            raise ValueError(f"{v!r} is not among y1..y{k}, X, Y")
     q = q.with_vars(tuple(set(allv) | set(q.vars)))
     ypos = [q.vars.index(y) for y in y_names(k)]
-    rest = [i for i, v in enumerate(q.vars) if v in ("X", "Y")]
-    rest_names = [q.vars[i] for i in rest]
+    ix, iy = q.vars.index("X"), q.vars.index("Y")
     buckets: dict = {}
     for mono, coeff in q.terms.items():
-        alpha = tuple(mono[i] for i in ypos)
-        key2 = tuple(mono[i] for i in rest)
-        buckets.setdefault(alpha, {})[key2] = coeff
-    coeffs = {
-        alpha: MultiPoly(rest_names, terms).with_vars(("X", "Y"))
-        for alpha, terms in buckets.items()
-    }
+        alpha = tuple([mono[i] for i in ypos])
+        buckets.setdefault(alpha, {})[mono[ix], mono[iy]] = coeff
+    coeffs = {alpha: MultiPoly._make(("X", "Y"), terms) for alpha, terms in buckets.items()}
     return CoefficientDecomposition(
         source=q, k=k, support=frozenset(coeffs), coeffs=coeffs
     )

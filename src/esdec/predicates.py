@@ -242,6 +242,13 @@ def _wrap(text: str, need: bool) -> str:
 # -- evaluation -------------------------------------------------------
 
 
+def _exact(x):
+    """x itself when it is an int or a Fraction, which MultiPoly.sign_at
+    reads directly; else Fraction(x), which is exact for floats and
+    decimal strings."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 def _named(point: Sequence[Fraction]) -> dict:
     """The point as the mapping x_i -> point[i-1] that MultiPoly.sign_at reads."""
     return {f"x{i}": x for i, x in enumerate(point, 1)}
@@ -263,7 +270,7 @@ def eval_at(pred: Predicate, point: Sequence[Fraction]) -> bool:
     """Exact truth of the predicate at a tuple of rationals."""
     if len(point) != pred.arity:
         raise ValueError(f"arity mismatch: predicate takes {pred.arity}, got {len(point)}")
-    return _holds(pred, _named([Fraction(x) for x in point]))
+    return _holds(pred, _named([_exact(x) for x in point]))
 
 
 def holds_everywhere(pred: Predicate, seq: Sequence[Fraction]) -> bool:
@@ -271,7 +278,7 @@ def holds_everywhere(pred: Predicate, seq: Sequence[Fraction]) -> bool:
 
     Vacuously true when the sequence is shorter than the arity.
     """
-    values = [Fraction(x) for x in seq]
+    values = [_exact(x) for x in seq]
     k = pred.arity
     if len(values) < k:
         return True
@@ -354,7 +361,7 @@ def member_verdicts(pset: PredicateSet, seq: Sequence[Fraction]) -> dict:
     """Per-member homogeneity status on a sequence: 'everywhere',
     'nowhere', or 'mixed', from one pass over the increasing tuples.
     A sequence shorter than the arity has no tuples: 'everywhere'."""
-    values = [Fraction(x) for x in seq]
+    values = [_exact(x) for x in seq]
     out = {}
     for i, m in enumerate(pset.members):
         seen = set()

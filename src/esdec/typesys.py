@@ -78,21 +78,33 @@ class CoefficientSystem:
 
 
 def build_Q(pset: PredicateSet, transform: TransformKind) -> CoefficientSystem:
-    """Substitute the transform into every atom polynomial, decompose the
-    numerator, and share identical numerators across atoms."""
+    """Substitute the transform into every distinct atom polynomial,
+    decompose the numerator, and share identical numerators across atoms.
+
+    An atom whose polynomial equals an earlier atom's (``{P ; not P}``,
+    or one form under several relations) takes that atom's entry without
+    a second substitution.  That is sound: substitute_transform reads
+    only ``p.drop_unused()`` and k, and MultiPoly equality and hashing
+    compare after ``drop_unused``, so equal polynomials give the same
+    numerator, hence the same entry.  Entries, their order and
+    ``atoms`` are those of substituting every atom."""
     k = pset.arity
     entries: list = []
-    index_of: dict = {}
+    index_of: dict = {}  # numerator -> entry id
+    entry_of: dict = {}  # atom polynomial -> entry id
     atoms: list = []
     for member in pset.members:
         for atom in atoms_of(member.root):
             entry_id = None
             if not atom.poly.is_zero:
-                num, _den = substitute_transform(atom.poly, transform, k=k)
-                entry_id = index_of.get(num)
+                entry_id = entry_of.get(atom.poly)
                 if entry_id is None:
-                    entry_id = index_of[num] = len(entries)
-                    entries.append(QEntry(entry_id, coefficient_decomposition(num, k=k)))
+                    num, _den = substitute_transform(atom.poly, transform, k=k)
+                    entry_id = index_of.get(num)
+                    if entry_id is None:
+                        entry_id = index_of[num] = len(entries)
+                        entries.append(QEntry(entry_id, coefficient_decomposition(num, k=k)))
+                    entry_of[atom.poly] = entry_id
             atoms.append((atom, entry_id))
     return CoefficientSystem(entries=tuple(entries), atoms=tuple(atoms))
 

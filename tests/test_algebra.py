@@ -141,6 +141,8 @@ _X_POLYS = st.dictionaries(
 @example(xv(1) * xv(2) + xv(2), 0)
 @example(MultiPoly.zero(_XS), 0)
 @example(MultiPoly.const(3, _XS), 1)
+@example(xv(1) - xv(2), 0)
+@example(Fraction(1, 2) * xv(1) ** 2 + Fraction(1, 3) * xv(1) * xv(2), 0)  # L = 6
 def test_substitute_f2_matches_term_expansion(p, extra):
     k = max(infer_arity(p), 1) + extra
     num, den = substitute_transform(p, TransformKind.F2, k)
@@ -154,6 +156,8 @@ def test_substitute_f2_matches_term_expansion(p, extra):
 @example(xv(1) ** 2 + xv(1) * xv(2), 0)  # X*Y*y1 from both terms
 @example(MultiPoly.zero(_XS), 0)
 @example(MultiPoly.const(3, _XS), 1)
+@example(xv(1) - xv(2), 0)  # the X terms cancel: a zero sum is dropped
+@example(Fraction(1, 2) * xv(1) ** 2 + Fraction(1, 3) * xv(1) * xv(2), 0)  # L = 6
 def test_substitute_f1_matches_term_expansion(p, extra):
     k = max(infer_arity(p), 1) + extra
     num, den = substitute_transform(p, TransformKind.F1, k)
@@ -216,6 +220,20 @@ def test_decomposition_examples():
     num, _ = substitute_transform(p, TransformKind.F2)
     d3 = coefficient_decomposition(num)
     assert d3.support == frozenset({(1, 1), (1, 0), (0, 1), (0, 0)})
+
+
+def test_decomposition_rejects_variables_other_than_y_x_y():
+    """A term in a variable outside y1..yk, X, Y has no place in the
+    grouping, so it raises instead of overwriting another term."""
+    y1, y2, z = MultiPoly.var("y1"), MultiPoly.var("y2"), MultiPoly.var("z")
+    with pytest.raises(ValueError, match="'y2'"):
+        coefficient_decomposition(y1 * y2 + 2 * y1, k=1)
+    with pytest.raises(ValueError, match="'z'"):
+        coefficient_decomposition(y1 * z + 3 * y1)
+    # an unused variable loses nothing
+    d = coefficient_decomposition(y1 + z - z, k=1)
+    assert d.support == frozenset({(1,)})
+    assert d.reassemble() == y1
 
 
 def test_decomposition_roundtrip_random():

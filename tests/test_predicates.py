@@ -224,6 +224,32 @@ def test_eval_at_ignores_cancelled_variables():
     assert member_verdicts(PredicateSet((pred,)), [Fraction(1), Fraction(2)]) == {0: "everywhere"}
 
 
+_SPELLED = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+    st.sampled_from((0.5, -1.25, 0.1, 3.0)),
+    st.sampled_from(("1/3", "-2", "0.75", "5/2")),
+)
+_SPELLING_TEXTS = ("x1 < x2", "x1*x2 - 1/2 >= 0 or x1 = x2", "not (2*x1 - 3*x2 + 1 != 0)")
+
+
+@given(st.lists(_SPELLED, max_size=5))
+@example([2, Fraction(5, 2), 2.5, "5/2"])
+@example([0.1, Fraction(0.1), "0.1"])
+@settings(max_examples=150, deadline=None)
+def test_coordinate_spellings_give_the_truths_of_their_fractions(seq):
+    """Ints and Fractions are read as they are, floats and strings
+    through Fraction: every spelling gives the truths of its Fraction."""
+    exact = [Fraction(x) for x in seq]
+    preds = [parse_predicate(text) for text in _SPELLING_TEXTS]
+    for pred in preds:
+        if len(seq) >= 2:
+            assert eval_at(pred, seq[:2]) == eval_at(pred, exact[:2])
+        assert holds_everywhere(pred, seq) == holds_everywhere(pred, exact)
+    pset = PredicateSet(tuple(preds))
+    assert member_verdicts(pset, seq) == member_verdicts(pset, exact)
+
+
 _FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 

@@ -2,13 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from esdec.algebra import TransformKind
+from esdec import typesys
+from esdec.algebra import TransformKind, coefficient_decomposition, substitute_transform
 from esdec.errors import InconsistentTypeError, ResourceLimitError
-from esdec.predicates import holds_everywhere, negate, parse
+from esdec.poly import MultiPoly
+from esdec.predicates import (
+    And, Atom, Not, Or, Predicate, PredicateSet,
+    atoms_of, holds_everywhere, negate, parse,
+)
 from esdec.ramsey import apply_transform, canonical_growing
 from esdec.typesys import (
-    CandidateType, NotWellPlaced, _entry_bound,
+    CandidateType, CoefficientSystem, NotWellPlaced, QEntry, _entry_bound,
     build_Q, compute_type, enumerate_types,
     eval_predicates_from_type, sign_from_type,
 )
@@ -43,6 +49,97 @@ def test_build_q_constant_atom():
     Q = build_Q(ps, TransformKind.F1)
     assert Q.entries == ()
     assert [entry_id for _atom, entry_id in Q.atoms] == [None]
+
+
+def _per_atom_Q(pset, transform):
+    """Reference: substitute every atom, then share entries by numerator."""
+    k = pset.arity
+    entries, index_of, atoms = [], {}, []
+    for member in pset.members:
+        for atom in atoms_of(member.root):
+            entry_id = None
+            if not atom.poly.is_zero:
+                num, _den = substitute_transform(atom.poly, transform, k=k)
+                entry_id = index_of.get(num)
+                if entry_id is None:
+                    entry_id = index_of[num] = len(entries)
+                    entries.append(QEntry(entry_id, coefficient_decomposition(num, k=k)))
+            atoms.append((atom, entry_id))
+    return CoefficientSystem(entries=tuple(entries), atoms=tuple(atoms))
+
+
+_XS = ("x1", "x2", "x3")
+_POLYS = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3),
+    st.builds(F, st.integers(-3, 3), st.integers(1, 3)),
+    min_size=1, max_size=4,
+).map(lambda terms: MultiPoly(_XS, terms))
+_RELS = ("<", "<=", ">", ">=", "=", "!=")
+
+
+@st.composite
+def _repeating_sets(draw):
+    """1-3 members whose atoms draw from a pool of 1-3 polynomials, a
+    copy of the first with an unused x4 (equal to it), its double (not
+    equal), x1 + x2 - x2 (x2 cancelled) and zero, under random relations,
+    not, and and or."""
+    pool = draw(st.lists(_POLYS, min_size=1, max_size=3))
+    x1 = MultiPoly.var("x1", ("x1", "x2"))
+    pool += [pool[0].with_vars(_XS + ("x4",)), pool[0] * 2,
+             x1 + MultiPoly.var("x2", ("x1", "x2")) - MultiPoly.var("x2", ("x1", "x2")),
+             MultiPoly.zero(_XS)]
+
+    def node(depth):
+        shape = draw(st.sampled_from(("atom", "not", "and", "or") if depth else ("atom",)))
+        if shape == "atom":
+            return Atom(draw(st.sampled_from(pool)), draw(st.sampled_from(_RELS)))
+        if shape == "not":
+            return Not(node(depth - 1))
+        return (And if shape == "and" else Or)((node(depth - 1), node(depth - 1)))
+
+    return PredicateSet(tuple(Predicate(node(2), 3) for _ in range(draw(st.integers(1, 3)))))
+
+
+def _p_and_not_p(text):
+    pred = parse(text).members[0]
+    return PredicateSet((pred, negate(pred)))
+
+
+@given(_repeating_sets(), st.sampled_from(tuple(TransformKind)))
+@example(_p_and_not_p("x1 - x2 < 0"), TransformKind.F2)
+@example(parse("x1 + x2 - x2 > 0 ; x1 >= 0 ; 0 = 0"), TransformKind.F1)
+@settings(max_examples=150, deadline=None)
+def test_build_q_matches_substituting_every_atom(pset, kind):
+    """Substituting each distinct polynomial once gives the entries and
+    atoms of substituting every atom."""
+    got, want = build_Q(pset, kind), _per_atom_Q(pset, kind)
+    assert [(id(a), e) for a, e in got.atoms] == [(id(a), e) for a, e in want.atoms]
+    assert len(got.entries) == len(want.entries)
+    for g, w in zip(got.entries, want.entries):
+        assert g.entry_id == w.entry_id and g.decomp.k == w.decomp.k
+        assert (g.decomp.source.vars, g.decomp.source.terms) == \
+            (w.decomp.source.vars, w.decomp.source.terms)
+        assert list(g.decomp.coeffs) == list(w.decomp.coeffs)
+        for alpha, c in g.decomp.coeffs.items():
+            assert (c.vars, c.terms) == (w.decomp.coeffs[alpha].vars, w.decomp.coeffs[alpha].terms)
+
+
+def test_build_q_substitutes_each_distinct_polynomial_once(monkeypatch):
+    """{P ; not P} substitutes P once per transform, through the name
+    typesys imports (the one perfbench traces)."""
+    calls = []
+
+    def counting(p, kind, k=None):
+        calls.append(kind)
+        return substitute_transform(p, kind, k=k)
+
+    monkeypatch.setattr(typesys, "substitute_transform", counting)
+    pset = _p_and_not_p("x1 - x2 < 0 or x1 - x2 > 0")
+    assert len([a for m in pset.members for a in atoms_of(m.root)]) == 4
+    for kind in TransformKind:
+        Q = build_Q(pset, kind)
+        assert [e for _a, e in Q.atoms] == [0, 0, 0, 0]
+    assert calls == list(TransformKind)
 
 
 def test_enumerate_counts():
