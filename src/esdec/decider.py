@@ -37,8 +37,9 @@ in three exact stages.
    verdict in both orientations, for every type; only a type that makes
    every member 'nowhere' in some orientation, and whose signs some
    point (X, Y) realizes, has its feasibility tested by QE.  The
-   realizable signs are the vectors stage 2's walk read (the sign
-   screen), so each transform still gets one decomposition.  A feasible
+   realizable signs are the sign patterns stage 2's walk read, shaped as
+   a type's sigmas (the sign screen), so each transform gets one
+   decomposition and the screen is one set lookup per type.  A feasible
    such type is a NO certificate; if the enumeration completes without
    one, the answer is YES.  Budget exhaustion inside a feasibility test
    makes the answer UNDECIDED (unless a NO was already found, which is
@@ -188,7 +189,7 @@ def decide_es(pset: PredicateSet, budget: QeBudget | None = None,
     the point types of one decomposition of a kept transform answer NO
     when one makes every member 'nowhere' (_point_type_no); the type
     enumeration (_decide_by_types) decides the rest on the kept
-    transforms, with the sign screens the walks collected.  Each
+    transforms, screened by the sign patterns their walks read.  Each
     transform's Q is built once, F2's only when F1 does not answer NO.
     ``stats.decided_by`` names the stage.  Resource limits surface as
     UNDECIDED, never as a wrong answer.
@@ -200,18 +201,17 @@ def decide_es(pset: PredicateSet, budget: QeBudget | None = None,
     t0 = time.monotonic()
     budget = budget or QeBudget()
     kept: list = []
-    screens: dict = {}
     for kind in (TransformKind.F1, TransformKind.F2):
         Q = build_Q(pset, kind)
         if not _nowhere_sign_vector(pset, Q, type_cap):
             continue
-        kept.append((kind, Q))
-        out = _point_type_no(pset, kind, Q, budget, search_witness, stats, screens)
-        if out is not None:
+        out = _point_type_no(pset, kind, Q, budget, search_witness, stats)
+        if isinstance(out, Verdict):
             break
+        kept.append((kind, Q, out))
     else:
         if kept:
-            out = _decide_by_types(pset, kept, budget, type_cap, search_witness, stats, screens)
+            out = _decide_by_types(pset, kept, budget, type_cap, search_witness, stats)
         else:
             stats.decided_by = "signs"
             out = Verdict(YES, stats=stats)
@@ -230,34 +230,34 @@ def _nowhere_sign_vector(pset: PredicateSet, Q: CoefficientSystem, cap: int) -> 
 
 
 def _point_type_no(pset: PredicateSet, kind: TransformKind, Q: CoefficientSystem,
-                   budget: QeBudget, search_witness: bool, stats: DecisionStats,
-                   screens: dict) -> Verdict | None:
+                   budget: QeBudget, search_witness: bool,
+                   stats: DecisionStats) -> Verdict | set | None:
     """NO with the first point type, in the walk of one decomposition of
     Q's nonconstant coefficients over (X, Y), that makes every member
     'nowhere' at a rational sample, witnessed there; a NO met only at
     irrational samples answers without a witness when the walk ends or
-    runs out of cells after it.  Else None, with the sign screen of the
-    vectors walked in ``screens[kind]`` (every instance passes when the
-    cell budget runs out).  A vector's point type is read once; a vector
-    met again, at a rational sample, can still answer."""
+    runs out of cells after it.  Else the set of sign patterns the walk
+    read, shaped as CandidateType.sigmas: each support element gets its
+    cell's sign, each constant coefficient its own sign; None when the
+    walk ran out of cells.  A vector's point type is read once, when the
+    vector is first met; a vector met again, at a rational sample, can
+    still answer."""
     stats.qe_calls["screen"] += 1
     index = _coefficient_index(Q)
     # per support element: its place in a sign vector, or its constant sign
     slots = tuple(tuple((index.get(c), _constant_sign(c)) for c in
                         (entry.decomp.coeffs[a] for a in entry.support))
                   for entry in Q.entries)
-    nos: dict = {}  # sign vector -> (point type, orientation) of a NO, or None
+    nos: dict = {}  # sign vector -> (point type, orientation of a NO or None)
     first_no = None  # the first NO, met at an irrational sample
-    exhausted = False
     try:
         for vector, point in sign_vectors(list(index), ("X", "Y"), budget):
-            if vector not in nos:
+            no = nos.get(vector)
+            if no is None:
                 typ = point_type(Q, tuple(tuple(s if i is None else vector[i] for i, s in entry)
                                           for entry in slots))
-                orientation = _nowhere_orientation(pset, Q, typ, stats)
-                nos[vector] = None if orientation is None else (typ, orientation)
-            no = nos[vector]
-            if no is None:
+                no = nos[vector] = (typ, _nowhere_orientation(pset, Q, typ, stats))
+            if no[1] is None:
                 continue
             A, B = (x.value if isinstance(x, RealAlgebraicNumber) else x
                     for x in (point["X"], point["Y"]))
@@ -265,11 +265,12 @@ def _point_type_no(pset: PredicateSet, kind: TransformKind, Q: CoefficientSystem
                 return _point_no(pset, kind, Q, no, (A, B) if search_witness else None, stats)
             first_no = first_no or no
     except ResourceLimitError:
-        exhausted = True
+        realized = None
+    else:
+        realized = {typ.sigmas for typ, _ in nos.values()}
     if first_no is not None:
         return _point_no(pset, kind, Q, first_no, None, stats)
-    screens[kind] = (lambda inst: True) if exhausted else _screen(index, nos)
-    return None
+    return realized
 
 
 def _point_no(pset: PredicateSet, kind: TransformKind, Q: CoefficientSystem, no: tuple,
@@ -290,21 +291,27 @@ def _point_no(pset: PredicateSet, kind: TransformKind, Q: CoefficientSystem, no:
 
 
 def _decide_by_types(pset: PredicateSet, systems: list, budget: QeBudget, type_cap: int,
-                     search_witness: bool, stats: DecisionStats, screens: dict) -> Verdict:
-    """The type enumeration over ``systems``, (kind, Q) pairs: verdicts
-    come first, since NO needs a realizable type that makes every member
-    'nowhere' in some orientation, so a type with no such orientation
-    cannot certify NO, whether it is feasible or not, and its
-    feasibility is never tested.  Feasibility does not depend on the
-    orientation, so one test settles both.  The sign screen checks a
-    necessary condition for feasibility, that some point (X, Y) realizes
-    the type's signs: ``screens[kind]`` when given, else one
-    decomposition per transform, built when the first type reaches it
-    (_sign_screen).  Its 'no' skips the type, and when it ran out of
-    budget the full test decides."""
+                     search_witness: bool, stats: DecisionStats) -> Verdict:
+    """The type enumeration over ``systems``, (kind, Q, realized)
+    triples: verdicts come first, since NO needs a realizable type that
+    makes every member 'nowhere' in some orientation, so a type with no
+    such orientation cannot certify NO, whether it is feasible or not,
+    and its feasibility is never tested.  Feasibility does not depend on
+    the orientation, so one test settles both.
+
+    The sign screen skips a type whose signs no point (X, Y) realizes,
+    which is then infeasible.  ``realized`` is the set of sign patterns
+    of one decomposition's walk (_point_type_no), every sign vector the
+    coefficients take on the plane, or None when the walk ran out of
+    cells, which passes every type.  For a type without a constant
+    conflict (checked first), ``typ.sigmas in realized`` exactly when
+    some cell's vector gives each of its instance's sign constraints its
+    sign: those are the distinct pairs (nonconstant q_a, its sign in the
+    type), and a pattern equals typ.sigmas exactly when its vector gives
+    each such q_a that sign and every constant has its own sign, which
+    is what ``inst.constant_conflict`` checks."""
     stats.decided_by = "types"
-    for kind, Q in systems:
-        screen = screens.get(kind)
+    for kind, Q, realized in systems:
         try:
             types = enumerate_types(Q, cap=type_cap)
         except ResourceLimitError as exc:
@@ -318,10 +325,7 @@ def _decide_by_types(pset: PredicateSet, systems: list, budget: QeBudget, type_c
             inst = FeasibilityInstance.from_type(Q, typ)
             if inst.constant_conflict:
                 continue  # infeasible without any QE
-            if screen is None:
-                stats.qe_calls["screen"] += 1
-                screen = _sign_screen(Q, budget)
-            if not screen(inst):
+            if realized is not None and typ.sigmas not in realized:
                 stats.types_skipped_by_screen += 1
                 continue
             stats.qe_calls["feasibility"] += 1
@@ -350,26 +354,6 @@ def _coefficient_index(Q: CoefficientSystem) -> dict:
             if c.constant_value() is None:
                 index.setdefault(c, len(index))
     return index
-
-
-def _screen(index: dict, vectors: set):
-    """Whether some sign vector gives each of an instance's sign
-    constraints its prescribed sign."""
-    return lambda inst: any(all(v[index[p]] == s for p, s in inst.sign_constraints)
-                            for v in vectors)
-
-
-def _sign_screen(Q: CoefficientSystem, budget: QeBudget):
-    """Whether some point (X, Y) realizes an instance's sign constraints,
-    as a test of FeasibilityInstances of Q, from every cell of one
-    decomposition of Q's nonconstant coefficients.  When the cell budget
-    runs out, every instance passes, to be decided by is_feasible."""
-    index = _coefficient_index(Q)
-    try:
-        vectors = {v for v, _point in sign_vectors(list(index), ("X", "Y"), budget)}
-    except ResourceLimitError:
-        return lambda inst: True
-    return _screen(index, vectors)
 
 
 def _nowhere_orientation(pset: PredicateSet, Q: CoefficientSystem,

@@ -43,8 +43,9 @@ qe.cad).  The collapse is sound because:
 ``build_psi_star`` stays as the uncollapsed reference and export form.
 
 The decider's sign screen, whether a type's signs are realized at all,
-reads the cells of one decomposition per transform instead of a
-sentence built here (see decider and qe.cad.sign_vectors).
+builds no sentence here: a type passes when its sigmas are one of the
+sign patterns that the point-type stage read in its walk of one
+decomposition per transform (see decider and qe.cad.sign_vectors).
 
 The grid witness search is a corroboration oracle only: a found
 witness certifies feasibility one-sidedly; absence proves nothing.

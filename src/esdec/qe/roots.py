@@ -399,30 +399,6 @@ class RealAlgebraicNumber:
         return f"RealAlgebraicNumber({self.poly}, ({self.lo}, {self.hi}))"
 
 
-def _settle(sf: list, lo: Fraction, hi: Fraction):
-    """The root of the squarefree primitive int list ``sf`` isolated in
-    (lo, hi): a Fraction when it is rational, else a narrowed isolating
-    interval.  Bisect below 1/lead^2, then test the one rational
-    candidate (see the module docstring)."""
-    lead = sf[-1]
-    gap = Fraction(1, lead * lead)
-    lo_positive = usign(sf, lo) > 0
-    while hi - lo >= gap:
-        mid = (lo + hi) / 2
-        v = usign(sf, mid)
-        if v == 0:
-            return mid
-        if (v > 0) == lo_positive:
-            lo = mid
-        else:
-            hi = mid
-    cand = ((lo + hi) / 2).limit_denominator(lead)
-    # a candidate outside (lo, hi) may be a root of sf, but not this one
-    if lo < cand < hi and usign(sf, cand) == 0:
-        return cand
-    return lo, hi
-
-
 def isolate_real_roots(p) -> list:
     """All distinct real roots of a nonzero univariate polynomial, as
     RealAlgebraicNumber, ascending.  Accepts a MultiPoly in one variable
@@ -448,15 +424,32 @@ def isolate_real_roots(p) -> list:
     sf = usquarefree(coeffs)
     if len(sf) == 2:
         return [RealAlgebraicNumber.from_rational(Fraction(-sf[0], sf[1]))]
-    settled = [lo if lo == hi else _settle(sf, lo, hi) for lo, hi in isolate_squarefree(sf)]
+    # bisect each interval below 1/lead^2, then test the one rational
+    # candidate (see the module docstring)
+    lead = sf[-1]
+    gap = Fraction(1, lead * lead)
+    roots = [RealAlgebraicNumber(sf, lo, hi) if lo < hi else RealAlgebraicNumber.from_rational(lo)
+             for lo, hi in isolate_squarefree(sf)]
+    for i, r in enumerate(roots):
+        while r.value is None and r.hi - r.lo >= gap:
+            r.refine()
+        if r.value is None:
+            cand = ((r.lo + r.hi) / 2).limit_denominator(lead)
+            # a candidate outside (lo, hi) may be a root of sf, but not this one
+            if r.lo < cand < r.hi and usign(sf, cand) == 0:
+                roots[i] = RealAlgebraicNumber.from_rational(cand)
     # defining the irrational roots by sf itself would keep its rational
-    # roots, at which an elimination resultant can vanish identically
+    # roots, at which an elimination resultant can vanish identically;
+    # rest divides sf, so it has no root at an interval's end either
     rest = sf
-    for r in settled:
-        if not isinstance(r, tuple):
-            rest = _quotient(rest, [-r.numerator, r.denominator])
-    return [RealAlgebraicNumber(rest, *r) if isinstance(r, tuple)
-            else RealAlgebraicNumber.from_rational(r) for r in settled]
+    for r in roots:
+        if r.value is not None:
+            rest = _quotient(rest, [-r.value.numerator, r.value.denominator])
+    if rest is not sf:
+        for r in roots:
+            if r.value is None:
+                r.poly, r._lo_positive = rest, usign(rest, r.lo) > 0
+    return roots
 
 
 # -- signs and roots at mixed rational/algebraic sample points ----------

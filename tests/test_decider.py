@@ -114,13 +114,37 @@ def test_searches_leave_no_reference_cycles():
             gc.enable()
 
 
-def _by_types(text, type_cap=200_000):
+def _pattern_walk(Q):
+    """Each cell of one decomposition of Q's nonconstant coefficients
+    over (X, Y): its sign vector, the sign pattern that gives Q's
+    support, shaped as CandidateType.sigmas (a constant has its own
+    sign), and its sample."""
+    index = decider._coefficient_index(Q)
+    slots = tuple(tuple((index.get(c), decider._constant_sign(c)) for c in
+                        (entry.decomp.coeffs[a] for a in entry.support)) for entry in Q.entries)
+    for vector, point in sign_vectors(list(index), ("X", "Y"), QeBudget()):
+        yield vector, tuple(tuple(s if i is None else vector[i] for i, s in entry)
+                            for entry in slots), point
+
+
+def _realized(Q):
+    """The sign patterns of Q's walk: the sign screen of the type
+    enumeration."""
+    return {sigmas for _vector, sigmas, _point in _pattern_walk(Q)}
+
+
+def _by_types(text, type_cap=200_000, screened=True):
     """The type enumeration alone, over both transforms: the reference
-    that decide_es's sign-vector and point-type stages answer before."""
+    that decide_es's sign-vector and point-type stages answer before.
+    Each transform's sign screen comes from its own walk, or is left out
+    (``screened`` False)."""
     pset = parse(text)
-    systems = [(kind, build_Q(pset, kind)) for kind in TransformKind]
+    systems = []
+    for kind in TransformKind:
+        Q = build_Q(pset, kind)
+        systems.append((kind, Q, _realized(Q) if screened else None))
     return decider._decide_by_types(pset, systems, QeBudget(), type_cap, False,
-                                    decider.DecisionStats(), {})
+                                    decider.DecisionStats())
 
 
 def test_decide_monotone_pair_yes():
@@ -129,6 +153,21 @@ def test_decide_monotone_pair_yes():
     v = _by_types("x1 < x2 ; x1 >= x2")
     assert v.answer == YES
     assert v.stats.types_total > 0
+
+
+def test_sign_vectors_over_the_cap_go_to_the_later_stages():
+    """More entry-sign vectors than type_cap are left to the later
+    stages: both transforms are walked, find no NO, and the type
+    enumeration stops at the cap, so the answer is UNDECIDED; at a cap
+    that admits the three vectors, stage 1 answers YES."""
+    pset = parse("x1 < x2 ; x1 >= x2")
+    v = decide_es(pset, type_cap=2)
+    assert v.answer == UNDEC and v.stats.decided_by == "types"
+    assert v.stats.qe_calls == {"screen": 2, "feasibility": 0}
+    assert [e.split(":")[0] for e in v.stats.undecided_events] == ["F1", "F2"]
+    assert all(e.endswith("exceeds cap 2") for e in v.stats.undecided_events)
+    v = decide_es(pset, type_cap=3)
+    assert v.answer == YES and v.stats.decided_by == "signs"
 
 
 def test_decide_eq_neq_yes():
@@ -271,45 +310,76 @@ def _sign_sentence(inst: FeasibilityInstance) -> Sentence:
 
 @given(_linear_atom_sets())
 @example("x1 + -1*x2 + 0 >= 0 ; 0*x1 + 2*x2 + 1 != 0")  # 81 signatures, 72 rejected
+@example("x1 - x2 <= 0 ; x1 != 0")  # no point type answers
 @settings(max_examples=60, deadline=None)
 def test_sign_screen_matches_sign_sentences(text):
     """Under both transforms, for every distinct sign signature of a
-    system with at most 3,000 types, the screen's answer is the truth of
-    that signature's existential sentence."""
+    system with at most 3,000 types, the signature is among the walk's
+    sign patterns exactly when its constants have their own signs and
+    its existential sentence is true.  A point-type stage that answers
+    no NO returns exactly those patterns."""
+    pset = parse(text)
     for kind in TransformKind:
-        Q = build_Q(parse(text), kind)
+        Q = build_Q(pset, kind)
         try:
             types = enumerate_types(Q, cap=3000)
         except ResourceLimitError:
             continue
-        screen = decider._sign_screen(Q, QeBudget())
+        realized = _realized(Q)
+        out = decider._point_type_no(pset, kind, Q, QeBudget(), False, decider.DecisionStats())
+        assert isinstance(out, decider.Verdict) or out == realized, (text, kind)
         seen = set()
         for typ in types:
             if typ.sigmas in seen:
                 continue
             seen.add(typ.sigmas)
             inst = FeasibilityInstance.from_type(Q, typ)
-            assert screen(inst) == decide_sentence(_sign_sentence(inst)), (text, kind, typ.sigmas)
+            want = not inst.constant_conflict and decide_sentence(_sign_sentence(inst))
+            assert (typ.sigmas in realized) == want, (text, kind, typ.sigmas)
+
+
+@given(_linear_atom_sets())
+@example("x1 - x2 <= 0 ; x1 != 0")  # YES, 18 types skipped
+@example("1*x1 + -1*x2 + 0 >= 0")  # NO after 4 skipped types
+@settings(max_examples=40, deadline=None)
+def test_sign_screen_changes_no_answer(text):
+    """The screen is a shortcut: the type enumeration with each
+    transform's walk patterns and without any screen give the same
+    answer, certificate and type count wherever no feasibility test is
+    left undecided, and every type the screen skips is one that the
+    unscreened run tests and finds infeasible."""
+    screened = _by_types(text, type_cap=3000)
+    plain = _by_types(text, type_cap=3000, screened=False)
+    if any("type undecided" in e for e in screened.stats.undecided_events
+           + plain.stats.undecided_events):
+        return
+    assert screened.answer == plain.answer, text
+    assert (screened.transform, screened.certificate_type, screened.orientation) == \
+        (plain.transform, plain.certificate_type, plain.orientation), text
+    assert screened.stats.types_total == plain.stats.types_total, text
+    assert plain.stats.types_skipped_by_screen == 0, text
+    assert screened.stats.qe_calls["feasibility"] + screened.stats.types_skipped_by_screen \
+        == plain.stats.qe_calls["feasibility"], text
 
 
 def test_decide_counts_qe_calls():
     """QE work by purpose, in the stats and their JSON.  The type
-    enumeration alone builds one screen decomposition per transform that
-    a type reaches the screen in: in x1 - x2 >= 0 it rejects four types
-    before the fifth is tested and certifies NO; a YES pair with no
-    all-nowhere type builds none and makes no QE call at all.  decide_es
-    answers the first two from a point type of one decomposition and the
-    pair from sign vectors; x1 - x2 <= 0 ; x1 != 0 reaches the
-    enumeration, whose screens are the two walks' vectors."""
+    enumeration alone builds no decomposition: it is handed each
+    transform's walk patterns.  In x1 - x2 >= 0 its screen rejects four
+    types before the fifth is tested and certifies NO; a YES pair with no
+    all-nowhere type makes no QE call at all.  decide_es answers the
+    first two from a point type of one decomposition and the pair from
+    sign vectors; x1 - x2 <= 0 ; x1 != 0 reaches the enumeration, whose
+    screens are the patterns of the two walks."""
     cases = (  # text, answer, how, QE calls of decide_es, of the enumeration alone, skipped
         ("x1 < x2", NO, "points", {"screen": 1, "feasibility": 0},
-         {"screen": 1, "feasibility": 1}, 0),
+         {"screen": 0, "feasibility": 1}, 0),
         ("x1 - x2 >= 0", NO, "points", {"screen": 1, "feasibility": 0},
-         {"screen": 1, "feasibility": 1}, 4),
+         {"screen": 0, "feasibility": 1}, 4),
         ("x1 < x2 ; x1 >= x2", YES, "signs", {"screen": 0, "feasibility": 0},
          {"screen": 0, "feasibility": 0}, 0),
         ("x1 - x2 <= 0 ; x1 != 0", YES, "types", {"screen": 2, "feasibility": 0},
-         {"screen": 2, "feasibility": 0}, 18),
+         {"screen": 0, "feasibility": 0}, 18),
     )
     for text, answer, how, decide_calls, qe_calls, skipped in cases:
         v = decide_es(parse(text), search_witness=False)
@@ -393,15 +463,10 @@ def test_point_type_no_has_a_witness_past_an_irrational_cell():
 def _rational_no_cell(pset, Q):
     """The first cell of Q's walk with a rational sample whose point
     type makes every member 'nowhere': its sign vector and sample."""
-    index = decider._coefficient_index(Q)
-    slots = tuple(tuple((index.get(c), decider._constant_sign(c)) for c in
-                        (entry.decomp.coeffs[a] for a in entry.support)) for entry in Q.entries)
-    for vector, point in sign_vectors(list(index), ("X", "Y"), QeBudget()):
+    for vector, sigmas, point in _pattern_walk(Q):
         if any(isinstance(x, RealAlgebraicNumber) and x.value is None for x in point.values()):
             continue
-        typ = point_type(Q, tuple(tuple(s if i is None else vector[i] for i, s in entry)
-                                  for entry in slots))
-        if decider._nowhere_orientation(pset, Q, typ, decider.DecisionStats()):
+        if decider._nowhere_orientation(pset, Q, point_type(Q, sigmas), decider.DecisionStats()):
             return vector, point
     raise AssertionError("no rational NO cell")
 
@@ -495,7 +560,7 @@ def test_order_invariance_check():
 def test_es_bruteforce_monotone():
     mono = parse("x1 < x2 ; x1 >= x2")
     got = es_bruteforce(mono, 3, 6)
-    assert got.value == 5
+    assert got.value == 5 and got.exact
     assert got.counterexample is not None and len(got.counterexample) == 4
     # verify the counterexample: no 3-term subsequence is monotone
     seq = [Fraction(l) for l in got.counterexample]
@@ -515,7 +580,7 @@ def test_es_bruteforce_le():
 
 def test_es_bruteforce_cap():
     got = es_bruteforce(parse("x1 = x2"), 2, 4)
-    assert got.value is None
+    assert got.value is None and not got.exact
     assert got.searched_up_to == 4
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
 from esdec.algebra import TransformKind
-from esdec.decider import _sign_screen
+from esdec.decider import DecisionStats, _point_type_no
 from esdec import feasibility
 from esdec.feasibility import (
     FEASIBLE, INFEASIBLE, UNDECIDED, FeasibilityInstance, _try_witness, build_psi_eventual,
@@ -185,15 +185,15 @@ def test_monotone_census_f1():
 
 
 def test_sign_sentence_screen():
-    """The sign screen, one decomposition's sign vectors, admits some
-    types' signs and rejects others'."""
+    """The sign screen, the sign patterns of one decomposition's walk,
+    admits some types' signs and rejects others'.  No point type of the
+    walk makes both members 'nowhere', so it answers with the patterns."""
     ps = parse("x1 < x2 ; x1 >= x2")
     Q = build_Q(ps, TransformKind.F1)
-    screen = _sign_screen(Q, QeBudget())
+    realized = _point_type_no(ps, TransformKind.F1, Q, QeBudget(), False, DecisionStats())
     sat = unsat = 0
     for typ in enumerate_types(Q):
-        inst = FeasibilityInstance.from_type(Q, typ)
-        if screen(inst):
+        if typ.sigmas in realized:
             sat += 1
         else:
             unsat += 1

@@ -26,6 +26,7 @@ def test_is_r_growing():
     assert not is_R_growing([F(4), F(255)], 4)
     assert is_R_growing([F(4)], 4)
     assert not is_R_growing([F(3)], 4)
+    assert not is_R_growing([], 3)
     with pytest.raises(ValueError):
         is_R_growing([F(4)], 2)
     b = canonical_growing(8, 5)  # doubly exponential terms
@@ -261,6 +262,36 @@ def test_verify_embedding_tamper():
     assert not verify_embedding(a, b, bad)
     w2 = EmbeddingWitness(TransformKind.F2, F(0), F(1), "forward", (0,))
     assert not verify_embedding([F(1)], [F(0)], w2)  # zero input to X + Y/x
+
+
+def test_verify_embedding_rejects_bad_index_maps():
+    """Each map below would pass the value check, so only the shape
+    check rejects it: a map of the wrong length (zip would compare only
+    its prefix), indices out of range (negative ones would wrap) and a
+    map that is not increasing."""
+    b = canonical_growing(4, 3)
+    v0, v1, v2 = (5 + 7 * x for x in b)
+    for a, idx in (([v0, v1, v2], (0, 1)), ([v0, v1, v2], (-3, -2, -1)),
+                   ([v0, v1, v2, v1], (0, 3, 2))):
+        w = EmbeddingWitness(TransformKind.F1, F(5), F(7), "forward", idx)
+        assert not verify_embedding(a, b, w), idx
+    assert verify_embedding([v0, v1, v2, v1], b,
+                            EmbeddingWitness(TransformKind.F1, F(5), F(7), "forward", (0, 1, 2)))
+
+
+def test_extract_rfold_input_checks():
+    """R below 2, least above n and a multiplicative scale over values
+    that are not all positive are usage errors; n <= 0 asks for nothing
+    and gets the empty extraction."""
+    with pytest.raises(ValueError, match="R must be an integer >= 2"):
+        extract_rfold([1, 2, 3], 3, 1)
+    with pytest.raises(ValueError, match="least must be <= n"):
+        extract_rfold([1, 2, 3], 2, 4, least=3)
+    for seq in ([0, 1, 2], [-3, 1, 2]):
+        with pytest.raises(ValueError, match="positive values"):
+            extract_rfold(seq, 2, 4, MULTIPLICATIVE)
+    for n in (0, -2):
+        assert extract_rfold([1, 2, 3], n, 4) == Extraction("forward", (), ())
 
 
 def test_embedding_repeat_branch():

@@ -51,3 +51,40 @@ def test_total_is_the_sum_of_the_modules(capsys):
     for lines, code, name in modules:
         text = (src_lines.ROOT / "src" / name).read_text()
         assert int(lines) == text.count("\n") >= int(code)
+
+
+def _tree(root, modules):
+    for name, text in modules.items():
+        path = root / "src" / "esdec" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+def test_two_checkouts_print_both_counts_and_the_difference(tmp_path, capsys):
+    """Per module, BASE's counts, ROOT's and ROOT's minus BASE's; a
+    module in one tree only counts 0 in the other; then the totals."""
+    src_lines = _load()
+    base = _tree(tmp_path / "base", {"a.py": "x = 1\n\n", "gone.py": "y = 2\n",
+                                     "qe/b.py": FIXTURE})
+    root = _tree(tmp_path / "root", {"a.py": "x = 1\ny = 2\nz = 3\n", "new.py": "# c\n",
+                                     "qe/b.py": FIXTURE})
+    assert src_lines.main([str(base), str(root)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    fixture = [str(n) for n in src_lines.count(FIXTURE)]
+    assert rows == [
+        ["2", "1", "3", "3", "+1", "+2", "esdec/a.py"],
+        ["1", "1", "0", "0", "-1", "-1", "esdec/gone.py"],
+        ["0", "0", "1", "0", "+1", "+0", "esdec/new.py"],
+        [*fixture, *fixture, "+0", "+0", "esdec/qe/b.py"],
+        [str(3 + int(fixture[0])), str(2 + int(fixture[1])),
+         str(4 + int(fixture[0])), str(3 + int(fixture[1])), "+1", "+1", "total"],
+    ]
+
+
+def test_one_checkout_prints_its_own_counts(tmp_path, capsys):
+    src_lines = _load()
+    root = _tree(tmp_path, {"a.py": "x = 1\n\n", "qe/b.py": "# c\n"})
+    assert src_lines.main([str(root)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "     2      1  esdec/a.py", "     1      0  esdec/qe/b.py", "     3      1  total"]

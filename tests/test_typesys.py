@@ -209,6 +209,7 @@ def test_compute_type_examples():
     got = compute_type(Q2, F(0), F(1), b, 4)
     assert isinstance(got, NotWellPlaced)
     assert got.ratio == 2
+    assert str(got) == f"entry 0: |ratio {got.alpha}/{got.beta}| = 2 falls between b1/R and bn^R"
 
 
 def test_compute_type_requires_growing():

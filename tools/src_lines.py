@@ -1,6 +1,7 @@
 """Line counts of the esdec sources, per module and in total.
 
     python3 tools/src_lines.py [ROOT]
+    python3 tools/src_lines.py BASE ROOT
 
 ROOT is a checkout (default: the one holding this script); the modules
 are every ``*.py`` under ``ROOT/src/esdec``.  For each it prints two
@@ -11,6 +12,10 @@ counts:
   Blank lines, comment lines and the lines of module, class and
   function docstrings do not count; a line of a multi-line string that
   is not a docstring does.
+
+Given two checkouts, BASE (say, a clone of the parent commit) and ROOT,
+it prints per module both pairs of counts and ROOT's minus BASE's, then
+the totals; a module missing from one checkout counts 0 there.
 
 Standard library only.
 """
@@ -54,16 +59,35 @@ def count(text: str) -> tuple:
     return text.count("\n"), len(code)
 
 
-def main(argv: list) -> int:
-    root = Path(argv[0]) if argv else ROOT
+def module_counts(root: Path) -> dict:
+    """(lines, code lines) of each module of a checkout, by its path
+    under ``src``."""
     src = root / "src"
-    total_lines = total_code = 0
-    for path in sorted((src / "esdec").rglob("*.py")):
-        lines, code = count(path.read_text())
-        total_lines += lines
-        total_code += code
-        print(f"{lines:6d} {code:6d}  {path.relative_to(src)}")
-    print(f"{total_lines:6d} {total_code:6d}  total")
+    return {str(path.relative_to(src)): count(path.read_text())
+            for path in sorted((src / "esdec").rglob("*.py"))}
+
+
+def _total(counts: dict) -> tuple:
+    return sum(lines for lines, _ in counts.values()), sum(code for _, code in counts.values())
+
+
+def main(argv: list) -> int:
+    if len(argv) > 2:
+        print("usage: src_lines.py [ROOT] | BASE ROOT", file=sys.stderr)
+        return 2
+    if len(argv) == 2:
+        base, root = (module_counts(Path(arg)) for arg in argv)
+        rows = [(name, base.get(name, (0, 0)), root.get(name, (0, 0)))
+                for name in sorted(base.keys() | root.keys())]
+        rows.append(("total", _total(base), _total(root)))
+        for name, (bl, bc), (rl, rc) in rows:
+            print(f"{bl:6d} {bc:6d}  {rl:6d} {rc:6d}  {rl - bl:+6d} {rc - bc:+6d}  {name}")
+        return 0
+    counts = module_counts(Path(argv[0]) if argv else ROOT)
+    for name, (lines, code) in counts.items():
+        print(f"{lines:6d} {code:6d}  {name}")
+    lines, code = _total(counts)
+    print(f"{lines:6d} {code:6d}  total")
     return 0
 
 
