@@ -9,10 +9,6 @@ so no sign analysis is needed), its reversal covers reversed
 sequences, and an equality predicate covers constant ones.  On the
 integer sequences 1..N the squaring chain caps homogeneous subsequence
 lengths at roughly log log N.
-
-The brute-force searcher enumerates homogeneous subsequences by depth
-first search; homogeneity is hereditary, so pruning on the first
-violated tuple is exact.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from typing import Sequence
 
 from .errors import DegenerateCrossRatioError
 from .poly import MultiPoly
-from .predicates import And, Atom, Predicate, PredicateSet, _rename_x, eval_at
+from .predicates import And, Atom, Predicate, PredicateSet, _rename_x
 from .ramsey import canonical_growing
 
 
@@ -136,57 +132,6 @@ def growth_homogeneous_subsequences(values: Sequence[int]):
             prefix.pop()
 
     yield from dfs([], 0, False)
-
-
-@dataclass(frozen=True)
-class BruteforceResult:
-    length: int
-    indices: tuple
-    exact: bool  # False when the node budget cut the search short
-
-
-def longest_homogeneous_bruteforce(seq: Sequence[Fraction], pred: Predicate,
-                                   node_budget: int = 2_000_000) -> BruteforceResult:
-    """Exact maximum length of a subsequence on which the predicate
-    holds everywhere, by pruned depth-first search over subsequences.
-
-    Exponential by nature; when the budget runs out the best result so
-    far is returned flagged as a lower bound."""
-    values = [Fraction(x) for x in seq]
-    N = len(values)
-    k = pred.arity
-    best: list = []
-    nodes = 0
-    exact = True
-
-    def new_tuples_ok(prefix: list, new: int) -> bool:
-        m = len(prefix)
-        if m + 1 < k:
-            return True
-        for rest in combinations(range(m), k - 1):
-            tup = [values[prefix[r]] for r in rest] + [values[new]]
-            if not eval_at(pred, tup):
-                return False
-        return True
-
-    def dfs(prefix: list, start: int):
-        nonlocal best, nodes, exact
-        if len(prefix) > len(best):
-            best = list(prefix)
-        for t in range(start, N):
-            if len(prefix) + (N - t) <= len(best):
-                break  # not enough room to beat the best
-            nodes += 1
-            if nodes > node_budget:
-                exact = False
-                return
-            if new_tuples_ok(prefix, t):
-                prefix.append(t)
-                dfs(prefix, t + 1)
-                prefix.pop()
-
-    dfs([], 0)
-    return BruteforceResult(len(best), tuple(best), exact)
 
 
 # -- sequence generators -------------------------------------------------

@@ -12,18 +12,20 @@ and that quotient is a minor of the matrix (Sylvester's identity), so
 an integer polynomial: the division is exact, and _exact_quotient
 checks that it is.
 
-MultiPoly callers (det_bareiss, resultant, and psc_set on MultiPoly
-coefficients) are converted on entry.  det_bareiss scales each row by
-the lcm L_i of its coefficient denominators, so the int matrix has
-determinant (prod L_i) * det, and divides that product back out
-exactly at the end.  resultant and psc_set do this through det_bareiss,
-which for a Sylvester submatrix is the identity
+MultiPoly callers (det_bareiss, and psc_set on MultiPoly coefficients)
+are converted on entry.  det_bareiss scales each row by the lcm L_i of
+its coefficient denominators, so the int matrix has determinant
+(prod L_i) * det, and divides that product back out exactly at the end.
+psc_set does this through det_bareiss, which for a Sylvester submatrix
+is the identity
 psc_j(L_f*f, L_g*g) = L_f^(n-j) * L_g^(m-j) * psc_j(f, g)
 (m = deg f >= n = deg g; f fills n - j rows and g fills m - j).
 The projection (cad.collins_project) converts each polynomial once,
 scaled to integers, and calls psc_set on int coefficient lists
 directly: its outputs are made primitive, which removes any positive
-constant factor such as those powers of L_f and L_g.
+constant factor such as those powers of L_f and L_g.  The resultant
+cascade of qe.roots builds its Sylvester matrices of int polynomials
+itself (_subresultant_matrix) and calls _det on them.
 """
 
 from __future__ import annotations
@@ -183,23 +185,3 @@ def psc_set(fc: list, gc: list) -> list:
         zero = MultiPoly.const(0)
         return [det_bareiss(_subresultant_matrix(fc, gc, j, zero)) for j in range(n)]
     return [_det(_subresultant_matrix(fc, gc, j, {})) for j in range(n)]
-
-
-def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """Res(f, g) in ``var``, the Sylvester determinant; a swap to put
-    the larger degree first costs the sign (-1)^(deg f * deg g)."""
-    fc = f.as_univar(var)
-    gc = g.as_univar(var)
-    m, n = len(fc) - 1, len(gc) - 1
-    if f.is_zero or g.is_zero:
-        raise ValueError("resultant of a zero polynomial")
-    sign = 1
-    if m < n:
-        fc, gc, m, n = gc, fc, n, m
-        if (m * n) % 2:
-            sign = -1
-    if n == 0:
-        out = gc[0] ** m
-    else:
-        out = det_bareiss(_subresultant_matrix(fc, gc, 0, MultiPoly.const(0)))
-    return out if sign == 1 else -out

@@ -74,19 +74,28 @@ is its int form.  The form and its evaluation live in ``poly``
 (int_form, eval_int_form), which the sequence side shares
 (MultiPoly.sign_at); a caller that evaluates one polynomial at many
 points builds the form once and passes it in.
-Multivariate sign evaluation at sample points mixing rationals and
-algebraic numbers works by interval arithmetic with adaptive
-refinement; exact zero recognition goes through a resultant cascade
-that produces an integer "characteristic" polynomial of the queried
-value, whose nonzero roots are bounded away from zero by a computable
-gap.  This keeps every decision exact without any numeric fallback.
-The cascade is built only when an enclosure of the value holds zero,
-and root finding accepts a candidate root without a zero test at it
-when the polynomial changes sign across the candidate's isolating
-interval.  A cascade step whose resultant vanishes identically (a
-reducible defining polynomial, or coordinates that depend on each
-other) is repaired by splitting the defining polynomial and dividing
-the shared factor out; see _eliminate_algebraics.
+At a sample point where two or more coordinates a polynomial uses are
+irrational, the polynomial becomes an int polynomial over a frame, as
+in resultants: a dict from exponent tuples to ints, one slot per
+variable.  The rational coordinates are substituted once, in ints
+(_substitute, which keeps the positive factor it multiplied by), and a
+slot leaves the frame once its variable is substituted, eliminated or
+unused.  A sign is read off an interval enclosure over the numbers'
+intervals, refined while it holds zero; exact zero recognition goes
+through a resultant cascade that produces an integer "characteristic"
+polynomial of the queried value, whose nonzero roots are bounded away
+from zero by a computable gap.  This keeps every decision exact without
+any numeric fallback.  Each cascade step keeps a positive multiple of
+the exact polynomial, which has the same zeros and, for the value, the
+same gap: a remainder by the defining polynomial scaled by one power of
+its |lc| and divided by its content, then the int Bareiss determinant
+of the Sylvester matrix (see _eliminate_algebraics).  The cascade is
+built only when an enclosure of the value holds zero, and root finding
+accepts a candidate root without a zero test at it when the polynomial
+changes sign across the candidate's isolating interval.  A cascade step
+whose resultant vanishes identically (a reducible defining polynomial,
+or coordinates that depend on each other) is repaired by splitting the
+defining polynomial and dividing the shared factor out.
 """
 
 from __future__ import annotations
@@ -96,6 +105,7 @@ from math import gcd, lcm
 
 from ..errors import ResourceLimitError
 from ..poly import MultiPoly, eval_int_form, int_form
+from .resultants import _det, _subresultant_matrix
 
 
 def utrim(c: list) -> list:
@@ -453,6 +463,11 @@ def isolate_real_roots(p) -> list:
 
 
 # -- signs and roots at mixed rational/algebraic sample points ----------
+#
+# Polynomials here are int polynomials over a frame, as in resultants: a
+# dict from exponent tuples to nonzero ints, slot i of every tuple the
+# exponent of the frame's i-th name.  A slot leaves the frame once its
+# variable is substituted, eliminated or unused (_drop_unused).
 
 
 def _iadd(a, b):
@@ -471,140 +486,190 @@ def _ipow(a, e: int):
     return out
 
 
-def interval_eval(p: MultiPoly, boxes: dict) -> tuple:
-    """Interval enclosure of p over a box with Fraction endpoints."""
-    total = (Fraction(0), Fraction(0))
-    for mono, coeff in p.terms.items():
-        term = (Fraction(coeff), Fraction(coeff))
-        for v, e in zip(p.vars, mono):
+def interval_eval(p: dict, boxes: list) -> tuple:
+    """Interval enclosure of the int polynomial p over a box: slot i of
+    p's exponent tuples ranges over boxes[i], a pair of Fractions.  Every
+    step is exact, so the enclosure of c*p is c times that of p (c > 0)."""
+    total = (0, 0)
+    for mono, coeff in p.items():
+        term = (coeff, coeff)
+        for box, e in zip(boxes, mono):
             if e:
-                term = _imul(term, _ipow(boxes[v], e))
+                term = _imul(term, _ipow(box, e))
         total = _iadd(total, term)
     return total
 
 
-def _defining_multipoly(a: RealAlgebraicNumber, var: str) -> MultiPoly:
-    terms = {(i,): Fraction(c) for i, c in enumerate(a.poly) if c != 0}
-    return MultiPoly((var,), terms)
+def _drop_unused(p: dict, frame: tuple) -> tuple:
+    """(p, frame) without the slots that no term of p uses."""
+    used = [i for i, column in enumerate(zip(*p)) if any(column)]
+    if len(used) == len(frame):
+        return p, frame
+    return ({tuple([m[i] for i in used]): c for m, c in p.items()},
+            tuple([frame[i] for i in used]))
 
 
-def _reduce_mod(M: MultiPoly, defining: list, var: str) -> MultiPoly:
-    """Remainder of M modulo the defining polynomial, as a polynomial in
-    ``var`` (exact; the defining leading coefficient is a nonzero
-    rational).  Leaves the value at the algebraic number unchanged."""
-    if var not in M.vars:
-        return M
-    coeffs = M.as_univar(var)
-    dm = len(defining) - 1
-    if dm == 0:
-        return M
-    lead_inv = Fraction(1) / defining[dm]
-    while len(coeffs) - 1 >= dm:
-        top = len(coeffs) - 1
-        lead = coeffs[top]
-        if lead.is_zero:
-            coeffs.pop()
+def _int_poly(p: MultiPoly) -> tuple:
+    """(p times the lcm L of its denominators, p.vars, L)."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}, p.vars, den
+
+
+def _substitute(p: dict, frame: tuple, scale: int, point: dict) -> tuple:
+    """(q, frame', scale') with q / scale' equal to p / scale at the
+    rational coordinates ``point`` gives (Fractions, ints or rational real
+    algebraic numbers), over the other slots that q uses.  As in
+    eval_int_form, a coordinate n/d of a variable of degree deg multiplies
+    every term by the int d^deg times its value, so scale' = scale * d^deg."""
+    if not p:
+        return p, (), scale
+    subs, keep = [], []
+    for i, v in enumerate(frame):
+        x = point.get(v)
+        if isinstance(x, RealAlgebraicNumber):
+            x = x.value
+        if x is None:
+            keep.append(i)
             continue
-        factor = lead * lead_inv
-        for i in range(dm + 1):
-            coeffs[top - dm + i] = coeffs[top - dm + i] - factor * MultiPoly.const(defining[i])
-        coeffs.pop()
-    return MultiPoly.from_univar(coeffs, var)
+        x = Fraction(x)
+        n, d = x.numerator, x.denominator
+        deg = max(m[i] for m in p)
+        subs.append((i, [n ** e * d ** (deg - e) for e in range(deg + 1)]))
+        scale *= d ** deg
+    if not subs:
+        return (*_drop_unused(p, frame), scale)
+    out: dict = {}
+    for m, c in p.items():
+        for i, powers in subs:
+            c *= powers[m[i]]
+        key = tuple([m[i] for i in keep])
+        out[key] = out.get(key, 0) + c
+    q, frame = _drop_unused({m: c for m, c in out.items() if c}, tuple([frame[i] for i in keep]))
+    return q, frame, scale
 
 
-def _coeffs_in(M: MultiPoly, var: str) -> tuple:
-    """(den, parts): M times den, the lcm of its denominators, as int
-    coefficient lists in ``var``, one per monomial in the other variables
-    (exponent tuples with var's entry dropped)."""
-    i = M.vars.index(var)
-    den = lcm(*(c.denominator for c in M.terms.values()))
-    by_rest: dict = {}
-    for mono, coeff in M.terms.items():
-        by_rest.setdefault(mono[:i] + mono[i + 1:], {})[mono[i]] = \
-            coeff.numerator * (den // coeff.denominator)
-    return den, {rest: [powers.get(k, 0) for k in range(max(powers) + 1)]
-                 for rest, powers in by_rest.items()}
-
-
-def _shared_factor(defining: list, M: MultiPoly, var: str) -> list:
-    """gcd of the defining polynomial and every coefficient of M taken
-    as a polynomial in ``var`` over the other variables."""
-    g = defining
-    for coeffs in _coeffs_in(M, var)[1].values():
-        g = ugcd(g, coeffs)
-        if len(g) == 1:
-            break
-    return g
-
-
-def _divide_out(M: MultiPoly, factor: list, var: str) -> MultiPoly:
-    """M divided by the highest power of the primitive factor(var) that
-    divides it: the quotients of M's int lists, divided by their den."""
-    i = M.vars.index(var)
-    den, parts = _coeffs_in(M, var)
-    while True:
-        quotients = {}
-        for rest, coeffs in parts.items():
-            q = _quotient(coeffs, factor)
-            if q is None:
-                return MultiPoly(M.vars, {
-                    other[:i] + (k,) + other[i:]: Fraction(c, den)
-                    for other, cs in parts.items() for k, c in enumerate(cs)})
-            quotients[rest] = q
-        parts = quotients
-
-
-def _eliminate_algebraics(M: MultiPoly, algs: dict) -> MultiPoly:
-    """Cascade of resultants with the defining polynomials; the result
-    vanishes wherever M vanishes at the actual algebraic coordinates
-    (with conjugate combinations possibly adding spurious zeros).
-
-    A resultant vanishes identically when the defining polynomial shares
-    a factor with every coefficient of the polynomial ``out`` it is taken
-    with.  The number is redefined by that factor or by its cofactor,
-    whichever it is a root of (RealAlgebraicNumber.restrict), and the step
-    is redone.  In the first case ``out`` vanishes identically at the
-    number: it is the product over the conjugates of the numbers
-    eliminated before, and some conjugate's factor vanishes there.  The
-    factor taken by the actual numbers does not, so dividing ``out`` by
-    the highest power of the shared factor keeps its zeros and leaves a
-    polynomial that does not vanish identically at the number."""
-    from .resultants import resultant
-
-    out = M
-    for v in sorted(algs, key=lambda s: s):
-        a = algs[v]
-        while not out.is_zero:
-            if a.is_rational:
-                out = out.partial_eval({v: a.value}) if v in out.vars else out
-                break
-            reduced = _reduce_mod(out, a.poly, v)
-            if not reduced.is_zero:
-                if v not in reduced.used_vars():
-                    out = reduced.partial_eval({v: Fraction(0)}) if v in reduced.vars else reduced
-                    break
-                res = resultant(_defining_multipoly(a, v), reduced, v)
-                if not res.is_zero:
-                    out = res
-                    break
-            shared = _shared_factor(a.poly, out, v)
-            if len(shared) == 1:  # not reached: a zero resultant needs a shared factor
-                return MultiPoly.zero()
-            if a.restrict(shared):
-                out = _divide_out(out, shared, v)
+def _univariate(p: dict) -> list:
+    """p over a frame of one slot or none, as an int list (index = degree)."""
+    out = [0] * (1 + max(map(sum, p), default=0))
+    for m, c in p.items():
+        out[sum(m)] = c
     return out
 
 
-def _fresh_var(avoid) -> str:
-    i = 0
-    while f"W{i}" in avoid:
-        i += 1
-    return f"W{i}"
+def _columns(p: dict, i: int) -> dict:
+    """p as int lists in slot i (index = degree), one per exponent tuple of
+    the other slots."""
+    by_rest: dict = {}
+    for m, c in p.items():
+        by_rest.setdefault(m[:i] + m[i + 1:], {})[m[i]] = c
+    return {rest: [powers.get(k, 0) for k in range(max(powers) + 1)]
+            for rest, powers in by_rest.items()}
+
+
+def _reduce_columns(columns: dict, defining: list) -> dict:
+    """The nonzero remainders of the columns by the defining polynomial,
+    every column first multiplied by the same power |lc|^k, then all
+    divided by their content: a positive multiple of the remainder over Q
+    of the polynomial the columns make, so it has its value at the number
+    (see _eliminate_algebraics).  k is the most steps a column takes, so
+    each step's quotient lc(r) / lc is an int."""
+    dd, lead = len(defining) - 1, defining[-1]
+    scale = abs(lead) ** max(max(map(len, columns.values())) - dd, 0)
+    out = {}
+    for rest, c in columns.items():
+        r = [x * scale for x in c]
+        for top in range(len(r) - 1, dd - 1, -1):
+            t = r[top] // lead
+            if t:
+                for j, y in enumerate(defining):
+                    r[top - dd + j] -= t * y
+        r = utrim(r[:dd])
+        if any(r):
+            out[rest] = r
+    g = gcd(*(x for r in out.values() for x in r))
+    return {rest: [x // g for x in r] for rest, r in out.items()} if g > 1 else out
+
+
+def _divide_out(columns: dict, factor: list, i: int) -> dict:
+    """The polynomial of the columns divided by the highest power of the
+    primitive factor (in slot i) that divides it."""
+    while True:
+        quotients = {}
+        for rest, c in columns.items():
+            q = _quotient(c, factor)
+            if q is None:
+                return {rest[:i] + (k,) + rest[i:]: x
+                        for rest, cs in columns.items() for k, x in enumerate(cs) if x}
+            quotients[rest] = q
+        columns = quotients
+
+
+def _eliminate_algebraics(p: dict, frame: tuple, algs: dict) -> tuple:
+    """(N, frame'): a cascade of resultants with the defining polynomials
+    of ``algs`` (name to number) eliminates their slots from p, in the
+    order of their names.  N vanishes wherever p does at the actual
+    algebraic coordinates (with conjugate combinations possibly adding
+    spurious zeros).
+
+    Each step keeps a positive multiple of the exact polynomial, which has
+    the same zeros: the remainder of p by the defining polynomial, scaled
+    by a power of its |lc| and divided by its content (_reduce_columns), has
+    p's value at the number; the resultant, the int Bareiss determinant of
+    the Sylvester matrix of (defining, remainder), has degree deg(defining)
+    in the remainder's entries, so a positive factor c on the remainder
+    puts c^deg on the resultant; a rational coordinate is substituted as
+    in _substitute.
+
+    A resultant vanishes identically when the defining polynomial shares
+    a factor with every coefficient of p in the number's slot, by Gauss's
+    lemma a gcd of int lists (ugcd), which it shares with the remainders
+    as well.  The number is redefined by that factor or by its cofactor,
+    whichever it is a root of (RealAlgebraicNumber.restrict), and the step
+    is redone.  In the first case p vanishes identically at the number:
+    it is the product over the conjugates of the numbers eliminated
+    before, and some conjugate's factor vanishes there.  The factor taken
+    by the actual numbers does not, so dividing p by the highest power of
+    the shared factor keeps its zeros and leaves a polynomial that does
+    not vanish identically at the number."""
+    for v in sorted(algs):
+        a = algs[v]
+        while p and v in frame:
+            if a.is_rational:
+                p, frame, _ = _substitute(p, frame, 1, {v: a.value})
+                break
+            i = frame.index(v)
+            rest = frame[:i] + frame[i + 1:]
+            columns = _columns(p, i)
+            reduced = _reduce_columns(columns, a.poly)
+            if reduced:
+                if all(len(c) == 1 for c in reduced.values()):
+                    p, frame = _drop_unused({k: c[0] for k, c in reduced.items()}, rest)
+                    break
+                rows = [{} for _ in range(max(map(len, reduced.values())))]
+                for k, c in reduced.items():
+                    for e, x in enumerate(c):
+                        if x:
+                            rows[e][k] = x
+                one = (0,) * len(rest)
+                res = _det(_subresultant_matrix([{one: c} if c else {} for c in a.poly], rows, 0, {}))
+                if res:
+                    p, frame = _drop_unused(res, rest)
+                    break
+            shared = uprimitive(a.poly)
+            for c in reduced.values():
+                if len(shared) == 1:
+                    break
+                shared = ugcd(shared, c)
+            if len(shared) == 1:  # not reached: a zero resultant needs a shared factor
+                return {}, frame
+            if a.restrict(shared):
+                p = _divide_out(columns, shared, i)
+    return p, frame
 
 
 def _nonzero_root_gap(N: list) -> Fraction:
     """Positive rational strictly below every nonzero real root magnitude
-    of the nonzero int list N."""
+    of the nonzero int list N; the same for every nonzero multiple of N."""
     k = 0
     while N[k] == 0:
         k += 1
@@ -623,81 +688,77 @@ def _int_coeffs(p: MultiPoly, point: dict, var: str | None = None) -> list | Non
     return eval_int_form(int_form(p, var), point)
 
 
-def _split_point(point: dict):
-    rats, algs = {}, {}
-    for v, x in point.items():
-        if isinstance(x, RealAlgebraicNumber):
-            if x.is_rational:
-                rats[v] = x.value
-            else:
-                algs[v] = x
-        else:
-            rats[v] = Fraction(x)
-    return rats, algs
+def _sign(p: dict, frame: tuple, scale: int, point: dict) -> int:
+    """Exact sign of p / scale at ``point``, which has a coordinate for
+    every name of the frame.  With the rational coordinates substituted, a
+    constant gives its sign and one live number a Tarski query; otherwise
+    the enclosure of p / scale over the numbers' intervals decides, and
+    while it holds zero the numbers are refined.  Once one holds zero, the
+    characteristic polynomial N of the value (the cascade of
+    scale * t - p) tells a zero from a nonzero value: a nonzero root of N
+    lies beyond the gap (_nonzero_root_gap), so an enclosure inside it
+    holding zero means zero.  A number that collapses to a rational while
+    refined is substituted and the sign taken again."""
+    while True:
+        p, frame, scale = _substitute(p, frame, scale, point)
+        live = [point[v] for v in frame]
+        if not live:
+            c = p.get((), 0)
+            return (c > 0) - (c < 0)
+        if len(live) == 1:
+            return live[0].sign_of_poly(_univariate(p))
+        gap = None
+        while True:
+            lo, hi = interval_eval(p, [a.interval() for a in live])
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            if gap is None:
+                # built only once an enclosure holds zero: most signs are
+                # read off the first enclosure; "" names t's slot
+                char = {(0,) + m: -c for m, c in p.items()}
+                char[(1,) + (0,) * len(frame)] = scale
+                N = _univariate(_eliminate_algebraics(char, ("",) + frame, dict(zip(frame, live)))[0])
+                if not any(N):
+                    raise ResourceLimitError("degenerate characteristic polynomial")
+                zero_possible = N[0] == 0
+                gap = _nonzero_root_gap(N) * scale
+            if zero_possible and -gap < lo and hi < gap:
+                return 0
+            collapsed = False
+            for a in live:
+                a.refine()
+                collapsed = collapsed or a.is_rational
+            if collapsed:
+                break
 
 
 def sign_at_point(p: MultiPoly, point: dict, form: tuple | None = None) -> int:
     """Exact sign of p at a sample point whose coordinates are Fractions
     or RealAlgebraicNumbers.  When every coordinate p uses is rational,
     the sign is that of _int_coeffs' value.  A caller that evaluates p at
-    many points may pass ``form``, p's int_form, built once."""
+    many points may pass ``form``, p's int_form, built once.  Otherwise p
+    goes to _sign as an int polynomial."""
     ints = _int_coeffs(p, point) if form is None else eval_int_form(form, point)
     if ints is not None:
         return (ints[0] > 0) - (ints[0] < 0)
-    rats, algs = _split_point(point)
-    q = p.partial_eval(rats).drop_unused()
-    live = {v: algs[v] for v in q.used_vars()}
-    if not live:
-        v = q.constant_value()
-        return 0 if v == 0 else (1 if v > 0 else -1)
-    if len(live) == 1:
-        (v, a), = live.items()
-        coeffs = [c.constant_value() for c in q.as_univar(v)]
-        return a.sign_of_poly(coeffs)
-
-    gap = None
-    while True:
-        box = interval_eval(q, {v: a.interval() for v, a in live.items()})
-        if box[0] > 0:
-            return 1
-        if box[1] < 0:
-            return -1
-        if gap is None:
-            # built only once an enclosure holds zero: most signs are
-            # read off the first enclosure
-            tvar = _fresh_var(q.vars)
-            M = MultiPoly.var(tvar, (tvar,) + q.vars) - q.with_vars((tvar,) + q.vars)
-            N_poly = _eliminate_algebraics(M, live)
-            ncoeffs = [c.constant_value() for c in N_poly.as_univar(tvar)]
-            if any(c is None for c in ncoeffs) or not any(ncoeffs):
-                raise ResourceLimitError("degenerate characteristic polynomial")
-            ncoeffs = _to_ints(ncoeffs)
-            zero_possible = ncoeffs[0] == 0
-            gap = _nonzero_root_gap(ncoeffs)
-        if not zero_possible:
-            pass  # the value is a nonzero root of N; keep refining
-        elif -gap < box[0] and box[1] < gap:
-            return 0
-        collapsed = False
-        for a in live.values():
-            a.refine()
-            collapsed = collapsed or a.is_rational
-        if collapsed:
-            return sign_at_point(p, point)
+    return _sign(*_int_poly(p), point)
 
 
-def _changes_sign_around(p: MultiPoly, point: dict, var: str, root) -> bool:
-    """Whether p(sample, var) has opposite signs at the two ends of an
-    irrational root's isolating interval.  The interval isolates the root
-    among those of the elimination polynomial, which has every root of
-    p(sample, var), so a sign change puts a root of p at the root, and
-    p is not zero at either end.  The ends are rational, so this spares
-    the zero test at the root itself, whose characteristic polynomial
-    carries the root's defining polynomial."""
+def _changes_sign_around(sign_at, root) -> bool:
+    """Whether the polynomial whose sign at a value of the main variable
+    ``sign_at`` gives has opposite signs at the two ends of an irrational
+    root's isolating interval.  The interval isolates the root among those
+    of the elimination polynomial, which has every root of the polynomial,
+    so a sign change puts a root of it at the root, and it is not zero at
+    either end.  The ends are rational, so this spares the zero test at
+    the root itself, whose characteristic polynomial carries the root's
+    defining polynomial."""
     if root.is_rational:
         return False
     lo, hi = root.interval()
-    return sign_at_point(p, {**point, var: lo}) * sign_at_point(p, {**point, var: hi}) < 0
+    return sign_at(lo) * sign_at(hi) < 0
 
 
 def roots_at_point(p: MultiPoly, point: dict, var: str, form: tuple | None = None):
@@ -706,12 +767,13 @@ def roots_at_point(p: MultiPoly, point: dict, var: str, form: tuple | None = Non
     coordinate p uses is rational, the int coefficients of _int_coeffs,
     trimmed, go straight to isolate_real_roots; ``form``, when given, is
     int_form(p, var), kept by a caller that solves p over many points.
-    Otherwise the
-    coefficients are evaluated at the rational coordinates once; a
-    constant one gives its sign directly, and only one with a live
-    algebraic variable goes to sign_at_point, at the algebraic
-    coordinates.  When no algebraic coordinate is left in the
-    coefficients, their rational values go to isolate_real_roots."""
+    Otherwise p is substituted at the rational coordinates once, as an
+    int polynomial (_substitute), and its coefficients in var are signed
+    from the top (_sign) down to the first nonzero one.  When no algebraic
+    coordinate is left in the coefficients up to it, they go to
+    isolate_real_roots; else the cascade's polynomial in var does, and
+    each of its roots is kept when p changes sign around it or is zero
+    at it."""
     ints = _int_coeffs(p, point, var) if form is None else eval_int_form(form, point)
     if ints is not None:
         while ints and ints[-1] == 0:
@@ -719,34 +781,31 @@ def roots_at_point(p: MultiPoly, point: dict, var: str, form: tuple | None = Non
         if not ints:
             return None
         return isolate_real_roots(ints) if len(ints) > 1 else []
-    rats, algs = _split_point(point)
-    coeffs = p.partial_eval(rats).as_univar(var)
-    deg = -1
-    for i in range(len(coeffs) - 1, -1, -1):
-        value = coeffs[i].constant_value()
-        if value is None:
-            value = sign_at_point(coeffs[i], algs)
-        if value != 0:
-            deg = i
-            break
+    q, frame, scale = _substitute(*_int_poly(p), point)
+    if var in frame:
+        i = frame.index(var)
+        rest = frame[:i] + frame[i + 1:]
+        coeffs = [{} for _ in range(1 + max(m[i] for m in q))]
+        for m, c in q.items():
+            coeffs[m[i]][m[:i] + m[i + 1:]] = c
+    else:
+        i, rest, coeffs = None, frame, [q]
+    deg = next((k for k in range(len(coeffs) - 1, -1, -1)
+                if _sign(coeffs[k], rest, scale, point)), -1)
     if deg < 0:
         return None
     if deg == 0:
         return []
-    coeffs = coeffs[: deg + 1]
-    live = {v: algs[v] for c in coeffs for v in c.used_vars()}
+    trunc, frame = _drop_unused({m: c for m, c in q.items() if m[i] <= deg}, frame)
+    live = {v: point[v] for v in frame if v != var}
     if not live:
-        return isolate_real_roots([c.constant_value() for c in coeffs])
-    trunc = MultiPoly.from_univar(coeffs, var)
-    N_poly = _eliminate_algebraics(trunc, live)
-    if N_poly.is_zero:
+        return isolate_real_roots(_univariate(trunc))
+    N = _univariate(_eliminate_algebraics(trunc, frame, live)[0])
+    if not any(N):
         raise ResourceLimitError("algebraic lifting degeneracy: cascade vanished")
-    ncoeffs = [c.constant_value() for c in N_poly.as_univar(var)]
-    if any(c is None for c in ncoeffs) or not any(ncoeffs):
-        raise ResourceLimitError("algebraic lifting degeneracy: cascade vanished")
-    out = []
-    for cand in isolate_real_roots(ncoeffs):
-        if _changes_sign_around(trunc, algs, var, cand) or \
-                sign_at_point(trunc, {**algs, var: cand}) == 0:
-            out.append(cand)
-    return out
+
+    def sign_at(x):
+        return _sign(trunc, frame, scale, {**point, var: x})
+
+    return [cand for cand in isolate_real_roots(N)
+            if _changes_sign_around(sign_at, cand) or sign_at(cand) == 0]

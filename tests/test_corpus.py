@@ -6,12 +6,11 @@ from itertools import combinations
 import pytest
 
 from esdec.corpus import (
-    BruteforceResult, CorpusSpec, cross_ratio, crossratio_family, generate,
+    CorpusSpec, cross_ratio, crossratio_family, generate,
     growth_homogeneous_subsequences, growth_tuple_ok,
-    longest_homogeneous_bruteforce,
 )
 from esdec.errors import DegenerateCrossRatioError
-from esdec.predicates import eval_at, parse_predicate
+from esdec.predicates import eval_at
 
 F = Fraction
 
@@ -103,18 +102,6 @@ def test_chain_bound_on_integers():
                     cross_ratio(c[0], c[1], c[2], c[i]) ** 2
             n = len(c)
             assert abs(cross_ratio(c[0], c[1], c[2], c[-1])) >= 2 ** (2 ** (n - 4))
-
-
-def test_longest_homogeneous_bruteforce():
-    lt = parse_predicate("x1 < x2")
-    got = longest_homogeneous_bruteforce([3, 1, 4, 1, 5], lt)
-    assert got.length == 3 and got.exact
-    eq = parse_predicate("x1 = x2")
-    got2 = longest_homogeneous_bruteforce([1, 2, 3, 4], eq)
-    assert got2.length == 1
-    five = crossratio_family().members[1]
-    got3 = longest_homogeneous_bruteforce([F(1), F(2), F(3)], five)
-    assert got3.length == 3  # shorter than the arity: vacuous
 
 
 def test_generate_families():

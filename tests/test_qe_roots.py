@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.subresultants_qq_zz import sylvester
 
-from esdec.poly import MultiPoly, eval_int_form, int_form
-from esdec.qe.resultants import det_bareiss, psc_set, resultant
+from esdec.poly import MultiPoly, eval_int_form, int_form, merge_vars
+from esdec.qe.resultants import _det, _subresultant_matrix, det_bareiss, int_coeffs, psc_set
 from esdec.qe.roots import (
     RealAlgebraicNumber, _int_coeffs, interval_eval,
     isolate_real_roots, roots_at_point, sign_at_point, usign, usquarefree, utrim,
@@ -275,13 +276,28 @@ def test_compare_and_dedup():
     assert a.compare_rational(F(3, 2)) < 0 or a.compare_rational(F(3, 2)) > 0
 
 
+def _sylvester_det(f, g):
+    """det Sylvester(f, g) in x1, f first whatever the degrees, as the
+    resultant cascade of qe.roots takes it: the int Bareiss _det of
+    _subresultant_matrix, on f and g scaled to int coefficients by the lcms
+    L_f and L_g of their denominators.  f fills deg g rows and g fills
+    deg f, so L_f^deg g * L_g^deg f is divided back out."""
+    frame = tuple(v for v in merge_vars(f.vars, g.vars) if v != "x1")
+    fc, gc = int_coeffs(f, "x1", frame), int_coeffs(g, "x1", frame)
+    rows = _subresultant_matrix(fc, gc, 0, {})
+    det = _det(rows) if rows else {(0,) * len(frame): 1}  # two constants
+    scale = (lcm(*(c.denominator for c in f.terms.values())) ** (len(gc) - 1)
+             * lcm(*(c.denominator for c in g.terms.values())) ** (len(fc) - 1))
+    return MultiPoly(frame, {m: F(c, scale) for m, c in det.items()})
+
+
 def test_resultant_examples():
     x, a, b = X("x1"), X("a1"), X("b1")
-    r = resultant(x ** 2 - a, x - b, "x1")
+    r = _sylvester_det(x ** 2 - a, x - b)
     assert r == b ** 2 - a
-    assert resultant(x - 1, x + 1, "x1").constant_value() in (2, -2)
+    assert _sylvester_det(x - 1, x + 1).constant_value() in (2, -2)
     p = x ** 2 - 2
-    assert resultant(p, p, "x1").is_zero
+    assert _sylvester_det(p, p).is_zero
 
 
 def _to_sympy(p: MultiPoly):
@@ -306,15 +322,16 @@ _bivariate = st.dictionaries(
 @example(X("x1") + 2, X("x1") ** 3)  # deg f < deg g with mn odd: -8
 @example(MultiPoly.const(3, ("x1",)), X("x1") ** 2 + 1)
 def test_resultant_matches_sylvester_determinant(f, g):
-    """The one resultant is det Sylvester(f, g) in that order, also when
-    deg f < deg g (sympy's ``resultant`` swaps to Res(g, f) there)."""
+    """The int determinant of the Sylvester matrix of (f, g), in that
+    order also when deg f < deg g, is sympy's (sympy's ``resultant`` swaps
+    to Res(g, f) there)."""
     M = sylvester(_to_sympy(f), _to_sympy(g), sympy.Symbol("x1"))
     if M.rows == 0:  # two constants
         want = 1
     else:  # det over ZZ[a1]: sympy's generic det is 40x slower here
         dm = DomainMatrix.from_Matrix(M)
         want = dm.domain.to_sympy(dm.det())
-    assert sympy.expand(_to_sympy(resultant(f, g, "x1")) - want) == 0
+    assert sympy.expand(_to_sympy(_sylvester_det(f, g)) - want) == 0
 
 
 # univariate integer polynomials of degree 1..4, as coefficient lists
@@ -335,7 +352,7 @@ def test_psc_set_resultant_and_gcd_degree(fc, gc, hc):
     m, n = f.degree("x1"), g.degree("x1")
     assert len(pscs) == min(m, n)
     big, small = (f, g) if m >= n else (g, f)
-    assert pscs[0] == resultant(big, small, "x1")
+    assert pscs[0] == _sylvester_det(big, small)
     zeros = next((j for j, p in enumerate(pscs) if not p.is_zero), len(pscs))
     x = sympy.Symbol("x1")
     assert zeros == sympy.degree(sympy.gcd(_to_sympy(f), _to_sympy(g)), x)
@@ -382,7 +399,7 @@ def _sympy_det(M):
 def test_resultant_of_rational_trivariate_polys_matches_sylvester(f, g):
     M = sylvester(_to_sympy(f), _to_sympy(g), sympy.Symbol("x1"))
     want = 1 if M.rows == 0 else _sympy_det(M)
-    assert sympy.expand(_to_sympy(resultant(f, g, "x1")) - want) == 0
+    assert sympy.expand(_to_sympy(_sylvester_det(f, g)) - want) == 0
 
 
 _entry = st.one_of(st.just(MultiPoly.zero()), _trivariate)
@@ -480,9 +497,11 @@ def test_roots_at_point_with_dependent_coordinates():
 
 
 def test_interval_eval():
-    x = MultiPoly.var("x1")
-    lo, hi = interval_eval(x ** 2 - 1, {"x1": (F(-1, 2), F(1, 2))})
+    # x^2 - 1 as an int polynomial over the frame (x1,)
+    lo, hi = interval_eval({(2,): 1, (0,): -1}, [(F(-1, 2), F(1, 2))])
     assert lo <= -F(3, 4) <= hi
+    # 3*(x^2 - 1): the enclosure is exactly three times as wide
+    assert interval_eval({(2,): 3, (0,): -3}, [(F(-1, 2), F(1, 2))]) == (3 * lo, 3 * hi)
 
 
 def test_usquarefree():
