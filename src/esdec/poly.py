@@ -52,7 +52,7 @@ def merge_vars(a: Sequence[str], b: Sequence[str]) -> tuple:
 class MultiPoly:
     """Sparse exact polynomial; ``terms`` maps exponent tuple -> Fraction."""
 
-    __slots__ = ("vars", "terms", "_hash", "_form")
+    __slots__ = ("vars", "terms", "_hash", "_form", "_var_form")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Monomial, Fraction] | None = None):
         vlist = tuple(variables)
@@ -82,6 +82,7 @@ class MultiPoly:
         self.terms = clean
         self._hash = None
         self._form = None
+        self._var_form = None
 
     # -- constructors ------------------------------------------------
 
@@ -94,6 +95,7 @@ class MultiPoly:
         out.terms = terms
         out._hash = None
         out._form = None
+        out._var_form = None
         return out
 
     @staticmethod
@@ -281,13 +283,22 @@ class MultiPoly:
             total += prod
         return total
 
-    def kept_form(self) -> tuple:
-        """int_form(self), built on the first call and kept, like the
-        hash (a polynomial does not change)."""
-        form = self._form
-        if form is None:
-            form = self._form = int_form(self)
-        return form
+    def kept_form(self, var: str | None = None) -> tuple:
+        """int_form(self, var), built on the first call and kept, like the
+        hash (a polynomial does not change).  Two forms are kept: the one
+        with no main variable, which signs read, and the one in the last
+        main variable asked for, as the pair (var, form), which a CAD
+        level's projection and its root finding both read.  A var this
+        polynomial does not have gives the first: int_form is the same."""
+        if var not in self.vars:
+            form = self._form
+            if form is None:
+                form = self._form = int_form(self)
+            return form
+        kept = self._var_form
+        if kept is None or kept[0] != var:
+            kept = self._var_form = (var, int_form(self, var))
+        return kept[1]
 
     def sign_at(self, point: Mapping) -> int:
         """Exact sign at rational coordinates: ``point`` maps variable names
@@ -408,11 +419,12 @@ class MultiPoly:
 
 
 def int_form(p: MultiPoly, var: str | None = None) -> tuple:
-    """What eval_int_form reads of p, built once so that a caller evaluating
-    p at many points can keep it: the variables p uses other than var,
+    """What eval_int_form reads of p: the variables p uses other than var,
     each with p's degree in it; the length of the output list; and each
     term as (c*L, its index in the output, its exponents in those
-    variables), with L the lcm of p's coefficient denominators."""
+    variables), with L the lcm of p's coefficient denominators.  Callers
+    read it through MultiPoly.kept_form, which builds it once per
+    polynomial and main variable."""
     names = p.vars
     main = names.index(var) if var in names else None
     degs = [0] * len(names)

@@ -16,8 +16,10 @@ product needs nothing more.
 
 The projection runs on int polynomials (see resultants.py) over one
 frame: the variables of the level's polynomials other than the main
-one, sorted by var_sort_key.  Each polynomial is converted once, scaled
-by the lcm of its denominators; the coefficients, reducta and psc sets
+one, sorted by var_sort_key.  Each polynomial's coefficients are read
+off its kept int form in the main variable (resultants.int_coeffs),
+scaled by the lcm of its denominators, which the level's root finding
+reads again (roots_at_point); the coefficients, reducta and psc sets
 are taken in ints, and an output is made canonical there: divided by
 the gcd of its coefficients, negated when the coefficient of its
 lex-greatest exponent tuple is negative, and dropped when constant.
@@ -153,18 +155,20 @@ hold their children, so no id in a key is reused while the decision
 runs.
 
 What evaluating a polynomial at rational coordinates in ints reads of
-the polynomial itself, its int form (poly.int_form), is built once for
-each level polynomial when the decision starts.  An atom's polynomial
-keeps its own form (MultiPoly.kept_form), built on its first sign and
-kept with the polynomial, which does not change.
+the polynomial itself, its int form (poly.int_form), is kept with the
+polynomial, which does not change (MultiPoly.kept_form).  A level
+polynomial's form in the level's variable is built once, by whichever
+of the projection (int_coeffs) and the root finding reads it first; an
+atom's polynomial keeps its form with no main variable for its signs.
 
-The memos, the interned residuals and the level polynomials' int forms
-live on one decision call and are dropped when it returns.  The roots
-and sign memos hold at most one entry per polynomial or atom per charged
-cell (and the empty point at the root), the subtree memo at most one per
-charged cell whose level below was walked (and the root), and the
-interned residuals at most one per connective of the matrix per trial
-level entered, so the cell budget bounds them too.  Every sample is
+The memos, the interned residuals and the projected polynomials, with
+their kept forms, live on one decision call and are dropped when it
+returns; an atom's polynomial keeps its forms with the sentence.  The
+roots and sign memos hold at most one entry per polynomial or atom per
+charged cell (and the empty point at the root), the subtree memo at
+most one per charged cell whose level below was walked (and the root),
+and the interned residuals at most one per connective of the matrix per
+trial level entered, so the cell budget bounds them too.  Every sample is
 still charged as a cell, a replayed subtree charging its cells again, so
 cell counts, budgets and answers are those of the unmemoized lifting.
 
@@ -202,7 +206,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, prod
 
 from ..errors import ResourceLimitError
-from ..poly import MultiPoly, int_form, merge_vars
+from ..poly import MultiPoly, merge_vars
 from ..predicates import Atom, Not, Or, atoms_of, rel_holds
 from .resultants import int_coeffs, psc_set
 from .roots import RealAlgebraicNumber, roots_at_point, sign_at_point
@@ -240,12 +244,11 @@ def _int_canonical(p: dict) -> dict | None:
 
 def _reducta(coeffs: list) -> list:
     """Successive leading-term truncations with degree >= 1, as dense
-    coefficient lists.  The entries are int polynomials or MultiPolys;
-    either is zero when it has no terms."""
+    coefficient lists of int polynomials (see resultants.py)."""
     out = []
     cur = list(coeffs)
     while True:
-        while len(cur) > 1 and not getattr(cur[-1], "terms", cur[-1]):
+        while len(cur) > 1 and not cur[-1]:
             cur.pop()
         if len(cur) <= 1:
             break
@@ -457,10 +460,6 @@ class _Decider:
             lvl: [tuple(pos[v] for v in p.used_vars() if v != self.order[lvl - 1]) for p in polys]
             for lvl, polys in self.levels.items()
         }
-        self._root_forms = {
-            lvl: [int_form(p, self.order[lvl - 1]) for p in polys]
-            for lvl, polys in self.levels.items()
-        }
         slots: dict = {}
         self._atom_keys = {}
         self._atom_vars = {}
@@ -533,8 +532,7 @@ class _Decider:
         try:
             return self._roots_memo[key]
         except KeyError:
-            roots = roots_at_point(self.levels[level][index], point, self.order[level - 1],
-                                   self._root_forms[level][index])
+            roots = roots_at_point(self.levels[level][index], point, self.order[level - 1])
             self._roots_memo[key] = roots
             return roots
 
@@ -557,11 +555,10 @@ class _Decider:
         polynomial vanishes exactly where that sample is one of its roots
         there (everywhere, if it vanishes identically).  Only the sign of
         a nonzero value is left to sign_at_point."""
-        form = atom.poly.kept_form()
         irrational = [v for v in self._atom_vars[id(atom)]
                       if isinstance(point[v], RealAlgebraicNumber) and not point[v].is_rational]
         if len(irrational) < 2:
-            return sign_at_point(atom.poly, point, form)
+            return sign_at_point(atom.poly, point)
         level = self._atom_level[id(atom)]
         index = self._atom_index.get(id(atom))
         if index is None:
@@ -570,7 +567,7 @@ class _Decider:
         sample = point[self.order[level - 1]]
         if roots is None or any(r is sample or _same_number(r, sample) for r in roots):
             return 0
-        return sign_at_point(atom.poly, point, form)
+        return sign_at_point(atom.poly, point)
 
     def _fold(self, node, known: int, point: dict):
         """``node`` with the atoms of level ``known`` replaced by their

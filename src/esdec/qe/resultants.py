@@ -12,28 +12,18 @@ and that quotient is a minor of the matrix (Sylvester's identity), so
 an integer polynomial: the division is exact, and _exact_quotient
 checks that it is.
 
-MultiPoly callers (det_bareiss, and psc_set on MultiPoly coefficients)
-are converted on entry.  det_bareiss scales each row by the lcm L_i of
-its coefficient denominators, so the int matrix has determinant
-(prod L_i) * det, and divides that product back out exactly at the end.
-psc_set does this through det_bareiss, which for a Sylvester submatrix
-is the identity
-psc_j(L_f*f, L_g*g) = L_f^(n-j) * L_g^(m-j) * psc_j(f, g)
-(m = deg f >= n = deg g; f fills n - j rows and g fills m - j).
-The projection (cad.collins_project) converts each polynomial once,
-scaled to integers, and calls psc_set on int coefficient lists
-directly: its outputs are made primitive, which removes any positive
-constant factor such as those powers of L_f and L_g.  The resultant
-cascade of qe.roots builds its Sylvester matrices of int polynomials
-itself (_subresultant_matrix) and calls _det on them.
+The projection (cad.collins_project) takes each polynomial's int
+coefficient lists from its kept int form (int_coeffs), scaled by the lcm
+of its denominators, and calls psc_set on them: its outputs are made
+primitive, which removes any positive constant factor such as the
+powers of those scales in the pscs.  The resultant cascade of qe.roots
+builds its Sylvester matrices of int polynomials itself
+(_subresultant_matrix) and calls _det on them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
-from ..poly import MultiPoly, merge_vars
+from ..poly import MultiPoly
 
 
 def _mul(a: dict, b: dict) -> dict:
@@ -104,84 +94,55 @@ def _det(rows: list) -> dict:
     return out if sign == 1 else {m: -c for m, c in out.items()}
 
 
-def int_coeffs(p: MultiPoly, var: str | None, frame: tuple, den: int | None = None) -> list:
-    """p times ``den`` as a dense list of int polynomials over ``frame``
-    in ``var`` (index = degree; [{}] for the zero polynomial; one entry
-    when var is None).  ``frame`` holds every variable of p but ``var``,
-    in var_sort_key order; ``den`` is a multiple of every denominator of
-    p's coefficients, by default their lcm."""
-    names = p.vars
-    main = names.index(var) if var in names else None
-    where = {v: i for i, v in enumerate(frame)}
-    slots = [(i, where[v]) for i, v in enumerate(names) if i != main]
-    if den is None:
-        den = lcm(*(c.denominator for c in p.terms.values()))
-    out = [{} for _ in range(p.degree(var) + 1)]
+def int_coeffs(p: MultiPoly, var: str | None, frame: tuple) -> list:
+    """p times the lcm of its coefficient denominators as a dense list of
+    int polynomials over ``frame`` in ``var`` (index = degree; [{}] for
+    the zero polynomial; one entry when var is None).  ``frame`` holds
+    every variable p uses but ``var``, in var_sort_key order.  The terms
+    are those of p's kept int form in var (MultiPoly.kept_form), each put
+    into the frame's slots."""
+    looked, size, terms = p.kept_form(var)
+    slots = [frame.index(name) for name, _deg in looked]
     width = len(frame)
-    for mono, c in p.terms.items():
+    out = [{} for _ in range(size)]
+    for c, k, exps in terms:
         key = [0] * width
-        for i, j in slots:
-            key[j] = mono[i]
-        out[0 if main is None else mono[main]][tuple(key)] = c.numerator * (den // c.denominator)
+        for j, e in zip(slots, exps):
+            key[j] = e
+        out[k][tuple(key)] = c
     return out
 
 
-def det_bareiss(rows: list) -> MultiPoly:
-    """Fraction-free determinant of a square MultiPoly matrix, over the
-    union of the entries' variables (see the module docstring)."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("det_bareiss needs a square matrix")
-    if n == 0:
-        return MultiPoly.const(1)
-    frame = ()
-    for row in rows:
-        for entry in row:
-            frame = merge_vars(frame, entry.vars)
-    scale = 1
-    ints = []
-    for row in rows:
-        den = lcm(*(c.denominator for e in row for c in e.terms.values()))
-        scale *= den
-        ints.append([int_coeffs(e, None, frame, den)[0] for e in row])
-    det = _det(ints)
-    return MultiPoly._make(frame, {m: Fraction(c, scale) for m, c in det.items()})
-
-
-def _coeff_row(coeffs: list, shift: int, top: int, bottom: int, zero) -> list:
+def _coeff_row(coeffs: list, shift: int, top: int, bottom: int) -> list:
     """Coefficients of x^shift * p from degree ``top`` down to ``bottom``."""
     row = []
     for d in range(top, bottom - 1, -1):
         idx = d - shift
-        row.append(coeffs[idx] if 0 <= idx < len(coeffs) else zero)
+        row.append(coeffs[idx] if 0 <= idx < len(coeffs) else {})
     return row
 
 
-def _subresultant_matrix(fc: list, gc: list, j: int, zero) -> list:
+def _subresultant_matrix(fc: list, gc: list, j: int) -> list:
     m, n = len(fc) - 1, len(gc) - 1
     top, bottom = m + n - j - 1, j
     rows = []
     for s in range(n - j - 1, -1, -1):
-        rows.append(_coeff_row(fc, s, top, bottom, zero))
+        rows.append(_coeff_row(fc, s, top, bottom))
     for s in range(m - j - 1, -1, -1):
-        rows.append(_coeff_row(gc, s, top, bottom, zero))
+        rows.append(_coeff_row(gc, s, top, bottom))
     return rows
 
 
 def psc_set(fc: list, gc: list) -> list:
     """Principal subresultant coefficients psc_j for 0 <= j < min(deg f,
     deg g) of two polynomials given as dense coefficient lists in the
-    main variable (index = degree, nonzero last entry); psc_0 is the
+    main variable (index = degree, nonzero last entry) of int
+    polynomials over one frame (see the module docstring); psc_0 is the
     resultant with the larger degree first.  Empty when either degree
-    is < 1.  The entries are all MultiPoly or all int polynomials over
-    one frame (see the module docstring); the pscs are of the same
-    kind."""
+    is < 1."""
     m, n = len(fc) - 1, len(gc) - 1
     if m < 1 or n < 1:
         return []
     if m < n:
         fc, gc, m, n = gc, fc, n, m
-    if isinstance(fc[0], MultiPoly):
-        zero = MultiPoly.const(0)
-        return [det_bareiss(_subresultant_matrix(fc, gc, j, zero)) for j in range(n)]
-    return [_det(_subresultant_matrix(fc, gc, j, {})) for j in range(n)]
+    return [_det(_subresultant_matrix(fc, gc, j)) for j in range(n)]

@@ -66,14 +66,15 @@ not zero.
 
 At a sample point whose coordinates on the variables a polynomial uses
 are all rational, its sign and its coefficients in the main variable
-are computed in ints, scaled by one positive common denominator
-(_int_coeffs); a positive factor changes neither a sign nor a root.
-What this reads of the polynomial itself (the variables it uses, its
-degrees in them, and its terms scaled by the lcm of their denominators)
-is its int form.  The form and its evaluation live in ``poly``
-(int_form, eval_int_form), which the sequence side shares
-(MultiPoly.sign_at); a caller that evaluates one polynomial at many
-points builds the form once and passes it in.
+are computed in ints, scaled by one positive common denominator; a
+positive factor changes neither a sign nor a root.  What this reads of
+the polynomial itself (the variables it uses, its degrees in them, and
+its terms scaled by the lcm of their denominators) is its int form,
+which the polynomial keeps (MultiPoly.kept_form): one with no main
+variable for signs, and one in the main variable for roots, which the
+projection has read already (resultants.int_coeffs).  The form and its
+evaluation live in ``poly`` (int_form, eval_int_form), which the
+sequence side shares (MultiPoly.sign_at).
 At a sample point where two or more coordinates a polynomial uses are
 irrational, the polynomial becomes an int polynomial over a frame, as
 in resultants: a dict from exponent tuples to ints, one slot per
@@ -104,7 +105,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ..errors import ResourceLimitError
-from ..poly import MultiPoly, eval_int_form, int_form
+from ..poly import MultiPoly, eval_int_form
 from .resultants import _det, _subresultant_matrix
 
 
@@ -651,7 +652,7 @@ def _eliminate_algebraics(p: dict, frame: tuple, algs: dict) -> tuple:
                         if x:
                             rows[e][k] = x
                 one = (0,) * len(rest)
-                res = _det(_subresultant_matrix([{one: c} if c else {} for c in a.poly], rows, 0, {}))
+                res = _det(_subresultant_matrix([{one: c} if c else {} for c in a.poly], rows, 0))
                 if res:
                     p, frame = _drop_unused(res, rest)
                     break
@@ -676,16 +677,6 @@ def _nonzero_root_gap(N: list) -> Fraction:
     c0 = abs(N[k])
     rest = max((abs(c) for c in N[k + 1:]), default=0)
     return Fraction(c0, c0 + rest) if rest else Fraction(1)
-
-
-def _int_coeffs(p: MultiPoly, point: dict, var: str | None = None) -> list | None:
-    """p at the rational coordinates of ``point``, times a positive int,
-    as a list of int coefficients in ``var`` (index = degree; the value
-    alone, in a list of one, when var is None).  None when a variable p
-    uses, other than var, has an irrational coordinate.  Everything but
-    the coordinates is read off p once, by poly.int_form; poly.eval_int_form
-    does the rest, and its docstring has the argument."""
-    return eval_int_form(int_form(p, var), point)
 
 
 def _sign(p: dict, frame: tuple, scale: int, point: dict) -> int:
@@ -734,13 +725,12 @@ def _sign(p: dict, frame: tuple, scale: int, point: dict) -> int:
                 break
 
 
-def sign_at_point(p: MultiPoly, point: dict, form: tuple | None = None) -> int:
+def sign_at_point(p: MultiPoly, point: dict) -> int:
     """Exact sign of p at a sample point whose coordinates are Fractions
     or RealAlgebraicNumbers.  When every coordinate p uses is rational,
-    the sign is that of _int_coeffs' value.  A caller that evaluates p at
-    many points may pass ``form``, p's int_form, built once.  Otherwise p
-    goes to _sign as an int polynomial."""
-    ints = _int_coeffs(p, point) if form is None else eval_int_form(form, point)
+    the sign is that of the value eval_int_form gives for p's kept int
+    form; otherwise p goes to _sign as an int polynomial."""
+    ints = eval_int_form(p.kept_form(), point)
     if ints is not None:
         return (ints[0] > 0) - (ints[0] < 0)
     return _sign(*_int_poly(p), point)
@@ -761,12 +751,12 @@ def _changes_sign_around(sign_at, root) -> bool:
     return sign_at(lo) * sign_at(hi) < 0
 
 
-def roots_at_point(p: MultiPoly, point: dict, var: str, form: tuple | None = None):
+def roots_at_point(p: MultiPoly, point: dict, var: str):
     """Real roots (ascending RealAlgebraicNumbers) of p(sample, var), or
     None when p vanishes identically at the sample.  When every
-    coordinate p uses is rational, the int coefficients of _int_coeffs,
-    trimmed, go straight to isolate_real_roots; ``form``, when given, is
-    int_form(p, var), kept by a caller that solves p over many points.
+    coordinate p uses is rational, the int coefficients in var that
+    eval_int_form gives for p's kept int form in var, trimmed, go
+    straight to isolate_real_roots.
     Otherwise p is substituted at the rational coordinates once, as an
     int polynomial (_substitute), and its coefficients in var are signed
     from the top (_sign) down to the first nonzero one.  When no algebraic
@@ -774,7 +764,7 @@ def roots_at_point(p: MultiPoly, point: dict, var: str, form: tuple | None = Non
     isolate_real_roots; else the cascade's polynomial in var does, and
     each of its roots is kept when p changes sign around it or is zero
     at it."""
-    ints = _int_coeffs(p, point, var) if form is None else eval_int_form(form, point)
+    ints = eval_int_form(p.kept_form(var), point)
     if ints is not None:
         while ints and ints[-1] == 0:
             ints.pop()

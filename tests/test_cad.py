@@ -2,13 +2,13 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from esdec.errors import ParseError, ResourceLimitError
-from esdec.poly import MultiPoly
+from esdec.poly import MultiPoly, merge_vars
 from esdec.predicates import And, Atom, Not, Or, atoms_of, eval_with, rel_holds
 from esdec.qe import (
     QeBudget, Sentence, decide_sentence, export_smtlib, parse_sentence, sentence_negate,
@@ -543,6 +543,36 @@ def test_export_smtlib_eventually():
 # -- Hong's projection against Collins', kept here as the reference -------
 
 
+def _reducta(coeffs):
+    """cad._reducta on MultiPoly coefficient lists."""
+    out = []
+    cur = list(coeffs)
+    while True:
+        while len(cur) > 1 and cur[-1].is_zero:
+            cur.pop()
+        if len(cur) <= 1:
+            return out
+        out.append(list(cur))
+        cur = cur[:-1]
+
+
+def _psc_set(fc, gc):
+    """psc_set on MultiPoly coefficient lists: each list scaled to int
+    coefficients by the lcm of its denominators, over the union of the
+    entries' variables, and the pscs read back as MultiPolys.  Each is a
+    positive multiple of the psc over Q (psc_j(L_f f, L_g g) =
+    L_f^(n-j) L_g^(m-j) psc_j(f, g)), which cad._canonical removes."""
+    frame = ()
+    for c in fc + gc:
+        frame = merge_vars(frame, c.vars)
+
+    def ints(coeffs):
+        den = lcm(*(k.denominator for c in coeffs for k in c.terms.values()))
+        return [{m: int(k * den) for m, k in c.with_vars(frame).terms.items()} for c in coeffs]
+
+    return [MultiPoly(frame, v) for v in psc_set(ints(fc), ints(gc))]
+
+
 def _collins_reference(polys, var):
     """Collins' projection: the coefficients and reductum-derivative psc
     sets of collins_project, and psc sets of every reductum of A_i
@@ -561,17 +591,17 @@ def _collins_reference(polys, var):
             continue
         for c in coeffs:
             add(c)
-        for red in cad._reducta(coeffs):
+        for red in _reducta(coeffs):
             if len(red) >= 3:
-                for v in psc_set(red, [red[k] * k for k in range(1, len(red))]):
+                for v in _psc_set(red, [red[k] * k for k in range(1, len(red))]):
                     add(v)
     for i in range(len(unis)):
         for j in range(i + 1, len(unis)):
             if alone[i] and alone[j]:
                 continue
-            for ri in cad._reducta(unis[i]):
-                for rj in cad._reducta(unis[j]):
-                    for v in psc_set(ri, rj):
+            for ri in _reducta(unis[i]):
+                for rj in _reducta(unis[j]):
+                    for v in _psc_set(ri, rj):
                         add(v)
     return list(out)
 
@@ -631,8 +661,8 @@ def test_hong_projection_is_within_collins_with_the_same_truths():
 
 def _hong_on_multipolys(polys, var):
     """Hong's projection computed on MultiPoly coefficients, psc sets
-    through psc_set's MultiPoly route and outputs made canonical by
-    cad._canonical, deduplicated in first-found order."""
+    through _psc_set and outputs made canonical by cad._canonical,
+    deduplicated in first-found order."""
     out = {}
 
     def add(p):
@@ -647,16 +677,16 @@ def _hong_on_multipolys(polys, var):
             continue
         for c in coeffs:
             add(c)
-        for red in cad._reducta(coeffs):
+        for red in _reducta(coeffs):
             if len(red) >= 3:
-                for v in psc_set(red, [red[k] * k for k in range(1, len(red))]):
+                for v in _psc_set(red, [red[k] * k for k in range(1, len(red))]):
                     add(v)
     for i in range(len(unis)):
         for j in range(i + 1, len(unis)):
             if alone[i] and alone[j]:
                 continue
-            for ri in cad._reducta(unis[i]):
-                for v in psc_set(ri, unis[j]):
+            for ri in _reducta(unis[i]):
+                for v in _psc_set(ri, unis[j]):
                     add(v)
     return list(out)
 

@@ -32,6 +32,24 @@ def test_workload_names_select_the_lines(monkeypatch, capsys):
     # the algebraic corpus prints only when named, after the workloads
     assert lines("algebraic", "7") == ["seed 7 algebraic algebraic-7"]
     assert lines("7", "algebraic", "qe") == ["seed 7 qe qe-7", "seed 7 algebraic algebraic-7"]
+    # so does the projection corpus, last
+    assert lines("projection", "7") == ["seed 7 projection projection-7"]
+    assert lines("7", "projection", "algebraic") == [
+        "seed 7 algebraic algebraic-7", "seed 7 projection projection-7"]
+
+
+def test_the_projection_corpus_is_drawn_from_the_seed(monkeypatch):
+    """Lists of one to three polynomials with Fraction coefficients over
+    a declared, never used c1; the digest depends on the seed alone."""
+    digests = _load()
+    monkeypatch.setattr(digests, "PROJECTION_SETS", 8)
+    sets = list(digests._projection_sets(3))
+    assert len(sets) == 8 and all(1 <= len(polys) <= 3 for polys in sets)
+    polys = [p for ps in sets for p in ps]
+    assert all("c1" in p.vars and "c1" not in p.used_vars() for p in polys)
+    assert any(c.denominator > 1 for p in polys for c in p.terms.values())
+    assert digests.digest("projection", 3) == digests.digest("projection", 3)
+    assert digests.digest("projection", 3) != digests.digest("projection", 4)
 
 
 def test_the_algebraic_corpus_is_drawn_from_the_seed(monkeypatch):

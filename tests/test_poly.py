@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from esdec.poly import MultiPoly, merge_vars, var_sort_key
+from esdec.poly import MultiPoly, int_form, merge_vars, var_sort_key
 
 
 def P(text_vars, terms):
@@ -137,3 +137,22 @@ def test_operations_return_canonical_polys(p, q, c, order, e):
         results.append(p.rename_vars({v: f"z{i + 1}"}))
     for r in results:
         _assert_canonical(r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys(), _polys(), st.lists(st.sampled_from((None,) + _POOL), max_size=8))
+@example(P(("x1", "y1"), {(1, 2): 1}), P((), {}), ["x1", None, "y1", "y1", "x1", "Y", None])
+def test_kept_form_is_a_fresh_int_form_under_interleaved_calls(p, q, asked):
+    """Both constructors start with no kept form; kept_form(v) is a fresh
+    int_form(p, v) for no main variable and for each variable (one p
+    lacks gives the form with none), whatever was asked before it, and a
+    repeated call returns the kept object."""
+    for r in (MultiPoly(p.vars, p.terms), p * q, p + q, MultiPoly.var("x1")):
+        assert r._form is None and r._var_form is None
+    for v in asked + [None, *p.vars, None, *reversed(p.vars)]:
+        form = p.kept_form(v)
+        assert form == int_form(p, v)
+        assert p.kept_form(v) is form
+    if p.vars:
+        v = p.vars[0]
+        assert p.kept_form(v) is p.kept_form(v) and p.kept_form() is p.kept_form(None)

@@ -4,11 +4,12 @@ against the Fraction path that the int cascade of esdec.qe.roots replaced.
 The reference below is that path, kept here and nowhere else: the
 polynomial at the rational coordinates as a Fraction MultiPoly, interval
 enclosures over Fraction coefficients, remainders by Fraction division,
-resultants by det_bareiss of the MultiPoly Sylvester matrix, and the
-shared factor divided out of a rebuilt MultiPoly.  Both sides refine the
-same numbers in place, so each runs on its own deep copy of the point and
-the check compares the answers, the numbers' states afterwards and any
-ResourceLimitError.
+resultants over Q (the int Bareiss _det of the Sylvester matrix of the
+polynomials scaled to int coefficients, with the scale divided back
+out), and the shared factor divided out of a rebuilt MultiPoly.  Both
+sides refine the same numbers in place, so each runs on its own deep
+copy of the point and the check compares the answers, the numbers'
+states afterwards and any ResourceLimitError.
 
 Numbers are roots of irreducible quadratics, defined by them or by a
 reducible product on an isolating interval; some coordinates
@@ -24,17 +25,29 @@ from math import lcm
 from hypothesis import assume, example, given, settings, strategies as st
 
 from esdec.errors import ResourceLimitError
-from esdec.poly import MultiPoly
-from esdec.qe.resultants import _subresultant_matrix, det_bareiss
+from esdec.poly import MultiPoly, eval_int_form, int_form, merge_vars
+from esdec.qe.resultants import _det, _subresultant_matrix
 from esdec.qe.roots import (
-    RealAlgebraicNumber, _int_coeffs, _quotient, _to_ints, isolate_real_roots,
+    RealAlgebraicNumber, _quotient, _to_ints, isolate_real_roots,
     roots_at_point, sign_at_point, ugcd, usign,
 )
 
 # -- the Fraction path -------------------------------------------------
 
 
+def _scaled_ints(coeffs, frame):
+    """A MultiPoly coefficient list times the lcm L of its denominators,
+    as int polynomials over ``frame``, and L."""
+    den = lcm(*(k.denominator for c in coeffs for k in c.terms.values()))
+    return [{m: int(k * den) for m, k in c.with_vars(frame).terms.items()} for c in coeffs], den
+
+
 def _resultant(f, g, var):
+    """Res(f, g) in var, taken with the larger degree first: the int
+    Bareiss _det of _subresultant_matrix on the two scaled to int
+    coefficients by the lcms L_f and L_g of their denominators.  f fills
+    n = deg g rows and g fills m = deg f, so L_f^n * L_g^m is divided
+    back out."""
     fc, gc = f.as_univar(var), g.as_univar(var)
     m, n = len(fc) - 1, len(gc) - 1
     sign = 1
@@ -45,7 +58,12 @@ def _resultant(f, g, var):
     if n == 0:
         out = gc[0] ** m
     else:
-        out = det_bareiss(_subresultant_matrix(fc, gc, 0, MultiPoly.const(0)))
+        frame = ()
+        for c in fc + gc:
+            frame = merge_vars(frame, c.vars)
+        (fi, lf), (gi, lg) = _scaled_ints(fc, frame), _scaled_ints(gc, frame)
+        det = _det(_subresultant_matrix(fi, gi, 0))
+        out = MultiPoly(frame, {mono: F(c, lf ** n * lg ** m) for mono, c in det.items()})
     return out if sign == 1 else -out
 
 
@@ -186,7 +204,7 @@ def _fresh_var(avoid):
 
 
 def _sign_at_point(p, point):
-    ints = _int_coeffs(p, point)
+    ints = eval_int_form(int_form(p), point)
     if ints is not None:
         return (ints[0] > 0) - (ints[0] < 0)
     rats, algs = _split_point(point)

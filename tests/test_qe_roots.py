@@ -10,9 +10,9 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.subresultants_qq_zz import sylvester
 
 from esdec.poly import MultiPoly, eval_int_form, int_form, merge_vars
-from esdec.qe.resultants import _det, _subresultant_matrix, det_bareiss, int_coeffs, psc_set
+from esdec.qe.resultants import _det, _subresultant_matrix, int_coeffs, psc_set
 from esdec.qe.roots import (
-    RealAlgebraicNumber, _int_coeffs, interval_eval,
+    RealAlgebraicNumber, interval_eval,
     isolate_real_roots, roots_at_point, sign_at_point, usign, usquarefree, utrim,
 )
 
@@ -192,31 +192,32 @@ def _roots_by_partial_eval(p, point, var):
 @example((MultiPoly(("a", "x"), {}), [{"x": F(1)}], "x"))  # declared a, no terms, no coordinate
 @example((MultiPoly(("a", "x"), {(2, 1): F(1, 2), (1, 0): F(-3)}), [{"a": F(2, 3), "x": F(9)}], "x"))
 def test_integer_evaluation_matches_partial_eval(case):
-    """At each point, p's int forms, built once and reused, give what a
-    fresh _int_coeffs gives, and that agrees with the partial_eval route."""
+    """p's kept int forms are fresh int forms of p; at each point
+    sign_at_point and roots_at_point read them without building another,
+    and they agree with the partial_eval route."""
     p, points, var = case
-    form, form_var = int_form(p), int_form(p, var)
-    for point in points:
-        rats = {v: x.value if isinstance(x, RealAlgebraicNumber) else x for v, x in point.items()}
-        value = p.evaluate({v: rats.get(v, F(0)) for v in p.vars})
-        ints = eval_int_form(form, point)
-        assert ints == _int_coeffs(p, point) and _positive_multiple(ints, [value])
-        assert sign_at_point(p, point) == sign_at_point(p, point, form) == (value > 0) - (value < 0)
-        without_var = {v: x for v, x in point.items() if v != var}
-        wanted = [c.constant_value() for c in p.partial_eval(
-            {v: rats[v] for v in without_var}).as_univar(var)]
-        ints = eval_int_form(form_var, without_var)
-        assert ints == _int_coeffs(p, without_var, var) and _positive_multiple(ints, wanted)
-        want_roots = repr(_roots_by_partial_eval(p, without_var, var))
-        assert repr(roots_at_point(p, without_var, var)) == want_roots
-        assert repr(roots_at_point(p, without_var, var, form_var)) == want_roots
+    form, form_var = p.kept_form(), p.kept_form(var)
+    assert form == int_form(p) and form_var == int_form(p, var)
+    with mock.patch("esdec.poly.int_form", side_effect=AssertionError):
+        for point in points:
+            rats = {v: x.value if isinstance(x, RealAlgebraicNumber) else x for v, x in point.items()}
+            value = p.evaluate({v: rats.get(v, F(0)) for v in p.vars})
+            assert _positive_multiple(eval_int_form(form, point), [value])
+            assert sign_at_point(p, point) == (value > 0) - (value < 0)
+            without_var = {v: x for v, x in point.items() if v != var}
+            wanted = [c.constant_value() for c in p.partial_eval(
+                {v: rats[v] for v in without_var}).as_univar(var)]
+            assert _positive_multiple(eval_int_form(form_var, without_var), wanted)
+            want_roots = repr(_roots_by_partial_eval(p, without_var, var))
+            assert repr(roots_at_point(p, without_var, var)) == want_roots
+    assert p.kept_form() is form and p.kept_form(var) is form_var
 
 
 def test_integer_evaluation_needs_every_used_coordinate_rational():
     a, x = MultiPoly.var("a"), MultiPoly.var("x")
     sqrt2 = isolate_real_roots([F(-2), F(0), F(1)])[1]
-    assert _int_coeffs(a * x - 1, {"a": sqrt2}, "x") is None
-    assert _int_coeffs(a * x - 1, {"a": F(1, 2), "b": sqrt2}, "x") == [-2, 1]
+    assert eval_int_form((a * x - 1).kept_form("x"), {"a": sqrt2}) is None
+    assert eval_int_form((a * x - 1).kept_form("x"), {"a": F(1, 2), "b": sqrt2}) == [-2, 1]
     # 1/sqrt2, found on the algebraic path
     root, = roots_at_point(a * x - 1, {"a": sqrt2}, "x")
     assert not root.is_rational and sign_at_point(2 * x ** 2 - 1, {"x": root}) == 0
@@ -284,11 +285,61 @@ def _sylvester_det(f, g):
     deg f, so L_f^deg g * L_g^deg f is divided back out."""
     frame = tuple(v for v in merge_vars(f.vars, g.vars) if v != "x1")
     fc, gc = int_coeffs(f, "x1", frame), int_coeffs(g, "x1", frame)
-    rows = _subresultant_matrix(fc, gc, 0, {})
+    rows = _subresultant_matrix(fc, gc, 0)
     det = _det(rows) if rows else {(0,) * len(frame): 1}  # two constants
     scale = (lcm(*(c.denominator for c in f.terms.values())) ** (len(gc) - 1)
              * lcm(*(c.denominator for c in g.terms.values())) ** (len(fc) - 1))
     return MultiPoly(frame, {m: F(c, scale) for m, c in det.items()})
+
+
+def _int_coeffs_reference(p, var, frame):
+    """int_coeffs by direct conversion of p's Fraction terms: each
+    numerator scaled to the lcm of the denominators, its exponents put
+    into the frame's slots."""
+    names = p.vars
+    main = names.index(var) if var in names else None
+    where = {v: i for i, v in enumerate(frame)}
+    slots = [(i, where[v]) for i, v in enumerate(names) if i != main]
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    out = [{} for _ in range(p.degree(var) + 1)]
+    for mono, c in p.terms.items():
+        key = [0] * len(frame)
+        for i, j in slots:
+            key[j] = mono[i]
+        out[0 if main is None else mono[main]][tuple(key)] = c.numerator * (den // c.denominator)
+    return out
+
+
+@st.composite
+def _int_coeffs_case(draw):
+    """A polynomial over some of a1, b1, x1 with Fraction coefficients and
+    maybe unused variables, a main variable among them, outside them or
+    None, and a frame of the others, maybe with extra names."""
+    declared = draw(st.lists(st.sampled_from(("a1", "b1", "x1")), unique=True))
+    dead = draw(st.sets(st.sampled_from(declared))) if declared else set()
+    mono = st.tuples(*[st.just(0) if v in dead else st.integers(0, 3) for v in declared])
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    p = MultiPoly(declared, draw(st.dictionaries(mono, coeff, max_size=5)))
+    var = draw(st.sampled_from((None, "z1", *declared)))
+    extra = draw(st.sets(st.sampled_from(("c1", "y1", "X"))))
+    frame = tuple(v for v in merge_vars(declared, extra) if v != var)
+    return p, var, frame
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_coeffs_case())
+@example((MultiPoly(("a1", "x1"), {}), "x1", ("a1",)))  # the zero polynomial
+@example((MultiPoly(("a1", "b1"), {(1, 0): F(1, 2), (2, 0): F(-3, 4)}), "x1", ("a1", "b1", "c1")))
+@example((MultiPoly(("a1", "x1"), {(0, 2): F(2, 3), (0, 0): F(1)}), "x1", ("a1", "y1")))
+def test_int_coeffs_matches_direct_conversion(case):
+    """int_coeffs, read off the kept int form, is the direct conversion,
+    also after the kept form in another variable was built."""
+    p, var, frame = case
+    want = _int_coeffs_reference(p, var, frame)
+    assert int_coeffs(p, var, frame) == want
+    for other in (None, *p.vars):
+        p.kept_form(other)
+        assert int_coeffs(p, var, frame) == want
 
 
 def test_resultant_examples():
@@ -348,12 +399,12 @@ def test_psc_set_resultant_and_gcd_degree(fc, gc, hc):
     h = MultiPoly.from_univar([MultiPoly.const(c) for c in hc], "x1")
     f = h * MultiPoly.from_univar([MultiPoly.const(c) for c in fc], "x1")
     g = h * MultiPoly.from_univar([MultiPoly.const(c) for c in gc], "x1")
-    pscs = psc_set(f.as_univar("x1"), g.as_univar("x1"))
+    pscs = psc_set(int_coeffs(f, "x1", ()), int_coeffs(g, "x1", ()))
     m, n = f.degree("x1"), g.degree("x1")
     assert len(pscs) == min(m, n)
     big, small = (f, g) if m >= n else (g, f)
-    assert pscs[0] == _sylvester_det(big, small)
-    zeros = next((j for j, p in enumerate(pscs) if not p.is_zero), len(pscs))
+    assert MultiPoly((), pscs[0]) == _sylvester_det(big, small)
+    zeros = next((j for j, p in enumerate(pscs) if p), len(pscs))
     x = sympy.Symbol("x1")
     assert zeros == sympy.degree(sympy.gcd(_to_sympy(f), _to_sympy(g)), x)
 
@@ -362,18 +413,36 @@ def test_psc_set():
     x, y = X("x1"), X("y1")
     f = x ** 2 - y
     g = x - 1
-    pscs = psc_set(f.as_univar("x1"), g.as_univar("x1"))
+    pscs = psc_set(int_coeffs(f, "x1", ("y1",)), int_coeffs(g, "x1", ("y1",)))
     assert len(pscs) == 1
-    assert pscs[0] == MultiPoly.const(1) - y  # resultant(x^2-y, x-1)
+    assert MultiPoly(("y1",), pscs[0]) == MultiPoly.const(1) - y  # resultant(x^2-y, x-1)
 
 
-def test_det_bareiss_known():
+def _scaled_det(rows):
+    """The determinant of a square MultiPoly matrix by the int Bareiss
+    _det: each row scaled to int coefficients by the lcm L_i of its
+    denominators, over the union of the entries' variables, so the int
+    matrix has determinant (prod L_i) * det, which is divided back out."""
+    frame = ()
+    for row in rows:
+        for entry in row:
+            frame = merge_vars(frame, entry.vars)
+    scale, ints = 1, []
+    for row in rows:
+        den = lcm(*(c.denominator for entry in row for c in entry.terms.values()))
+        scale *= den
+        ints.append([{m: int(c * den) for m, c in entry.with_vars(frame).terms.items()}
+                     for entry in row])
+    return MultiPoly(frame, {m: F(c, scale) for m, c in _det(ints).items()})
+
+
+def test_scaled_det_known():
     one = MultiPoly.const
     m = [[one(2), one(1)], [one(7), one(4)]]
-    assert det_bareiss(m).constant_value() == 1
+    assert _scaled_det(m).constant_value() == 1
     x = X("x1")
     m2 = [[x, one(1)], [one(1), x]]
-    assert det_bareiss(m2) == x ** 2 - 1
+    assert _scaled_det(m2) == x ** 2 - 1
 
 
 # polynomials in x1 (degree <= 3), a1 and b1 (degree <= 1) with rational,
@@ -412,11 +481,11 @@ _entry = st.one_of(st.just(MultiPoly.zero()), _trivariate)
 @example([[MultiPoly.zero(), X("a1"), MultiPoly.const(F(1, 2))],
           [X("b1"), MultiPoly.zero(), X("x1")],
           [MultiPoly.const(F(2, 3)), X("x1"), X("a1") + F(1, 3)]])
-def test_det_bareiss_matches_domain_matrix(rows):
+def test_scaled_det_matches_domain_matrix(rows):
     """Zero entries force row swaps; rational entries force row scaling
     and exact division by non-constant pivots."""
     want = _sympy_det(sympy.Matrix([[_to_sympy(e) for e in row] for row in rows]))
-    assert sympy.expand(_to_sympy(det_bareiss(rows)) - want) == 0
+    assert sympy.expand(_to_sympy(_scaled_det(rows)) - want) == 0
 
 
 def test_sign_at_point_mixed():

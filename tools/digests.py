@@ -3,11 +3,11 @@ change keeps every answer.
 
     python3 tools/digests.py [SEED ...] [WORKLOAD ...]
 
-Seeds default to 401 5.  Names (qe, decide, extract, algebraic) among
-the arguments restrict the lines to those names, printed in that order;
-with no name, the three workloads are printed.  ``python3
-tools/digests.py 401 5 extract`` prints the two extract lines.  For each
-seed it prints the sha256 of:
+Seeds default to 401 5.  Names (qe, decide, extract, algebraic,
+projection) among the arguments restrict the lines to those names,
+printed in that order; with no name, the three workloads are printed.
+``python3 tools/digests.py 401 5 extract`` prints the two extract
+lines.  For each seed it prints the sha256 of:
 
 * qe: the truth and LiftStats of every sentence of 8 qe rounds (or the
   ResourceLimitError text);
@@ -18,7 +18,11 @@ seed it prints the sha256 of:
 * algebraic, only when named: the answer of each sign_at_point and
   roots_at_point call of a corpus drawn from the seed, at points with
   two irrational coordinates (no workload reaches those), and the
-  reprs of the point's numbers after the call, which the call refines.
+  reprs of the point's numbers after the call, which the call refines;
+* projection, only when named: the vars and terms of every
+  collins_project output, in each variable, over a corpus of polynomial
+  lists drawn from the seed, with Fraction coefficients and unused
+  variables.
 
 The workload ops come from perfbench's workload generator, imported as
 it is; esdec is imported from this checkout's ``src``.  Run it on two
@@ -31,6 +35,7 @@ import hashlib
 import json
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,11 +49,14 @@ from esdec.errors import ExtractionFailure, ResourceLimitError  # noqa: E402
 from esdec.poly import MultiPoly  # noqa: E402
 from esdec.predicates import parse  # noqa: E402
 from esdec.qe import decide_sentence_stats, parse_sentence, sentence_negate  # noqa: E402
+from esdec.qe.cad import collins_project  # noqa: E402
 from esdec.qe.roots import isolate_real_roots, roots_at_point, sign_at_point  # noqa: E402
 from esdec.ramsey import GrowthParams, extract_growing_embedding, extract_homogeneous  # noqa: E402
 
 ROUNDS = {"qe": 8, "decide": 3, "extract": 26}
 ALGEBRAIC_CALLS = 300
+PROJECTION_SETS = 300
+PROJECTION_VARS = ("a1", "b1", "x1")
 
 
 def _qe_line(op) -> str:
@@ -133,13 +141,40 @@ def _algebraic_line(call) -> str:
     return f"{f.__name__} {p} {out} {[repr(point[v]) for v in sorted(point)]}"
 
 
+def _projection_sets(seed: int):
+    """Lists of one to three polynomials declared over a1, b1, x1 and c1,
+    of up to four terms with coefficients n/d (n in -3..3, d in 1..3) and
+    degrees up to 3 in x1, 2 in a1 and 1 in b1; c1 is never used, and
+    each of the others goes unused in some polynomials."""
+    rng = random.Random(seed)
+    names = PROJECTION_VARS + ("c1",)
+    for _ in range(PROJECTION_SETS):
+        polys = []
+        for _ in range(rng.randint(1, 3)):
+            live = [rng.random() < 0.8 for _ in PROJECTION_VARS]
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                mono = tuple(rng.randint(0, top) if on else 0
+                             for top, on in zip((2, 1, 3), live)) + (0,)
+                terms[mono] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            polys.append(MultiPoly(names, terms))
+        yield polys
+
+
+def _projection_line(polys) -> str:
+    return " ".join(f"{var} {[(q.vars, sorted(q.terms.items())) for q in collins_project(polys, var)]}"
+                    for var in PROJECTION_VARS)
+
+
 LINES = {"qe": _qe_line, "decide": _decide_line, "extract": _extract_line,
-         "algebraic": _algebraic_line}
+         "algebraic": _algebraic_line, "projection": _projection_line}
 
 
 def _ops(workload: str, seed: int):
     if workload == "algebraic":
         return _algebraic_calls(seed)
+    if workload == "projection":
+        return _projection_sets(seed)
     return (op for ops in make_rounds(workload, seed, ROUNDS[workload]) for op in ops)
 
 
