@@ -213,9 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", parents=[common], help="is the predicate set Erdos-Szekeres?")
     p.add_argument("predicates")
     p.add_argument("--type-cap", type=int, default=200_000,
-                   help="cap on the candidate types per transform; also caps the 3^entries "
-                        "entry-sign vectors read first (over it, they are left to the "
-                        "later stages)")
+                   help="cap on the candidate types per transform of the type enumeration, "
+                        "the last stage")
     p.add_argument("--cell-cap", type=int, default=None)
     p.add_argument("--no-witness", action="store_true")
     p.set_defaults(func=cmd_decide)

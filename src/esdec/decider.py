@@ -14,7 +14,8 @@ in three exact stages.
    verdicts are those of one of the 3^entries entry-sign vectors.  A
    transform none of whose vectors makes every member 'nowhere' has no
    type that does and can certify nothing; when neither transform has
-   one, the answer is YES, with no type enumerated.
+   one, the answer is YES, with no type enumerated.  A transform with
+   more than SIGN_VECTOR_CAP vectors is kept unread.
 2. Point types (NO).  At a point (A, B), for any R and n, an R-growing
    b from b1 >= R * max|q_a/q_b| over the finite nonzero ratios makes
    every nonzero ratio dwarfed (|ratio| <= b1/R); a zero numerator's
@@ -99,6 +100,10 @@ ENVELOPE_NOTE = (
 # growth parameters (R, n) at which a NO's witness is searched for
 WITNESS_R = 4
 WITNESS_N = 4
+
+# most entry-sign vectors stage 1 reads per transform; a transform with
+# more goes on to the later stages
+SIGN_VECTOR_CAP = 200_000
 
 
 @dataclass
@@ -191,8 +196,9 @@ def decide_es(pset: PredicateSet, budget: QeBudget | None = None,
     enumeration (_decide_by_types) decides the rest on the kept
     transforms, screened by the sign patterns their walks read.  Each
     transform's Q is built once, F2's only when F1 does not answer NO.
-    ``stats.decided_by`` names the stage.  Resource limits surface as
-    UNDECIDED, never as a wrong answer.
+    ``stats.decided_by`` names the stage.  ``type_cap`` bounds the
+    candidate types per transform of the last stage.  Resource limits
+    surface as UNDECIDED, never as a wrong answer.
     """
     stats = DecisionStats()
     if not _within_envelope(pset):
@@ -203,7 +209,7 @@ def decide_es(pset: PredicateSet, budget: QeBudget | None = None,
     kept: list = []
     for kind in (TransformKind.F1, TransformKind.F2):
         Q = build_Q(pset, kind)
-        if not _nowhere_sign_vector(pset, Q, type_cap):
+        if not _nowhere_sign_vector(pset, Q):
             continue
         out = _point_type_no(pset, kind, Q, budget, search_witness, stats)
         if isinstance(out, Verdict):
@@ -219,11 +225,11 @@ def decide_es(pset: PredicateSet, budget: QeBudget | None = None,
     return out
 
 
-def _nowhere_sign_vector(pset: PredicateSet, Q: CoefficientSystem, cap: int) -> bool:
+def _nowhere_sign_vector(pset: PredicateSet, Q: CoefficientSystem) -> bool:
     """Whether some vector of entry signs makes every member 'nowhere';
-    also when there are more than ``cap`` vectors, which are left to the
-    later stages."""
-    if 3 ** len(Q.entries) > cap:
+    also when there are more than SIGN_VECTOR_CAP vectors, which are
+    left to the later stages."""
+    if 3 ** len(Q.entries) > SIGN_VECTOR_CAP:
         return True
     return any(all(v == "nowhere" for v in verdicts_from_entry_signs(pset, Q, signs).values())
                for signs in product((-1, 0, 1), repeat=len(Q.entries)))

@@ -194,9 +194,9 @@ and projections small: Y^2 and 2*X*Y contribute only the factors Y and
 X, and under F1 every coefficient of Q is a power of Y times a
 polynomial in X.
 
-Budgets make partiality honest: exceeding the cell budget raises
-ResourceLimitError, which callers surface as "undecided", never as an
-answer.
+Budgets make partiality honest: exceeding the cell budget, or a
+sentence of more than MAX_VARS variables, raises ResourceLimitError,
+which callers surface as "undecided", never as an answer.
 """
 
 from __future__ import annotations
@@ -213,13 +213,15 @@ from .roots import RealAlgebraicNumber, roots_at_point, sign_at_point
 from .sentences import EVENTUALLY, EXISTS, FORALL, Sentence
 
 
+MAX_VARS = 5  # most variables a sentence may quantify
+
+
 @dataclass
 class QeBudget:
     max_cells: int = 100_000
-    max_vars: int = 5
 
     def __post_init__(self):
-        if self.max_cells <= 0 or self.max_vars <= 0:
+        if self.max_cells <= 0:
             raise ValueError("budgets must be positive")
 
 
@@ -435,9 +437,9 @@ def _coord_key(x):
 
 class _Decider:
     def __init__(self, sentence: Sentence, budget: QeBudget):
-        if len(sentence.prefix) > budget.max_vars:
+        if len(sentence.prefix) > MAX_VARS:
             raise ResourceLimitError(
-                f"{len(sentence.prefix)} variables exceeds the limit {budget.max_vars}",
+                f"{len(sentence.prefix)} variables exceeds the limit {MAX_VARS}",
                 variables=len(sentence.prefix),
             )
         self.sentence = sentence

@@ -1,13 +1,10 @@
 """Exact univariate real root isolation and real algebraic numbers.
 
-Univariate polynomials appear here as dense int coefficient lists
-(index = degree).  isolate_real_roots also takes a Fraction list or a
-MultiPoly, and RealAlgebraicNumber.sign_of_poly a Fraction list; each
-converts its input once, on entry, to a positive multiple with int
-coefficients and no content (_to_ints), which has the same roots and
-the same signs.  A polynomial evaluated at a rational point arrives as
-an int list already (see below), and a linear one gives its root
--c0/c1 at once.
+Univariate polynomials are dense int coefficient lists (index =
+degree), the one input kind of isolate_real_roots, RealAlgebraicNumber
+and its sign_of_poly.  A polynomial evaluated at a rational point
+arrives as an int list already (see below), and a linear one gives its
+root -c0/c1 at once.
 
 The int kit:
 
@@ -146,16 +143,9 @@ def _content_free(c: list) -> list:
     return [x // g for x in c] if g > 1 else c
 
 
-def _to_ints(c: list) -> list:
-    """A positive multiple of an int or Fraction list with int
-    coefficients and no content, trimmed: the same roots and signs."""
-    den = lcm(*(x.denominator for x in c))
-    return _content_free([x.numerator * (den // x.denominator) for x in c])
-
-
 def uprimitive(c: list) -> list:
     """Primitive int form with positive leading coefficient."""
-    c = _to_ints(c)
+    c = _content_free(c)
     return [-x for x in c] if c[-1] < 0 else c
 
 
@@ -286,8 +276,8 @@ def isolate_squarefree(c: list) -> list:
 
 
 class RealAlgebraicNumber:
-    """A real root of a squarefree int polynomial, isolated by a
-    rational interval; exact rationals collapse to a direct value.
+    """A real root of a squarefree int list, isolated by a rational
+    interval; exact rationals collapse to a direct value.
 
     Refinement narrows the interval in place (always preserving the
     isolating property), so instances may be shared freely.  It moves
@@ -299,15 +289,9 @@ class RealAlgebraicNumber:
 
     __slots__ = ("poly", "lo", "hi", "value", "_lo_positive")
 
-    def __init__(self, poly: list | None, lo: Fraction, hi: Fraction,
-                 value: Fraction | None = None):
-        if value is not None:
-            self.value = value if isinstance(value, Fraction) else Fraction(value)
-            self.poly = None
-            self.lo = self.hi = self.value
-            return
+    def __init__(self, poly: list, lo: Fraction, hi: Fraction):
         self.value = None
-        self.poly = _to_ints(poly)
+        self.poly = _content_free(poly)
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
         at_lo = usign(self.poly, self.lo)
@@ -316,8 +300,12 @@ class RealAlgebraicNumber:
         self._lo_positive = at_lo > 0
 
     @staticmethod
-    def from_rational(q) -> "RealAlgebraicNumber":
-        return RealAlgebraicNumber(None, 0, 0, value=q)
+    def from_rational(q: Fraction) -> "RealAlgebraicNumber":
+        """The exact number q, a Fraction, adopted as it is."""
+        out = object.__new__(RealAlgebraicNumber)
+        out.value = out.lo = out.hi = q
+        out.poly = None
+        return out
 
     @property
     def is_rational(self) -> bool:
@@ -365,7 +353,7 @@ class RealAlgebraicNumber:
     def sign_of_poly(self, q: list) -> int:
         """Exact sign of q at this number: one Tarski query (see the
         module docstring)."""
-        q = _to_ints(q)
+        q = _content_free(q)
         if self.value is not None:
             return usign(q, self.value)
         p = self.poly
@@ -410,23 +398,13 @@ class RealAlgebraicNumber:
         return f"RealAlgebraicNumber({self.poly}, ({self.lo}, {self.hi}))"
 
 
-def isolate_real_roots(p) -> list:
-    """All distinct real roots of a nonzero univariate polynomial, as
-    RealAlgebraicNumber, ascending.  Accepts a MultiPoly in one variable
-    or a coefficient list of ints or Fractions; a positive multiple of a
-    list has the same roots, in the same form.  A linear polynomial's
-    root is -c0/c1.  Rational roots come back as exact values; irrational
-    ones are defined by the squarefree part with its rational roots
-    divided out."""
-    if isinstance(p, MultiPoly):
-        used = p.used_vars()
-        if len(used) > 1:
-            raise ValueError("isolate_real_roots needs a univariate polynomial")
-        if not used:
-            if p.is_zero:
-                raise ValueError("cannot isolate roots of the zero polynomial")
-            return []
-        p = [c.constant_value() for c in p.as_univar(used[0])]
+def isolate_real_roots(p: list) -> list:
+    """All distinct real roots of a nonzero int list (index = degree),
+    as RealAlgebraicNumber, ascending; a positive multiple of the list,
+    trailing zeros included, has the same roots, in the same form.  A
+    linear polynomial's root is -c0/c1.  Rational roots come back as
+    exact values; irrational ones are defined by the squarefree part with
+    its rational roots divided out."""
     coeffs = utrim(p)
     if not any(coeffs):
         raise ValueError("cannot isolate roots of the zero polynomial")

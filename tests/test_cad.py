@@ -145,9 +145,11 @@ def test_golden_suite_with_duality():
 
 
 def test_budget_limits():
+    six = parse_sentence("forall a. exists b. forall c. exists d. exists e. exists f. "
+                         "f > e and e > d and d > c and b = a")
+    with pytest.raises(ResourceLimitError, match="6 variables exceeds the limit 5"):
+        decide_sentence(six)
     s = parse_sentence("forall a. exists b. forall c. exists d. exists e. e > d and d > c and b = a")
-    with pytest.raises(ResourceLimitError):
-        decide_sentence(s, QeBudget(max_vars=3))
     with pytest.raises(ResourceLimitError):
         decide_sentence(s, QeBudget(max_cells=5))
 
@@ -273,7 +275,7 @@ def test_lifting_memo_keys_rationals_by_int_pairs():
     terms, whether it is a Fraction or a RealAlgebraicNumber."""
     assert cad._coord_key(F(2, 4)) == cad._coord_key(RealAlgebraicNumber.from_rational(F(1, 2))) == (1, 2)
     assert cad._coord_key(F(-3)) == (-3, 1)
-    sqrt2 = RealAlgebraicNumber([F(-2), F(0), F(1)], F(1), F(2))
+    sqrt2 = RealAlgebraicNumber([-2, 0, 1], F(1), F(2))
     assert cad._coord_key(sqrt2) is sqrt2
     s = parse_sentence("forall x. exists y. y^2 - x >= 0 or y - x < 0")
     truth, _, dec = _run(_Decider, s, QeBudget())

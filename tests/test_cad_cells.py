@@ -124,7 +124,7 @@ def test_merge_roots_keeps_the_insertion_merge(factor_lists):
         p = MultiPoly.const(1, ("x",))
         for i in factors:
             p = p * _FACTORS[i]
-        groups.append(isolate_real_roots(p))
+        groups.append(isolate_real_roots([int(c.constant_value()) for c in p.as_univar("x")]))
     want = _insertion_merge(groups)
     got = _merge_roots(groups)
     assert len(got) == len(want)

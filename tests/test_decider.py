@@ -155,19 +155,22 @@ def test_decide_monotone_pair_yes():
     assert v.stats.types_total > 0
 
 
-def test_sign_vectors_over_the_cap_go_to_the_later_stages():
-    """More entry-sign vectors than type_cap are left to the later
-    stages: both transforms are walked, find no NO, and the type
-    enumeration stops at the cap, so the answer is UNDECIDED; at a cap
-    that admits the three vectors, stage 1 answers YES."""
+def test_sign_vectors_over_the_cap_go_to_the_later_stages(monkeypatch):
+    """type_cap bounds the candidate types only: the three entry-sign
+    vectors answer YES under type_cap=2.  More vectors than
+    SIGN_VECTOR_CAP are left to the later stages: both transforms are
+    walked, find no NO, and the type enumeration stops at type_cap, so
+    the answer is UNDECIDED."""
     pset = parse("x1 < x2 ; x1 >= x2")
+    v = decide_es(pset, type_cap=2)
+    assert v.answer == YES and v.stats.decided_by == "signs"
+    assert v.stats.qe_calls == {"screen": 0, "feasibility": 0}
+    monkeypatch.setattr(decider, "SIGN_VECTOR_CAP", 2)
     v = decide_es(pset, type_cap=2)
     assert v.answer == UNDEC and v.stats.decided_by == "types"
     assert v.stats.qe_calls == {"screen": 2, "feasibility": 0}
     assert [e.split(":")[0] for e in v.stats.undecided_events] == ["F1", "F2"]
     assert all(e.endswith("exceeds cap 2") for e in v.stats.undecided_events)
-    v = decide_es(pset, type_cap=3)
-    assert v.answer == YES and v.stats.decided_by == "signs"
 
 
 def test_decide_eq_neq_yes():

